@@ -35,11 +35,13 @@ test-fast: lint
 	dune runtest
 
 # Durability only (DESIGN.md §10): the framing/sink/journal unit+property
-# tests and the crash-injection harness (kill-at-every-record-boundary
-# byte-identity, live fault-sink crashes, corrupt-input recovery).
+# tests, the crash-injection harness (kill-at-every-record-boundary
+# byte-identity, live fault-sink crashes, corrupt-input recovery) and
+# the log's differential test against the list-based model.
 test-crash:
 	dune exec test/test_main.exe -- test persist
 	dune exec test/test_main.exe -- test crash
+	dune exec test/test_main.exe -- test wal
 
 # Sharded-service load tier (DESIGN.md §13): the service unit/property
 # suite, then the seeded load generator driving 1k clients through the
@@ -106,8 +108,10 @@ bench-quick:
 
 # Allocation-discipline smoke (DESIGN.md §12): evals/sec and minor
 # words per evaluation for the MVA and DES objectives plus the
-# batch+memo engine; exits non-zero if minor words/eval regresses
-# more than 2x over the recorded baseline.  Re-record with
+# batch+memo engine, and bytes allocated per message of a journaled
+# service (journals in a temp dir); exits non-zero if minor words/eval
+# or bytes/message regresses more than 2x over the recorded baseline.
+# Re-record with
 #   dune exec bench/evals.exe -- --write-baseline bench/evals_baseline.json
 bench-evals:
 	dune exec bench/evals.exe -- --check bench/evals_baseline.json

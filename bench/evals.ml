@@ -1,12 +1,14 @@
 (* Evaluation-throughput micro-benchmark: evals/sec and Gc minor
    words per evaluation for the two hot objectives (analytic MVA
    model, discrete-event simulation) plus the batch+memo engine on a
-   tuning-shaped stream.  The numbers back the before/after table in
+   tuning-shaped stream, and bytes allocated per message of a
+   journaled service.  The numbers back the before/after tables in
    EXPERIMENTS.md and guard the allocation discipline in CI:
 
      dune exec bench/evals.exe                      print the table
      dune exec bench/evals.exe -- --check FILE      fail (exit 1) if
-                                                    minor words/eval
+                                                    minor words/eval or
+                                                    bytes/message
                                                     regressed >2x over
                                                     the recorded
                                                     baseline
@@ -23,6 +25,10 @@ module Space = Harmony_param.Space
 module Pool = Harmony_parallel.Pool
 module Telemetry = Harmony_telemetry.Telemetry
 module Export = Harmony_telemetry.Export
+module Service = Harmony_service.Service
+module Server = Harmony.Server
+module Simplex = Harmony.Simplex
+module Persist = Harmony_persist.Persist
 
 (* ------------------------------------------------------------------ *)
 (* Measurement                                                         *)
@@ -124,6 +130,97 @@ let des_batch_figures ?pool () =
       let obj = Objective.cached base in
       ignore (Objective.eval_batch ?pool obj stream : float array))
 
+(* A journaled service under a closed loop: 4 shards, 64 live
+   clients, the default [compact_every], journals in a temp dir.  Each
+   call carries every live client's next message (register, a report
+   per assignment, deregister after [done]); a client that leaves is
+   replaced by a new one.  Returns bytes allocated per message and
+   messages per second.  Bytes come from [Gc.allocated_bytes], which
+   unlike minor words also counts what is allocated straight in the
+   major heap, such as a snapshot-sized string. *)
+let wal_spec =
+  "{ harmonyBundle P0 { int {1 16 1} }}\n\
+   { harmonyBundle P1 { int {1 20-$P0 1} }}\n\
+   { harmonyBundle P2 { int {1 20-$P1 1} }}\n\
+   { harmonyBundle P3 { int {1 20-$P2 1} }}"
+
+let wal_figures () =
+  let shards = 4 and live = 64 in
+  let dir = Filename.temp_dir "harmony_evals" "" in
+  let journal = Filename.concat dir "service.journal" in
+  let service =
+    Service.create
+      ~options:{ Simplex.default_options with Simplex.max_evaluations = 30 }
+      ~shards ()
+  in
+  Service.attach_journals service ~journal ();
+  let serial = ref 0 in
+  let fresh () =
+    incr serial;
+    ("c" ^ string_of_int !serial, `Register)
+  in
+  let clients = Array.init live (fun _ -> fresh ()) in
+  let message (id, phase) =
+    match phase with
+    | `Register ->
+        Service.Client
+          {
+            client = id;
+            payload =
+              Server.Register { spec = wal_spec; direction = Server.Minimize };
+          }
+    | `Report assignment ->
+        let bowl =
+          List.fold_left (fun acc (_, v) -> acc + ((v - 5) * (v - 5))) 0
+            assignment
+        in
+        Service.Client
+          { client = id; payload = Server.Report (float_of_int bowl) }
+    | `Leave -> Service.Deregister { client = id }
+  in
+  let call () =
+    let replies =
+      Service.handle_batch service (Array.to_list (Array.map message clients))
+    in
+    List.iteri
+      (fun i reply ->
+        let id, _ = clients.(i) in
+        clients.(i) <-
+          (match reply with
+          | Service.Client_reply { reply = Server.Assign a; _ } ->
+              (id, `Report a)
+          | Service.Client_reply { reply = Server.Done _; _ } -> (id, `Leave)
+          | Service.Deregistered _ -> fresh ()
+          | ( Service.Client_reply
+                { reply = Server.Rejected _ | Server.Stats _; _ }
+            | Service.Service_stats _ | Service.Flight_dump _
+            | Service.Service_error _ ) as r ->
+              failwith
+                ("evals: unexpected reply " ^ Service.reply_to_string r)))
+      replies
+  in
+  for _ = 1 to 50 do
+    call ()
+  done;
+  Gc.full_major ();
+  let calls = 200 in
+  let bytes0 = Gc.allocated_bytes () in
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to calls do
+    call ()
+  done;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  let bytes = Gc.allocated_bytes () -. bytes0 in
+  Service.detach_journals service;
+  for shard = 0 to shards - 1 do
+    let p = Service.shard_journal ~journal ~shard in
+    List.iter Persist.remove_if_exists
+      [ p; p ^ ".tmp"; p ^ ".snapshot"; p ^ ".snapshot.tmp" ]
+  done;
+  (try Sys.rmdir dir with Sys_error _ -> ());
+  let messages = float_of_int (calls * live) in
+  (bytes /. messages, messages /. Float.max 1e-9 elapsed)
+
 (* ------------------------------------------------------------------ *)
 (* Baseline check                                                      *)
 
@@ -159,7 +256,7 @@ let json_number ~key text =
       done;
       float_of_string_opt (Buffer.contents b)
 
-let baseline_json ~mva ~des ~batch ~des_batch =
+let baseline_json ~mva ~des ~batch ~des_batch ~wal_bytes =
   Printf.sprintf
     "{\n\
     \  \"mva_words_per_eval\": %.1f,\n\
@@ -167,16 +264,17 @@ let baseline_json ~mva ~des ~batch ~des_batch =
     \  \"des_words_per_eval\": %.1f,\n\
     \  \"des_evals_per_sec\": %.0f,\n\
     \  \"batch_evals_per_sec\": %.0f,\n\
-    \  \"des_batch_evals_per_sec\": %.0f\n\
+    \  \"des_batch_evals_per_sec\": %.0f,\n\
+    \  \"wal_bytes_per_msg\": %.0f\n\
      }\n"
     mva.words_per_eval mva.evals_per_sec des.words_per_eval
-    des.evals_per_sec batch.evals_per_sec des_batch.evals_per_sec
+    des.evals_per_sec batch.evals_per_sec des_batch.evals_per_sec wal_bytes
 
-let check ~baseline_file ~mva ~des =
+let check ~baseline_file ~mva ~des ~wal_bytes =
   let text = In_channel.with_open_text baseline_file In_channel.input_all in
   let verdicts =
     List.filter_map
-      (fun (label, key, measured) ->
+      (fun (label, key, unit, measured) ->
         match json_number ~key text with
         | None ->
             Some (Printf.sprintf "%s: baseline key %s missing" label key)
@@ -184,13 +282,13 @@ let check ~baseline_file ~mva ~des =
             if measured > 2.0 *. recorded then
               Some
                 (Printf.sprintf
-                   "%s: %.1f minor words/eval exceeds 2x the recorded \
-                    baseline %.1f"
-                   label measured recorded)
+                   "%s: %.1f %s exceeds 2x the recorded baseline %.1f"
+                   label measured unit recorded)
             else None)
       [
-        ("mva", "mva_words_per_eval", mva.words_per_eval);
-        ("des", "des_words_per_eval", des.words_per_eval);
+        ("mva", "mva_words_per_eval", "minor words/eval", mva.words_per_eval);
+        ("des", "des_words_per_eval", "minor words/eval", des.words_per_eval);
+        ("wal", "wal_bytes_per_msg", "bytes/message", wal_bytes);
       ]
   in
   match verdicts with
@@ -237,6 +335,7 @@ let () =
         ( timed "batch-pool" (fun () -> batch_figures ~pool ()),
           timed "des-batch" (fun () -> des_batch_figures ~pool ()) ))
   in
+  let wal_bytes, wal_per_sec = timed "wal" wal_figures in
   let row label f =
     Printf.printf "%-18s %12.1f %14.0f\n" label f.words_per_eval
       f.evals_per_sec;
@@ -257,6 +356,11 @@ let () =
   row "des-batch" des_batch;
   Printf.printf "%-18s (batch of 64 = 8 distinct x 8, memo on, %d domains)\n"
     "" jobs;
+  Printf.printf "%-18s %12.0f %14.0f\n" "wal" wal_bytes wal_per_sec;
+  Printf.printf "%-18s (bytes/message, messages/sec: journaled service, 4 \
+                 shards x 64 clients)\n" "";
+  Telemetry.gauge telemetry "evals.wal.bytes_per_msg" wal_bytes;
+  Telemetry.gauge telemetry "evals.wal.per_sec" wal_per_sec;
   Out_channel.with_open_text "BENCH_6.json" (fun oc ->
       Out_channel.output_string oc (Export.chrome telemetry));
   Printf.printf "telemetry: BENCH_6.json (Chrome trace)\n";
@@ -265,8 +369,8 @@ let () =
   | Some file ->
       Out_channel.with_open_text file (fun oc ->
           Out_channel.output_string oc
-            (baseline_json ~mva ~des ~batch:batch_pool ~des_batch));
+            (baseline_json ~mva ~des ~batch:batch_pool ~des_batch ~wal_bytes));
       Printf.printf "baseline written to %s\n" file);
   match !check_file with
   | None -> ()
-  | Some file -> check ~baseline_file:file ~mva ~des
+  | Some file -> check ~baseline_file:file ~mva ~des ~wal_bytes

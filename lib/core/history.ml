@@ -196,7 +196,7 @@ let render t =
 (* A crash mid-save must never leave a truncated database: the file is
    replaced atomically (tmp + fsync + rename), so readers observe the
    old experience or the new, never a torn mixture. *)
-let save t path = Harmony_persist.Persist.write_atomic ~path (render t)
+let save t path = Harmony_persist.Persist.write_atomic ~path [ render t ]
 
 (* Parse as far as the data is well-formed.  [t] accumulates the
    entries before the first malformed line; the malformed line and

@@ -1,8 +1,7 @@
 open Harmony_param
 open Harmony_objective
 module Frame = Harmony_persist.Frame
-module Persist = Harmony_persist.Persist
-module Journal = Harmony_persist.Journal
+module Wal = Harmony_persist.Wal
 module Telemetry = Harmony_telemetry.Telemetry
 module Export = Harmony_telemetry.Export
 
@@ -34,11 +33,11 @@ type session = {
   mutable penalized : int;
 }
 
-(* Durability plumbing.  [seq] numbers the journaled client messages;
+(* Journal records.  A seq numbers the journaled client messages;
    each message's reply record carries the same seq, so recovery can
    pair them back up and a stale journal tail (a crash between
-   snapshot rename and journal reset) is detected by seq alone.
-   [session_log] is the replayable essence of the current session —
+   snapshot rename and journal reset) is detected by seq alone.  The
+   log's live set is the replayable essence of the current session —
    everything since the last accepted [Register] — which is what a
    snapshot persists.  [Shed] records a message the admission layer
    rejected before it could touch state: replay must not re-apply it
@@ -46,21 +45,13 @@ type session = {
    literally rather than regenerated. *)
 type event = Recv of message | Reply of string | Shed of message
 
-type persist = {
-  journal : Journal.t;
-  snapshot : string;
-  compact_every : int;
-  mutable seq : int;
-  mutable session_log : (int * event) list;  (* newest first *)
-}
-
 type t = {
   options : Simplex.options;
   max_report_failures : int;
   reject_reregister : bool;
   telemetry : Telemetry.t;
   mutable session : session option;
-  mutable persist : persist option;
+  mutable wal : Wal.t option;
   mutable handled : int;  (* messages ever handled; seeds fallback trace roots *)
 }
 
@@ -69,7 +60,7 @@ let create ?(options = Simplex.default_options) ?(max_report_failures = 3)
   if max_report_failures < 1 then
     invalid_arg "Server.create: max_report_failures < 1";
   { options; max_report_failures; reject_reregister; telemetry;
-    session = None; persist = None; handled = 0 }
+    session = None; wal = None; handled = 0 }
 
 let spec t = Option.map (fun s -> s.rsl) t.session
 
@@ -344,66 +335,44 @@ end
 (* ------------------------------------------------------------------ *)
 (* Journaling, snapshots, recovery                                     *)
 
-let snapshot_path path = path ^ ".snapshot"
 let default_compact_every = 64
 let snapshot_magic = "harmony-snapshot"
-let snapshot_header seq = Printf.sprintf "%s 1 %d" snapshot_magic seq
 
-let parse_snapshot_header record =
-  match String.split_on_char ' ' record with
-  | [ magic; "1"; seq ] when String.equal magic snapshot_magic ->
-      int_of_string_opt seq
-  | _ -> None
+(* The live set's one owner: the current session. *)
+let session_owner = ""
 
 (* Only client messages that can change server state are journaled;
    [Query] is read-only up to idempotent re-issue of the outstanding
    assignment, which deterministic replay regenerates for free. *)
-let journaled_persist t message =
-  match t.persist with
+let journaled_wal t message =
+  match t.wal with
   | None -> None
-  | Some p -> (
+  | Some w -> (
       match message with
-      | Register _ | Report _ | Report_failed -> Some p
+      | Register _ | Report _ | Report_failed -> Some w
       | Query | Metrics -> None)
 
-(* The session log restarts at an *accepted* register: a rejected
-   re-register leaves the live session untouched, so its events must
-   stay in the replayable essence. *)
-let extend_session_log log ~seq message reply =
-  let recv = (seq, Recv message) in
-  let rep = (seq, Reply (reply_to_string reply)) in
-  let is_register =
-    match message with
-    | Register _ -> true
-    | Query | Report _ | Report_failed | Metrics -> false
-  in
-  let rejected =
-    match reply with
-    | Rejected _ -> true
-    | Assign _ | Done _ | Stats _ -> false
-  in
-  if is_register && not rejected then [ rep; recv ] else rep :: recv :: log
+(* The session's replayable essence restarts at an *accepted*
+   register: a rejected re-register leaves the live session untouched,
+   so its events must stay. *)
+let keep_handled w message reply ~recv ~rep =
+  (match (message, reply) with
+  | Register _, (Assign _ | Done _ | Stats _) ->
+      Wal.retire w ~owner:session_owner
+  | Register _, Rejected _
+  | (Query | Report _ | Report_failed | Metrics), _ -> ());
+  Wal.keep w ~owner:session_owner recv;
+  Wal.keep w ~owner:session_owner rep
 
-(* Snapshot = atomically-written replayable essence of the current
-   session (original seqs preserved), after which the journal restarts
-   empty.  Crash windows: before the rename we still have old snapshot
-   + full journal; between rename and reset we have new snapshot + a
-   stale journal whose seqs are all <= the header seq (skipped on
-   load); after the reset we are clean. *)
-let compact p =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Frame.encode (snapshot_header p.seq));
-  List.iter
-    (fun (seq, ev) -> Buffer.add_string buf (Frame.encode (Event.encode ~seq ev)))
-    (List.rev p.session_log);
-  Persist.write_atomic ~path:p.snapshot (Buffer.contents buf);
-  Journal.reset p.journal
-
-(* Every [Journal.append] frames, writes and fsyncs one record. *)
-let journal_append tel journal record =
-  Journal.append journal record;
+(* Every append frames, writes and fsyncs one record. *)
+let journal_append tel w ~seq record =
+  let frame = Wal.append w ~seq record in
   Telemetry.incr tel "server.journal.appends";
-  Telemetry.incr tel "server.journal.fsyncs"
+  Telemetry.incr tel "server.journal.fsyncs";
+  frame
+
+let compact_if_due tel w =
+  if Wal.compact_if_due w then Telemetry.incr tel "server.journal.compactions"
 
 let handle ?ctx t message =
   let tel = t.telemetry in
@@ -423,37 +392,43 @@ let handle ?ctx t message =
   let started = Telemetry.now tel in
   (* Each WAL write (frame + fsync) is its own child span, so the trace
      attributes journal latency separately from search work. *)
-  let journal_span p record =
+  let journal_span w ~seq record =
     let jctx = Telemetry.Ctx.child ctx "server.journal.append" in
     Telemetry.span_begin tel "server.journal.append"
       ~args:(Telemetry.Ctx.args jctx);
-    journal_append tel p.journal record;
-    Telemetry.span_end tel "server.journal.append"
+    let frame = journal_append tel w ~seq record in
+    Telemetry.span_end tel "server.journal.append";
+    frame
   in
-  (match journaled_persist t message with
-  | None -> ()
-  | Some p ->
-      (* WAL discipline: the message is durable before any state
-         changes, so a crash can lose at most the reply, never an
-         applied-but-unlogged mutation. *)
-      p.seq <- p.seq + 1;
-      journal_span p (Event.encode ~seq:p.seq (Recv message)));
-  let reply =
+  let search () =
     let sctx = Telemetry.Ctx.child ctx "server.search" in
     Telemetry.span_begin tel "server.search" ~args:(Telemetry.Ctx.args sctx);
     let reply = handle_total t message in
     Telemetry.span_end tel "server.search";
     reply
   in
-  (match journaled_persist t message with
-  | None -> ()
-  | Some p ->
-      journal_span p (Event.encode ~seq:p.seq (Reply (reply_to_string reply)));
-      p.session_log <- extend_session_log p.session_log ~seq:p.seq message reply;
-      if Journal.records p.journal > p.compact_every then begin
-        Telemetry.incr tel "server.journal.compactions";
-        compact p
-      end);
+  let reply =
+    match journaled_wal t message with
+    | None -> search ()
+    | Some w -> (
+        let seq = Wal.seq w + 1 in
+        let recv = Event.encode ~seq (Recv message) in
+        match Wal.oversize recv with
+        | Some reason -> Rejected reason
+        | None ->
+            (* WAL discipline: the message is durable before any state
+               changes, so a crash can lose at most the reply, never an
+               applied-but-unlogged mutation. *)
+            let recv = journal_span w ~seq recv in
+            let reply = search () in
+            let rep =
+              journal_span w ~seq
+                (Event.encode ~seq (Reply (reply_to_string reply)))
+            in
+            keep_handled w message reply ~recv ~rep;
+            compact_if_due tel w;
+            reply)
+  in
   Telemetry.observe tel
     ~exemplar:(Telemetry.Ctx.trace_id ctx)
     "server.handle_ms"
@@ -466,115 +441,72 @@ let handle ?ctx t message =
    replay the whole reply stream — including rejections —
    byte-for-byte.  The reply is journaled verbatim (admission state is
    not replayable, so replay re-emits it literally).  No-op without an
-   attached journal: an undurable rejection loses nothing. *)
+   attached journal, or for a message too large to journal: an
+   undurable rejection loses nothing. *)
 let journal_shed t message ~reply =
-  match t.persist with
+  match t.wal with
   | None -> ()
-  | Some p ->
+  | Some w -> (
       (match message with
       | Register _ | Report _ | Report_failed -> ()
       | Query | Metrics ->
           invalid_arg "Server.journal_shed: message is never journaled");
-      let tel = t.telemetry in
-      p.seq <- p.seq + 1;
-      journal_append tel p.journal (Event.encode ~seq:p.seq (Shed message));
-      journal_append tel p.journal (Event.encode ~seq:p.seq (Reply reply));
-      p.session_log <-
-        (p.seq, Reply reply) :: (p.seq, Shed message) :: p.session_log;
-      if Journal.records p.journal > p.compact_every then begin
-        Telemetry.incr tel "server.journal.compactions";
-        compact p
-      end
+      let seq = Wal.seq w + 1 in
+      let shed = Event.encode ~seq (Shed message) in
+      match Wal.oversize shed with
+      | Some _ -> ()
+      | None ->
+          let tel = t.telemetry in
+          Wal.keep w ~owner:session_owner (journal_append tel w ~seq shed);
+          Wal.keep w ~owner:session_owner
+            (journal_append tel w ~seq (Event.encode ~seq (Reply reply)));
+          compact_if_due tel w)
 
 let attach_journal ?(compact_every = default_compact_every) ?wrap t ~journal:path
     () =
   if compact_every < 1 then invalid_arg "Server.attach_journal: compact_every < 1";
-  (match t.persist with
-  | Some p -> Journal.close p.journal
-  | None -> ());
-  let _scan, journal = Journal.open_file ?wrap path in
-  (* A fresh attachment starts a fresh log: whatever sat at [path]
-     belongs to some other run (use [recover] to resume one). *)
-  Journal.reset journal;
-  Persist.remove_if_exists (snapshot_path path);
-  Persist.remove_if_exists (snapshot_path path ^ ".tmp");
-  t.persist <-
-    Some
-      { journal; snapshot = snapshot_path path; compact_every; seq = 0;
-        session_log = [] }
+  Option.iter Wal.close t.wal;
+  t.wal <- Some (Wal.attach ?wrap ~magic:snapshot_magic ~compact_every path)
 
 let detach_journal t =
-  match t.persist with
-  | None -> ()
-  | Some p ->
-      Journal.close p.journal;
-      t.persist <- None
+  Option.iter Wal.close t.wal;
+  t.wal <- None
 
-(* Decode snapshot + journal into one seq-ordered event list.  Total:
-   torn tails were already dropped by the frame scan; records that do
-   not decode, a snapshot without a valid header, and stale journal
-   records (seq <= snapshot header seq) are counted as dropped. *)
-let load_events path =
-  let dropped = ref 0 in
-  let decode_record record =
-    match Event.decode record with
-    | Some ev -> Some ev
-    | None ->
-        incr dropped;
-        None
-  in
-  let snap = Journal.read (snapshot_path path) in
-  let snap_events, snap_seq =
-    match snap.Frame.records with
-    | [] -> ([], 0)
-    | header :: rest -> (
-        match parse_snapshot_header header with
-        | None ->
-            (* Unusable snapshot: fall back to the journal alone. *)
-            dropped := !dropped + 1 + List.length rest;
-            ([], 0)
-        | Some seq -> (List.filter_map decode_record rest, seq))
-  in
-  let journal_events =
-    List.filter_map
-      (fun record ->
-        match decode_record record with
-        | Some (seq, _) when seq <= snap_seq ->
-            incr dropped;
-            None
-        | Some ev -> Some ev
-        | None -> None)
-      (Journal.read path).Frame.records
-  in
-  (snap_events @ journal_events, !dropped)
-
-(* Re-apply recorded client messages to a fresh server.  Reply records
-   are cross-checks: deterministic replay must regenerate the recorded
-   reply byte-for-byte, and the first divergence (or a non-monotone
-   seq) invalidates everything after it — recovery degrades to the
-   longest self-consistent prefix.  A [Shed] record is not re-applied
-   (the message never touched state); its paired reply is accepted
+(* Re-apply recorded client messages to a fresh server, rebuilding the
+   live set from re-encoded events.  Reply records are cross-checks:
+   deterministic replay must regenerate the recorded reply
+   byte-for-byte, and the first divergence (or a non-monotone seq)
+   invalidates everything after it — recovery degrades to the longest
+   self-consistent prefix.  A [Shed] record is not re-applied (the
+   message never touched state); its paired reply is accepted
    literally, which is exactly what makes journaled rejections replay
    byte-for-byte.  [literal] is the pending shed reply's seq. *)
-let replay_events server events =
-  let rec go events last_reply literal applied dropped log seq =
+let replay_events server w events =
+  let frame seq ev = Frame.encode (Event.encode ~seq ev) in
+  let rec go events last_reply literal applied dropped seq =
     match events with
-    | [] -> (last_reply, applied, dropped, log, seq)
+    | [] -> (last_reply, applied, dropped, seq)
     | (s, Recv m) :: rest ->
-        if s <= seq then (last_reply, applied, dropped + 1 + List.length rest, log, seq)
+        if s <= seq then (last_reply, applied, dropped + 1 + List.length rest, seq)
         else
           let reply = handle_total server m in
-          let log = extend_session_log log ~seq:s m reply in
-          go rest (Some reply) None (applied + 1) dropped log s
+          keep_handled w m reply ~recv:(frame s (Recv m))
+            ~rep:(frame s (Reply (reply_to_string reply)));
+          go rest (Some reply) None (applied + 1) dropped s
     | (s, Shed m) :: rest ->
-        if s <= seq then (last_reply, applied, dropped + 1 + List.length rest, log, seq)
-        else go rest last_reply (Some s) (applied + 1) dropped ((s, Shed m) :: log) s
+        if s <= seq then (last_reply, applied, dropped + 1 + List.length rest, seq)
+        else begin
+          Wal.keep w ~owner:session_owner (frame s (Shed m));
+          go rest last_reply (Some s) (applied + 1) dropped s
+        end
     | (s, Reply text) :: rest -> (
         match literal with
         | Some ls ->
-            if s = ls then
-              go rest last_reply None applied dropped ((s, Reply text) :: log) seq
-            else (last_reply, applied, dropped + 1 + List.length rest, log, seq)
+            if s = ls then begin
+              Wal.keep w ~owner:session_owner (frame s (Reply text));
+              go rest last_reply None applied dropped seq
+            end
+            else (last_reply, applied, dropped + 1 + List.length rest, seq)
         | None ->
             let consistent =
               s = seq
@@ -583,10 +515,10 @@ let replay_events server events =
               | Some r -> String.equal (reply_to_string r) text
               | None -> false
             in
-            if consistent then go rest last_reply None applied dropped log seq
-            else (last_reply, applied, dropped + 1 + List.length rest, log, seq))
+            if consistent then go rest last_reply None applied dropped seq
+            else (last_reply, applied, dropped + 1 + List.length rest, seq))
   in
-  go events None None 0 0 [] 0
+  go events None None 0 0 0
 
 type recovery = {
   server : t;
@@ -601,19 +533,14 @@ let recover ?options ?max_report_failures ?reject_reregister ?telemetry
   let server =
     create ?options ?max_report_failures ?reject_reregister ?telemetry ()
   in
-  let events, dropped_load = load_events path in
-  let last_reply, replayed, dropped_replay, session_log, seq =
-    replay_events server events
+  let w, events, dropped_load =
+    Wal.reopen ~magic:snapshot_magic ~decode:Event.decode ~compact_every path
   in
-  let _scan, journal = Journal.open_file path in
-  let p =
-    { journal; snapshot = snapshot_path path; compact_every; seq; session_log }
+  let last_reply, replayed, dropped_replay, seq =
+    replay_events server w events
   in
-  server.persist <- Some p;
-  (* Checkpoint on the way up: the recovered state becomes one atomic
-     snapshot and the journal restarts empty, so torn tails, stale
-     records and diverged suffixes are durably gone. *)
-  compact p;
+  server.wal <- Some w;
+  Wal.checkpoint w ~seq;
   let dropped = dropped_load + dropped_replay in
   Telemetry.gauge server.telemetry "server.recovery.replayed"
     (float_of_int replayed);
@@ -643,7 +570,9 @@ let assignment_of_reply_text text =
   | _ -> None
 
 let journal_evaluations path =
-  let events, _dropped = load_events path in
+  let events, _dropped =
+    Wal.load ~magic:snapshot_magic ~decode:Event.decode path
+  in
   let current = ref [] in
   let last_assign = ref None in
   (* A register tentatively restarts the trace; the paired reply at the

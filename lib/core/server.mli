@@ -187,7 +187,9 @@ val attach_journal :
     here).  While journaling, {!handle} can raise the sink's I/O
     exceptions ({!Harmony_persist.Persist.Crashed}, [Sys_error],
     [Unix.Unix_error]): a server that cannot persist an event must not
-    acknowledge it.
+    acknowledge it.  A message whose journal record would exceed
+    {!Harmony_persist.Frame.max_payload} is answered [Rejected],
+    neither applied nor journaled.
     @raise Invalid_argument when [compact_every < 1]. *)
 
 val detach_journal : t -> unit

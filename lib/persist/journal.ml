@@ -11,9 +11,11 @@ let open_file ?(wrap = Fun.id) path =
   (scan, { sink; records = List.length scan.Frame.records })
 
 let append t payload =
-  t.sink.Persist.write (Frame.encode payload);
+  let frame = Frame.encode payload in
+  t.sink.Persist.write frame;
   t.sink.Persist.sync ();
-  t.records <- t.records + 1
+  t.records <- t.records + 1;
+  frame
 
 let records t = t.records
 

@@ -20,8 +20,9 @@ val open_file :
 val of_sink : Persist.sink -> t
 (** Journal over an arbitrary sink (in-memory tests). *)
 
-val append : t -> string -> unit
-(** Frame, write, fsync.  Durable when it returns.
+val append : t -> string -> string
+(** Frame, write, fsync; returns the frame, so a caller that keeps the
+    record encodes it only once.  Durable when it returns.
     @raise Persist.Crashed from a fault sink; I/O errors propagate —
     a journal that cannot persist must not pretend it did. *)
 

@@ -72,14 +72,20 @@ let fsync_dir dir =
       (try Unix.fsync fd with Unix.Unix_error _ -> ());
       Unix.close fd
 
-let write_atomic ~path data =
+(* The parts go through a channel buffer (allocated outside the OCaml
+   heap), so a large file is written in a few big writes without its
+   contents ever being concatenated into one string. *)
+let write_atomic ~path parts =
   let tmp = path ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  let oc =
+    open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp
+  in
   Fun.protect
-    ~finally:(fun () -> Unix.close fd)
+    ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      write_all fd data;
-      Unix.fsync fd);
+      List.iter (output_string oc) parts;
+      flush oc;
+      Unix.fsync (Unix.descr_of_out_channel oc));
   Unix.rename tmp path;
   fsync_dir (Filename.dirname path)
 

@@ -35,11 +35,13 @@ val fault_sink : limit_bytes:int -> sink -> sink
     behind, exactly like a kill mid-[write(2)].  The budget counts
     across [reset]. *)
 
-val write_atomic : path:string -> string -> unit
-(** Replace [path]'s contents atomically: write [path ^ ".tmp"],
-    fsync it, rename over [path], then best-effort fsync of the
-    containing directory.  A crash at any point leaves either the old
-    file or the new one.
+val write_atomic : path:string -> string list -> unit
+(** Replace [path]'s contents atomically with the concatenation of the
+    parts: write [path ^ ".tmp"], fsync it, rename over [path], then
+    best-effort fsync of the containing directory.  The parts are
+    streamed through a fixed-size buffer, never joined into one
+    string.  A crash at any point leaves either the old file or the
+    new one.
     @raise Sys_error (or [Unix.Unix_error]) on I/O failure. *)
 
 val read_file : string -> string option

@@ -1,7 +1,6 @@
 open Harmony
 module Frame = Harmony_persist.Frame
-module Persist = Harmony_persist.Persist
-module Journal = Harmony_persist.Journal
+module Wal = Harmony_persist.Wal
 module Pool = Harmony_parallel.Pool
 module Telemetry = Harmony_telemetry.Telemetry
 module Export = Harmony_telemetry.Export
@@ -34,23 +33,14 @@ type envelope = {
 
 let envelope ?enqueued_at ?deadline message = { message; enqueued_at; deadline }
 
-(* Per-shard durability plumbing: the same WAL discipline as
-   [Server.persist], except the replayable essence interleaves many
-   clients' sessions, so each log entry remembers which client owns it
-   (an accepted re-register or a deregister prunes exactly that
-   client's entries). *)
-type shard_persist = {
-  journal : Journal.t;
-  snapshot : string;
-  compact_every : int;
-  mutable seq : int;
-  mutable session_log : (int * string * event) list;  (* newest first *)
-}
-
+(* A shard's log runs the same WAL discipline as [Server]'s, except
+   its replayable essence interleaves many clients' sessions, so every
+   kept record is owned by its client (an accepted re-register or a
+   deregister retires exactly that client's history). *)
 type shard = {
   tel : Telemetry.t;
   sessions : (string, Server.t) Hashtbl.t;
-  mutable persist : shard_persist option;
+  mutable wal : Wal.t option;
 }
 
 (* The in-service burn-rate monitor: one {!Slo.t} per objective
@@ -122,7 +112,7 @@ let create ?options ?max_report_failures ?telemetry ?admission ?slo ~shards ()
         let tel = tel_for i in
         Telemetry.declare_histogram tel ~bounds:handle_ms_bounds
           "server.handle_ms";
-        { tel; sessions = Hashtbl.create 64; persist = None })
+        { tel; sessions = Hashtbl.create 64; wal = None })
   in
   let admission =
     (* The admission state shares the shard telemetry handles, so its
@@ -328,16 +318,8 @@ end
 (* Journaling, snapshots, recovery                                     *)
 
 let shard_journal ~journal ~shard = journal ^ ".shard" ^ string_of_int shard
-let snapshot_path path = path ^ ".snapshot"
 let default_compact_every = 64
 let snapshot_magic = "harmony-service-snapshot"
-let snapshot_header seq = Printf.sprintf "%s 1 %d" snapshot_magic seq
-
-let parse_snapshot_header record =
-  match String.split_on_char ' ' record with
-  | [ magic; "1"; seq ] when String.equal magic snapshot_magic ->
-      int_of_string_opt seq
-  | _ -> None
 
 (* Only messages that can change shard state are journaled; queries
    and metrics probes are read-only up to idempotent re-issue, which
@@ -355,20 +337,19 @@ let log_client = function
       ""  (* never journaled; no valid client is "" *)
 
 (* The multi-client replayable essence.  A successful deregister
-   removes the client's whole history (nothing to replay); an accepted
+   retires the client's whole history (nothing to replay); an accepted
    register replaces it with the fresh registration; everything else
    (including rejected registers and failed deregisters, whose error
-   replies are still cross-checks) appends under its owner. *)
-let extend_log log ~seq message reply =
-  let client = log_client message in
-  let prune log =
-    List.filter (fun (_, c, _) -> not (String.equal c client)) log
+   replies are still cross-checks) is kept under its owner. *)
+let keep_handled w message reply ~recv ~rep =
+  let owner = log_client message in
+  let keep () =
+    Wal.keep w ~owner recv;
+    Wal.keep w ~owner rep
   in
   match reply with
-  | Deregistered _ -> prune log
+  | Deregistered _ -> Wal.retire w ~owner
   | Client_reply { reply = r; _ } ->
-      let recv = (seq, client, Recv message) in
-      let rep = (seq, client, Reply (reply_to_string reply)) in
       let accepted_register =
         (match message with
         | Client { payload = Server.Register _; _ } -> true
@@ -379,27 +360,26 @@ let extend_log log ~seq message reply =
            | Server.Rejected _ -> false
            | Server.Assign _ | Server.Done _ | Server.Stats _ -> true)
       in
-      if accepted_register then rep :: recv :: prune log
-      else rep :: recv :: log
-  | Service_error _ | Service_stats _ | Flight_dump _ ->
-      (seq, client, Reply (reply_to_string reply))
-      :: (seq, client, Recv message)
-      :: log
+      if accepted_register then Wal.retire w ~owner;
+      keep ()
+  | Service_error _ | Service_stats _ | Flight_dump _ -> keep ()
 
-let compact p =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Frame.encode (snapshot_header p.seq));
-  List.iter
-    (fun (seq, _client, ev) ->
-      Buffer.add_string buf (Frame.encode (Event.encode ~seq ev)))
-    (List.rev p.session_log);
-  Persist.write_atomic ~path:p.snapshot (Buffer.contents buf);
-  Journal.reset p.journal
-
-let journal_append tel journal record =
-  Journal.append journal record;
+let journal_append tel w ~seq record =
+  let frame = Wal.append w ~seq record in
   Telemetry.incr tel "service.journal.appends";
-  Telemetry.incr tel "service.journal.fsyncs"
+  Telemetry.incr tel "service.journal.fsyncs";
+  frame
+
+let compact_if_due tel w =
+  if Wal.compact_if_due w then Telemetry.incr tel "service.journal.compactions"
+
+(* A rejection is a total, client-addressed reply: the caller can
+   route it back to exactly the client whose message was shed. *)
+let shed_reply message text =
+  match message with
+  | Client { client; _ } | Deregister { client } ->
+      Client_reply { client; reply = Server.Rejected text }
+  | Service_metrics | Dump_flight -> Service_error text
 
 (* ------------------------------------------------------------------ *)
 (* Handling                                                            *)
@@ -410,7 +390,7 @@ let handle_in_shard ?ctx t shard message =
      the server.handle span on purpose: the message must be durable
      before any session state changes, so journal time is trace-level
      self time (harmony_trace self), not handle latency. *)
-  let journal_span record =
+  let journal_span w ~seq record =
     let args =
       match ctx with
       | Some c ->
@@ -418,29 +398,29 @@ let handle_in_shard ?ctx t shard message =
       | None -> []
     in
     Telemetry.span_begin shard.tel ~args "service.journal.append";
-    (match shard.persist with
-    | Some p -> journal_append shard.tel p.journal record
-    | None -> ());
-    Telemetry.span_end shard.tel "service.journal.append"
+    let frame = journal_append shard.tel w ~seq record in
+    Telemetry.span_end shard.tel "service.journal.append";
+    frame
   in
-  (match shard.persist with
-  | Some p when journaled message ->
-      (* WAL discipline: the message is durable before any session
-         state changes; a crash loses at most the reply. *)
-      p.seq <- p.seq + 1;
-      journal_span (Event.encode ~seq:p.seq (Recv message))
-  | Some _ | None -> ());
-  let reply = apply ?ctx t shard message in
-  (match shard.persist with
-  | Some p when journaled message ->
-      journal_span (Event.encode ~seq:p.seq (Reply (reply_to_string reply)));
-      p.session_log <- extend_log p.session_log ~seq:p.seq message reply;
-      if Journal.records p.journal > p.compact_every then begin
-        Telemetry.incr shard.tel "service.journal.compactions";
-        compact p
-      end
-  | Some _ | None -> ());
-  reply
+  match shard.wal with
+  | Some w when journaled message -> (
+      let seq = Wal.seq w + 1 in
+      let recv = Event.encode ~seq (Recv message) in
+      match Wal.oversize recv with
+      | Some reason -> shed_reply message reason
+      | None ->
+          (* WAL discipline: the message is durable before any session
+             state changes; a crash loses at most the reply. *)
+          let recv = journal_span w ~seq recv in
+          let reply = apply ?ctx t shard message in
+          let rep =
+            journal_span w ~seq
+              (Event.encode ~seq (Reply (reply_to_string reply)))
+          in
+          keep_handled w message reply ~recv ~rep;
+          compact_if_due shard.tel w;
+          reply)
+  | Some _ | None -> apply ?ctx t shard message
 
 (* Priority classes for the admission layer: a session's lifecycle
    messages must always land (a completed tuning run that cannot
@@ -455,36 +435,26 @@ let priority_of_message = function
   | Service_metrics | Dump_flight ->
       Admission.Low
 
-(* A rejection is a total, client-addressed reply: the caller can
-   route it back to exactly the client whose message was shed. *)
-let shed_reply message text =
-  match message with
-  | Client { client; _ } | Deregister { client } ->
-      Client_reply { client; reply = Server.Rejected text }
-  | Service_metrics | Dump_flight -> Service_error text
-
 (* An admission rejection of a state-changing message is journaled
    (shed + literal reply, same seq) so recovery replays the full reply
    stream — rejections included — byte-for-byte.  Runs only from the
    submitting domain, before the batch dispatches, so it never races
-   the shard tasks' own appends. *)
+   the shard tasks' own appends.  A message too large to journal is
+   not journaled shed either. *)
 let journal_shed_in_shard shard message reply_text =
-  match shard.persist with
-  | Some p when journaled message ->
-      p.seq <- p.seq + 1;
-      journal_append shard.tel p.journal
-        (Event.encode ~seq:p.seq (Shed message));
-      journal_append shard.tel p.journal
-        (Event.encode ~seq:p.seq (Reply reply_text));
-      let client = log_client message in
-      p.session_log <-
-        (p.seq, client, Reply reply_text)
-        :: (p.seq, client, Shed message)
-        :: p.session_log;
-      if Journal.records p.journal > p.compact_every then begin
-        Telemetry.incr shard.tel "service.journal.compactions";
-        compact p
-      end
+  match shard.wal with
+  | Some w when journaled message -> (
+      let seq = Wal.seq w + 1 in
+      let shed = Event.encode ~seq (Shed message) in
+      match Wal.oversize shed with
+      | Some _ -> ()
+      | None ->
+          let owner = log_client message in
+          Wal.keep w ~owner (journal_append shard.tel w ~seq shed);
+          Wal.keep w ~owner
+            (journal_append shard.tel w ~seq
+               (Event.encode ~seq (Reply reply_text)));
+          compact_if_due shard.tel w)
   | Some _ | None -> ()
 
 (* Cancellation sheds work that was already admitted but not yet run.
@@ -786,117 +756,66 @@ let handle_batch ?pool ?cancel t messages =
 (* ------------------------------------------------------------------ *)
 (* Attach / detach                                                     *)
 
-let attach_shard ?wrap shard ~path ~compact_every =
-  (match shard.persist with
-  | Some p -> Journal.close p.journal
-  | None -> ());
-  let _scan, journal = Journal.open_file ?wrap path in
-  Journal.reset journal;
-  Persist.remove_if_exists (snapshot_path path);
-  Persist.remove_if_exists (snapshot_path path ^ ".tmp");
-  shard.persist <-
-    Some
-      { journal; snapshot = snapshot_path path; compact_every; seq = 0;
-        session_log = [] }
-
 let attach_journals ?(compact_every = default_compact_every) ?wrap t
     ~journal () =
   if compact_every < 1 then
     invalid_arg "Service.attach_journals: compact_every < 1";
   Array.iteri
     (fun i shard ->
+      Option.iter Wal.close shard.wal;
       let wrap = Option.map (fun w -> w ~shard:i) wrap in
-      attach_shard ?wrap shard
-        ~path:(shard_journal ~journal ~shard:i)
-        ~compact_every)
+      shard.wal <-
+        Some
+          (Wal.attach ?wrap ~magic:snapshot_magic ~compact_every
+             (shard_journal ~journal ~shard:i)))
     t.shards_
 
 let detach_journals t =
   Array.iter
     (fun shard ->
-      match shard.persist with
-      | None -> ()
-      | Some p ->
-          Journal.close p.journal;
-          shard.persist <- None)
+      Option.iter Wal.close shard.wal;
+      shard.wal <- None)
     t.shards_
 
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
 
-(* Decode one shard's snapshot + journal into a seq-ordered event
-   list; mirrors [Server.load_events]. *)
-let load_events path =
-  let dropped = ref 0 in
-  let decode_record record =
-    match Event.decode record with
-    | Some ev -> Some ev
-    | None ->
-        incr dropped;
-        None
-  in
-  let snap = Journal.read (snapshot_path path) in
-  let snap_events, snap_seq =
-    match snap.Frame.records with
-    | [] -> ([], 0)
-    | header :: rest -> (
-        match parse_snapshot_header header with
-        | None ->
-            dropped := !dropped + 1 + List.length rest;
-            ([], 0)
-        | Some seq -> (List.filter_map decode_record rest, seq))
-  in
-  let journal_events =
-    List.filter_map
-      (fun record ->
-        match decode_record record with
-        | Some (seq, _) when seq <= snap_seq ->
-            incr dropped;
-            None
-        | Some ev -> Some ev
-        | None -> None)
-      (Journal.read path).Frame.records
-  in
-  (snap_events @ journal_events, !dropped)
-
-(* Re-apply one shard's recorded messages to its fresh sessions.  The
-   recorded replies are cross-checks deterministic replay must
-   regenerate byte-for-byte; the first divergence (or a non-monotone
-   seq) drops everything after it.  A [Shed] record is not re-applied
-   (the message never touched state — the admission layer rejected it)
-   and its paired reply is kept literally: that is what makes
-   journaled rejections replay byte-for-byte without the admission
-   state being replayable.  [literal] holds the pending shed's
-   (seq, client). *)
-let replay_shard t shard events =
-  let rec go events last_reply literal applied dropped log seq =
+(* Re-apply one shard's recorded messages to its fresh sessions,
+   rebuilding the live set from re-encoded events.  The recorded
+   replies are cross-checks deterministic replay must regenerate
+   byte-for-byte; the first divergence (or a non-monotone seq) drops
+   everything after it.  A [Shed] record is not re-applied (the message
+   never touched state — the admission layer rejected it) and its
+   paired reply is kept literally: that is what makes journaled
+   rejections replay byte-for-byte without the admission state being
+   replayable.  [literal] holds the pending shed's (seq, client). *)
+let replay_shard t shard w events =
+  let frame seq ev = Frame.encode (Event.encode ~seq ev) in
+  let rec go events last_reply literal applied dropped seq =
     match events with
-    | [] -> (applied, dropped, log, seq)
+    | [] -> (applied, dropped, seq)
     | (s, Recv m) :: rest ->
-        if s <= seq then
-          (applied, dropped + 1 + List.length rest, log, seq)
+        if s <= seq then (applied, dropped + 1 + List.length rest, seq)
         else
           let reply = apply t shard m in
-          let log = extend_log log ~seq:s m reply in
-          go rest (Some reply) None (applied + 1) dropped log s
+          keep_handled w m reply ~recv:(frame s (Recv m))
+            ~rep:(frame s (Reply (reply_to_string reply)));
+          go rest (Some reply) None (applied + 1) dropped s
     | (s, Shed m) :: rest ->
-        if s <= seq then
-          (applied, dropped + 1 + List.length rest, log, seq)
-        else
-          let client = log_client m in
-          go rest last_reply
-            (Some (s, client))
-            (applied + 1) dropped
-            ((s, client, Shed m) :: log)
-            s
+        if s <= seq then (applied, dropped + 1 + List.length rest, seq)
+        else begin
+          let owner = log_client m in
+          Wal.keep w ~owner (frame s (Shed m));
+          go rest last_reply (Some (s, owner)) (applied + 1) dropped s
+        end
     | (s, Reply text) :: rest -> (
         match literal with
-        | Some (ls, client) ->
-            if s = ls then
-              go rest last_reply None applied dropped
-                ((s, client, Reply text) :: log)
-                seq
-            else (applied, dropped + 1 + List.length rest, log, seq)
+        | Some (ls, owner) ->
+            if s = ls then begin
+              Wal.keep w ~owner (frame s (Reply text));
+              go rest last_reply None applied dropped seq
+            end
+            else (applied, dropped + 1 + List.length rest, seq)
         | None ->
             let consistent =
               s = seq
@@ -905,10 +824,10 @@ let replay_shard t shard events =
               | Some r -> String.equal (reply_to_string r) text
               | None -> false
             in
-            if consistent then go rest last_reply None applied dropped log seq
-            else (applied, dropped + 1 + List.length rest, log, seq))
+            if consistent then go rest last_reply None applied dropped seq
+            else (applied, dropped + 1 + List.length rest, seq))
   in
-  go events None None 0 0 [] 0
+  go events None None 0 0 0
 
 type shard_recovery = { shard : int; replayed : int; dropped : int }
 
@@ -929,21 +848,15 @@ let recover ?options ?max_report_failures ?telemetry ?admission ?slo ?wrap
   let per_shard =
     List.init shards (fun i ->
         let shard = t.shards_.(i) in
-        let path = shard_journal ~journal ~shard:i in
-        let events, dropped_load = load_events path in
-        let applied, dropped_replay, session_log, seq =
-          replay_shard t shard events
-        in
         let wrap = Option.map (fun w -> w ~shard:i) wrap in
-        let _scan, j = Journal.open_file ?wrap path in
-        let p =
-          { journal = j; snapshot = snapshot_path path; compact_every; seq;
-            session_log }
+        let w, events, dropped_load =
+          Wal.reopen ?wrap ~magic:snapshot_magic ~decode:Event.decode
+            ~compact_every
+            (shard_journal ~journal ~shard:i)
         in
-        shard.persist <- Some p;
-        (* Checkpoint on the way up: torn tails, stale records and
-           diverged suffixes are durably gone after recovery. *)
-        compact p;
+        let applied, dropped_replay, seq = replay_shard t shard w events in
+        shard.wal <- Some w;
+        Wal.checkpoint w ~seq;
         let dropped = dropped_load + dropped_replay in
         Telemetry.incr shard.tel ~by:applied "service.recovery.replayed";
         Telemetry.incr shard.tel ~by:dropped "service.recovery.dropped";

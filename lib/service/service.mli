@@ -158,8 +158,11 @@ val handle : t -> message -> reply
     error (unknown client, duplicate register, bad spec) is an error
     reply, never an exception.  While a journal is attached, the
     sink's I/O exceptions propagate exactly as in {!Server.handle} —
-    a service that cannot persist a message must not acknowledge it.
-    Equivalent to {!handle_env} on a bare envelope. *)
+    a service that cannot persist a message must not acknowledge it —
+    and a message whose journal record would exceed
+    {!Harmony_persist.Frame.max_payload} is answered [Rejected],
+    neither applied nor journaled.  Equivalent to {!handle_env} on a
+    bare envelope. *)
 
 val handle_env : t -> envelope -> reply
 (** {!handle} with admission metadata: the admission layer (when

@@ -233,7 +233,7 @@ let test_corrupt_snapshot_degrades () =
       Server.attach_journal ~compact_every:4 server ~journal:path ();
       let _ = drive_to_done server (register server) in
       Server.detach_journal server;
-      Persist.write_atomic ~path:(path ^ ".snapshot") "\x00garbage snapshot\xff";
+      Persist.write_atomic ~path:(path ^ ".snapshot") [ "\x00garbage snapshot\xff" ];
       let r = Server.recover ~options ~journal:path () in
       let final = drive_to_done r.Server.server (resume r.Server.server) in
       Alcotest.(check string) "fresh run still reaches the same done" done_ref
@@ -262,7 +262,7 @@ let test_recover_corrupt_inputs_never_raise () =
           output_string oc bytes;
           close_out oc;
           (* Some of these also double as a corrupt snapshot. *)
-          Persist.write_atomic ~path:(path ^ ".snapshot") bytes;
+          Persist.write_atomic ~path:(path ^ ".snapshot") [ bytes ];
           let r = Server.recover ~options ~journal:path () in
           let final = drive_to_done r.Server.server (resume r.Server.server) in
           (match final with

@@ -195,11 +195,12 @@ let test_fault_sink_budget_spans_reset () =
 
 let test_write_atomic () =
   with_temp_file (fun path ->
-      Persist.write_atomic ~path "first";
+      Persist.write_atomic ~path [ "first" ];
       Alcotest.(check (option string)) "created" (Some "first")
         (Persist.read_file path);
-      Persist.write_atomic ~path "second version";
-      Alcotest.(check (option string)) "replaced" (Some "second version")
+      Persist.write_atomic ~path [ "second"; ""; " version" ];
+      Alcotest.(check (option string)) "replaced by the parts, in order"
+        (Some "second version")
         (Persist.read_file path);
       Alcotest.(check bool) "no tmp residue" false
         (Sys.file_exists (path ^ ".tmp")))
@@ -216,14 +217,15 @@ let test_journal_append_reopen () =
       Sys.remove path;
       let scan, j = Journal.open_file path in
       Alcotest.(check (list string)) "fresh" [] scan.Frame.records;
-      Journal.append j "one";
-      Journal.append j "two";
+      Alcotest.(check string) "append returns the frame it wrote"
+        (Frame.encode "one") (Journal.append j "one");
+      ignore (Journal.append j "two");
       Alcotest.(check int) "records counted" 2 (Journal.records j);
       Journal.close j;
       let scan, j = Journal.open_file path in
       Alcotest.(check (list string)) "reopen sees both" [ "one"; "two" ]
         scan.Frame.records;
-      Journal.append j "three";
+      ignore (Journal.append j "three");
       Journal.close j;
       Alcotest.(check (list string)) "append after reopen"
         [ "one"; "two"; "three" ]
@@ -233,7 +235,7 @@ let test_journal_truncates_torn_tail () =
   with_temp_file (fun path ->
       Sys.remove path;
       let _, j = Journal.open_file path in
-      Journal.append j "good";
+      ignore (Journal.append j "good");
       Journal.close j;
       (* Simulate a crash mid-append: garbage half-record at the end. *)
       let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
@@ -242,7 +244,7 @@ let test_journal_truncates_torn_tail () =
       let scan, j = Journal.open_file path in
       Alcotest.(check (list string)) "valid prefix" [ "good" ] scan.Frame.records;
       Alcotest.(check bool) "tail reported torn" true scan.Frame.torn;
-      Journal.append j "next";
+      ignore (Journal.append j "next");
       Journal.close j;
       let scan = Journal.read path in
       (* The torn bytes were truncated away before the new append. *)
@@ -254,10 +256,10 @@ let test_journal_reset () =
   with_temp_file (fun path ->
       Sys.remove path;
       let _, j = Journal.open_file path in
-      Journal.append j "a";
+      ignore (Journal.append j "a");
       Journal.reset j;
       Alcotest.(check int) "count cleared" 0 (Journal.records j);
-      Journal.append j "b";
+      ignore (Journal.append j "b");
       Journal.close j;
       Alcotest.(check (list string)) "only post-reset records" [ "b" ]
         (Journal.read path).Frame.records)

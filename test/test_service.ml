@@ -599,6 +599,178 @@ let test_live_crash_one_shard () =
           end))
     limits
 
+(* ------------------------------------------------------------------ *)
+(* Crashes that land in a pruning snapshot                             *)
+
+(* Every client of this fleet tunes twice: a maximizing session, then,
+   after deregistering, a minimizing one.  So its shards' compactions
+   retire owners as the fleet goes: the deregister drops the first
+   session, the second register starts a new history. *)
+let register_as client direction =
+  Service.Client
+    { client; payload = Server.Register { spec = paper_spec; direction } }
+
+let lifecycle_step service state c =
+  let unexpected r =
+    Alcotest.fail (c ^ " lifecycle: unexpected " ^ Service.reply_to_string r)
+  in
+  let set s = Hashtbl.replace state c s in
+  match Hashtbl.find state c with
+  | `Start -> (
+      match Service.handle service (register_as c Server.Maximize) with
+      | Service.Client_reply { reply = Server.Assign a; _ } -> set (`First a)
+      | r -> unexpected r)
+  | `Rejoin -> (
+      match Service.handle service (register_as c Server.Minimize) with
+      | Service.Client_reply { reply = Server.Assign a; _ } -> set (`Second a)
+      | r -> unexpected r)
+  | `First a -> (
+      match Service.handle service (report_msg c a) with
+      | Service.Client_reply { reply = Server.Assign a; _ } -> set (`First a)
+      | Service.Client_reply { reply = Server.Done _ as d; _ } ->
+          set (`Leaving (Server.reply_to_string d))
+      | r -> unexpected r)
+  | `Second a -> (
+      match Service.handle service (report_msg c a) with
+      | Service.Client_reply { reply = Server.Assign a; _ } -> set (`Second a)
+      | Service.Client_reply { reply = Server.Done _ as d; _ } ->
+          set (`Finished (Server.reply_to_string d))
+      | r -> unexpected r)
+  | `Leaving _ -> (
+      match Service.handle service (Service.Deregister { client = c }) with
+      | Service.Deregistered _ -> set `Rejoin
+      | r -> unexpected r)
+  | `Finished _ -> ()
+
+let drive_lifecycles service state =
+  let rec go rounds =
+    if rounds > 400 then Alcotest.fail "lifecycles did not finish";
+    let live =
+      List.filter
+        (fun c ->
+          match Hashtbl.find state c with `Finished _ -> false | _ -> true)
+        fleet
+    in
+    if live <> [] then begin
+      List.iter (lifecycle_step service state) live;
+      go (rounds + 1)
+    end
+  in
+  go 0
+
+(* After a recovery each client asks where it stands.  Whatever it was
+   acknowledged must have survived; its unacknowledged last message may
+   or may not have. *)
+let resync service state c =
+  let set s = Hashtbl.replace state c s in
+  let fail r =
+    Alcotest.fail (c ^ " resync: unexpected " ^ Service.reply_to_string r)
+  in
+  match (Hashtbl.find state c, Service.handle service (query_msg c)) with
+  | `Finished _, _ -> ()
+  | (`Start | `First _), Service.Client_reply { reply = Server.Assign a; _ } ->
+      set (`First a)
+  | `First _, Service.Client_reply { reply = Server.Done _ as d; _ } ->
+      set (`Leaving (Server.reply_to_string d))
+  | `Leaving d, Service.Client_reply { reply = Server.Done _ as d'; _ } ->
+      Alcotest.(check string) (c ^ ": first done survives") d
+        (Server.reply_to_string d')
+  | `Leaving _, Service.Client_reply { reply = Server.Rejected _; _ } ->
+      set `Rejoin
+  | (`Rejoin | `Second _), Service.Client_reply { reply = Server.Assign a; _ }
+    ->
+      set (`Second a)
+  | `Second _, Service.Client_reply { reply = Server.Done _ as d; _ } ->
+      set (`Finished (Server.reply_to_string d))
+  | (`Start | `Rejoin), Service.Client_reply { reply = Server.Rejected _; _ } ->
+      ()
+  | _, r -> fail r
+
+let test_crash_in_pruning_snapshot () =
+  let shards = 2 and compact_every = 4 in
+  let victim = Service.shard_for ~shards "alpha" in
+  let fresh () =
+    let state = Hashtbl.create 8 in
+    List.iter (fun c -> Hashtbl.replace state c `Start) fleet;
+    state
+  in
+  (* Reference run: note the journal bytes written before every
+     compaction of the victim shard that retired an owner, i.e. whose
+     snapshot holds fewer records than the previous snapshot plus the
+     records journaled since. *)
+  let dones_ref, pruning_offsets =
+    with_journal ~shards (fun path ->
+        let service = Service.create ~options ~shards () in
+        let snapshot =
+          Service.shard_journal ~journal:path ~shard:victim ^ ".snapshot"
+        in
+        let armed = ref false in
+        let written = ref 0 and since = ref 0 and kept = ref 0 in
+        let offsets = ref [] in
+        let observe (sink : Persist.sink) =
+          let write s =
+            sink.Persist.write s;
+            written := !written + String.length s;
+            incr since
+          in
+          let reset () =
+            sink.Persist.reset ();
+            if !armed then begin
+              let now =
+                List.length (Harmony_persist.Journal.read snapshot).Frame.records
+                - 1
+              in
+              if now < !kept + !since then offsets := !written :: !offsets;
+              kept := now
+            end;
+            since := 0
+          in
+          { sink with Persist.write; reset }
+        in
+        Service.attach_journals ~compact_every
+          ~wrap:(fun ~shard sink -> if shard = victim then observe sink else sink)
+          service ~journal:path ();
+        armed := true;
+        let state = fresh () in
+        drive_lifecycles service state;
+        Service.detach_journals service;
+        (state, List.rev !offsets))
+  in
+  Alcotest.(check bool) "some compactions of the victim shard retire owners" true
+    (List.length pruning_offsets >= 2);
+  (* Crash at the first journal write after each pruning snapshot, and
+     a few bytes into it. *)
+  List.iter
+    (fun limit ->
+      with_journal ~shards (fun path ->
+          let service = Service.create ~options ~shards () in
+          Service.attach_journals ~compact_every
+            ~wrap:(fun ~shard sink ->
+              if shard = victim then Persist.fault_sink ~limit_bytes:limit sink
+              else sink)
+            service ~journal:path ();
+          let state = fresh () in
+          (match drive_lifecycles service state with
+          | () -> Alcotest.fail (Printf.sprintf "no crash at %d bytes" limit)
+          | exception Persist.Crashed -> ());
+          let r =
+            Service.recover ~options ~compact_every ~shards ~journal:path ()
+          in
+          List.iter (resync r.Service.service state) fleet;
+          drive_lifecycles r.Service.service state;
+          List.iter
+            (fun c ->
+              match (Hashtbl.find state c, Hashtbl.find dones_ref c) with
+              | `Finished d, `Finished d_ref ->
+                  Alcotest.(check string)
+                    (Printf.sprintf "crash at %d bytes: %s done byte-identical"
+                       limit c)
+                    d_ref d
+              | _ -> Alcotest.fail (c ^ " did not finish"))
+            fleet;
+          Service.detach_journals r.Service.service))
+    (List.concat_map (fun off -> [ off; off + 3 ]) pruning_offsets)
+
 (* One shard's files replaced by garbage: that shard recovers empty
    (its clients start over), the other shard's sessions survive in
    full — and recovery itself never raises. *)
@@ -621,7 +793,7 @@ let test_corrupt_one_shard_salvages_the_rest () =
           output_string oc content;
           close_out oc;
           if s = victim then
-            Persist.write_atomic ~path:(p ^ ".snapshot") "\x00garbage\xff")
+            Persist.write_atomic ~path:(p ^ ".snapshot") [ "\x00garbage\xff" ])
         bytes;
       let r = Service.recover ~options ~shards ~journal:path () in
       List.iter
@@ -1338,6 +1510,8 @@ let suite =
     Alcotest.test_case "kill one shard mid-record" `Quick
       test_kill_one_shard_mid_record;
     Alcotest.test_case "live crash one shard" `Quick test_live_crash_one_shard;
+    Alcotest.test_case "crash in a pruning snapshot" `Quick
+      test_crash_in_pruning_snapshot;
     Alcotest.test_case "corrupt one shard salvages rest" `Quick
       test_corrupt_one_shard_salvages_the_rest;
     Alcotest.test_case "recover intact service" `Quick test_recover_intact_service;
