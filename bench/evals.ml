@@ -1,14 +1,16 @@
 (* Evaluation-throughput micro-benchmark: evals/sec and Gc minor
    words per evaluation for the two hot objectives (analytic MVA
    model, discrete-event simulation) plus the batch+memo engine on a
-   tuning-shaped stream, and bytes allocated per message of a
-   journaled service.  The numbers back the before/after tables in
-   EXPERIMENTS.md and guard the allocation discipline in CI:
+   tuning-shaped stream, bytes allocated per message of a journaled
+   service, and minor words per data-analyzer seed pick.  The numbers
+   back the before/after tables in EXPERIMENTS.md and guard the
+   allocation discipline in CI:
 
      dune exec bench/evals.exe                      print the table
      dune exec bench/evals.exe -- --check FILE      fail (exit 1) if
-                                                    minor words/eval or
-                                                    bytes/message
+                                                    minor words/eval,
+                                                    bytes/message or
+                                                    words/prepare
                                                     regressed >2x over
                                                     the recorded
                                                     baseline
@@ -27,6 +29,8 @@ module Telemetry = Harmony_telemetry.Telemetry
 module Export = Harmony_telemetry.Export
 module Service = Harmony_service.Service
 module Server = Harmony.Server
+module History = Harmony.History
+module Analyzer = Harmony.Analyzer
 module Simplex = Harmony.Simplex
 module Persist = Harmony_persist.Persist
 
@@ -221,6 +225,35 @@ let wal_figures () =
   let messages = float_of_int (calls * live) in
   (bytes /. messages, messages /. Float.max 1e-9 elapsed)
 
+(* The data analyzer's seed pick on a fixed experience database: one
+   entry per TPC-W mix, each with 100 distinct configurations measured
+   on the MVA model under that mix, queried with the middle entry's
+   exact characteristics so the trusted path (and its triangulation
+   fill) runs.  Returns minor words and calls per second of one
+   [Analyzer.prepare]. *)
+let analyzer_figures () =
+  let mixes = [| Ws.Tpcw.browsing; Ws.Tpcw.shopping; Ws.Tpcw.ordering |] in
+  let characteristics mix = Array.map snd mix.Ws.Tpcw.weights in
+  let db = History.create () in
+  Array.iteri
+    (fun i mix ->
+      let obj = Ws.Model.objective ~mix () in
+      let configs = distinct_configs obj.Objective.space ~count:100 ~seed:(42 + i) in
+      ignore
+        (History.add db ~label:mix.Ws.Tpcw.label
+           ~characteristics:(characteristics mix)
+           ~evaluations:
+             (Array.to_list (Array.map (fun c -> (c, obj.Objective.eval c)) configs))
+           ()))
+    mixes;
+  let analyzer = Analyzer.create db in
+  let obj = Ws.Model.objective ~mix:Ws.Tpcw.shopping () in
+  let characteristics = characteristics Ws.Tpcw.shopping in
+  measure ~warmup:20 ~calls:200 ~per_call:1 (fun () ->
+      ignore
+        (Analyzer.prepare analyzer obj ~characteristics
+          : Analyzer.preparation))
+
 (* ------------------------------------------------------------------ *)
 (* Baseline check                                                      *)
 
@@ -256,7 +289,7 @@ let json_number ~key text =
       done;
       float_of_string_opt (Buffer.contents b)
 
-let baseline_json ~mva ~des ~batch ~des_batch ~wal_bytes =
+let baseline_json ~mva ~des ~batch ~des_batch ~wal_bytes ~analyzer =
   Printf.sprintf
     "{\n\
     \  \"mva_words_per_eval\": %.1f,\n\
@@ -265,12 +298,14 @@ let baseline_json ~mva ~des ~batch ~des_batch ~wal_bytes =
     \  \"des_evals_per_sec\": %.0f,\n\
     \  \"batch_evals_per_sec\": %.0f,\n\
     \  \"des_batch_evals_per_sec\": %.0f,\n\
-    \  \"wal_bytes_per_msg\": %.0f\n\
+    \  \"wal_bytes_per_msg\": %.0f,\n\
+    \  \"analyzer_words_per_prepare\": %.0f\n\
      }\n"
     mva.words_per_eval mva.evals_per_sec des.words_per_eval
     des.evals_per_sec batch.evals_per_sec des_batch.evals_per_sec wal_bytes
+    analyzer.words_per_eval
 
-let check ~baseline_file ~mva ~des ~wal_bytes =
+let check ~baseline_file ~mva ~des ~wal_bytes ~analyzer =
   let text = In_channel.with_open_text baseline_file In_channel.input_all in
   let verdicts =
     List.filter_map
@@ -289,6 +324,10 @@ let check ~baseline_file ~mva ~des ~wal_bytes =
         ("mva", "mva_words_per_eval", "minor words/eval", mva.words_per_eval);
         ("des", "des_words_per_eval", "minor words/eval", des.words_per_eval);
         ("wal", "wal_bytes_per_msg", "bytes/message", wal_bytes);
+        ( "analyzer",
+          "analyzer_words_per_prepare",
+          "minor words/prepare",
+          analyzer.words_per_eval );
       ]
   in
   match verdicts with
@@ -336,6 +375,7 @@ let () =
           timed "des-batch" (fun () -> des_batch_figures ~pool ()) ))
   in
   let wal_bytes, wal_per_sec = timed "wal" wal_figures in
+  let analyzer = timed "analyzer" analyzer_figures in
   let row label f =
     Printf.printf "%-18s %12.1f %14.0f\n" label f.words_per_eval
       f.evals_per_sec;
@@ -361,6 +401,9 @@ let () =
                  shards x 64 clients)\n" "";
   Telemetry.gauge telemetry "evals.wal.bytes_per_msg" wal_bytes;
   Telemetry.gauge telemetry "evals.wal.per_sec" wal_per_sec;
+  row "analyzer" analyzer;
+  Printf.printf "%-18s (minor words/prepare, prepares/sec: 3 entries x 100 \
+                 configs, exact match)\n" "";
   Out_channel.with_open_text "BENCH_6.json" (fun oc ->
       Out_channel.output_string oc (Export.chrome telemetry));
   Printf.printf "telemetry: BENCH_6.json (Chrome trace)\n";
@@ -369,8 +412,9 @@ let () =
   | Some file ->
       Out_channel.with_open_text file (fun oc ->
           Out_channel.output_string oc
-            (baseline_json ~mva ~des ~batch:batch_pool ~des_batch ~wal_bytes));
+            (baseline_json ~mva ~des ~batch:batch_pool ~des_batch ~wal_bytes
+               ~analyzer));
       Printf.printf "baseline written to %s\n" file);
   match !check_file with
   | None -> ()
-  | Some file -> check ~baseline_file:file ~mva ~des ~wal_bytes
+  | Some file -> check ~baseline_file:file ~mva ~des ~wal_bytes ~analyzer

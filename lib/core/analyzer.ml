@@ -36,62 +36,80 @@ type preparation = {
 
 module Telemetry = Harmony_telemetry.Telemetry
 
+(* Farthest-first traversal: start from the best point of [pool]
+   (best first), then repeatedly add the candidate whose nearest chosen
+   seed is farthest away, until [k] are chosen or the pool runs out.
+   Each point is normalized once; [nearest.(j)] holds candidate j's
+   distance to its nearest seed so far and is lowered with one distance
+   call per candidate as each seed joins, so the pick costs O(k * P)
+   distances.  The left-to-right scan with a strict [>] gives ties to
+   the earliest (better) candidate. *)
+let farthest_first space pool ~k =
+  let points = Array.of_list pool in
+  let n = Array.length points in
+  let normalized = Array.map (fun (c, _) -> Space.normalize space c) points in
+  let nearest = Array.make n infinity in
+  let taken = Array.make n false in
+  let rec pick chosen count last =
+    taken.(last) <- true;
+    let chosen = points.(last) :: chosen in
+    if count + 1 >= k then List.rev chosen
+    else begin
+      let next = ref (-1) in
+      for j = 0 to n - 1 do
+        if not taken.(j) then begin
+          nearest.(j) <-
+            Float.min nearest.(j)
+              (Harmony_numerics.Stats.euclidean_distance normalized.(j)
+                 normalized.(last));
+          if !next < 0 || nearest.(j) > nearest.(!next) then next := j
+        end
+      done;
+      if !next < 0 then List.rev chosen else pick chosen (count + 1) !next
+    end
+  in
+  if n = 0 then [] else pick [] 0 0
+
 let prepare ?(telemetry = Telemetry.off) ?(fallback = Simplex.Init.Spread) t obj
     ~characteristics =
   let matched =
     Telemetry.span telemetry "history.lookup" (fun () ->
         classify t characteristics)
   in
-  match matched with
+  let space = obj.Objective.space in
+  let dims = Space.dims space in
+  (* Only evaluations recorded in a space of this one's arity can seed
+     it: a run tuned under [~top_n] stores configurations of the
+     projected space.  An entry with evaluations but none usable counts
+     as no match. *)
+  let usable =
+    Option.bind matched (fun entry ->
+        let all = entry.History.evaluations in
+        match List.filter (fun (c, _) -> Array.length c = dims) all with
+        | [] when all <> [] -> None
+        | evaluations -> Some (entry, evaluations))
+  in
+  match usable with
   | None ->
       Log.info (fun m -> m "no matching experience; cold start");
       Telemetry.instant telemetry "history.cold-start";
       { matched = None; init = fallback; estimated_vertices = 0 }
-  | Some entry ->
-      let space = obj.Objective.space in
-      let dims = Space.dims space in
+  | Some (entry, evaluations) ->
       (* Seed vertices are chosen for quality *and* diversity: the
          best historical configurations of one run cluster tightly
          around its optimum, and a degenerate simplex cannot adapt
-         when the new workload's optimum lies elsewhere.  Greedily
-         pick, among the better half of the history, the point
-         farthest from the seeds chosen so far. *)
-      let pool = History.best_evaluations obj entry ~n:max_int in
+         when the new workload's optimum lies elsewhere.  Pick
+         farthest-first among the better half of the history. *)
+      let pool =
+        History.best_evaluations obj
+          { entry with History.evaluations }
+          ~n:max_int
+      in
       let pool =
         let len = List.length pool in
         List.filteri (fun i _ -> 2 * i <= len) pool
       in
-      let seeds =
-        match pool with
-        | [] -> []
-        | best :: rest ->
-            let dist a b = Space.distance space a b in
-            let rec pick chosen remaining =
-              if List.length chosen >= dims + 1 || remaining = [] then
-                List.rev chosen
-              else begin
-                let score (c, _) =
-                  List.fold_left
-                    (fun acc (s, _) -> Float.min acc (dist c s))
-                    infinity chosen
-                in
-                let farthest =
-                  List.fold_left
-                    (fun acc cand ->
-                      match acc with
-                      | None -> Some cand
-                      | Some a -> if score cand > score a then Some cand else acc)
-                    None remaining
-                in
-                match farthest with
-                | None -> List.rev chosen
-                | Some cand ->
-                    pick (cand :: chosen)
-                      (List.filter (fun c -> c != cand) remaining)
-              end
-            in
-            pick [ best ] rest
-      in
+      let seeds = farthest_first space pool ~k:(dims + 1) in
       (* Historical performance values are only trusted when the
          stored characteristics match the observed ones exactly; under
          a different workload the configurations still seed the
@@ -126,7 +144,7 @@ let prepare ?(telemetry = Telemetry.off) ?(fallback = Simplex.Init.Spread) t obj
             List.filteri (fun i _ -> i < missing) (List.map fst candidates)
           in
           let points =
-            List.map (fun (c, p) -> (Space.snap space c, p)) entry.History.evaluations
+            List.map (fun (c, p) -> (Space.snap space c, p)) evaluations
           in
           if points = [] then List.map (fun c -> (c, None)) targets
           else

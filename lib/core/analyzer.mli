@@ -48,8 +48,12 @@ val prepare :
   characteristics:float array ->
   preparation
 (** Build the initial simplex for the observed workload: the matched
-    entry's best distinct configurations (greedily diversified so the
-    simplex keeps full rank) become the initial vertices.  When the
+    entry's best distinct configurations become the initial vertices,
+    picked farthest-first from the better half of them so the simplex
+    keeps full rank (ties go to the better configuration).  Only
+    evaluations of the space's arity count; an entry with evaluations
+    but none of that arity (say, from a run tuned under [~top_n]) is
+    treated as no match.  When the
     stored characteristics match the observed ones exactly, their
     historical performances are trusted outright and any missing
     vertices get triangulation-estimated values; under a merely

@@ -141,41 +141,65 @@ let compress rng t ~max_entries =
 (* ------------------------------------------------------------------ *)
 (* Persistence: a line-oriented text format.
 
-     entry <id> <label-with-%20-escapes>
+     entry <id> <escaped-label>
      chars <x1> <x2> ...
      eval <perf> <c1> <c2> ...
      end
-*)
+
+   The label is one space-free token: '%' and every byte at or below
+   the space are written %XX (two upper-case hex digits), and a bare
+   "-" stands for the empty label, so a literal "-" label is written
+   %2D.  Reading decodes every %XX and keeps any other '%' as is. *)
 
 let escape_label s =
-  String.concat "%20" (String.split_on_char ' ' s)
+  match s with
+  | "" -> "-"
+  | "-" -> "%2D"
+  | _ ->
+      let out = Buffer.create (String.length s) in
+      String.iter
+        (fun c ->
+          if c = '%' || c <= ' ' then
+            Buffer.add_string out (Printf.sprintf "%%%02X" (Char.code c))
+          else Buffer.add_char out c)
+        s;
+      Buffer.contents out
 
-(* Split on the literal substring "%20". *)
-let unescape_label s =
-  let sub = "%20" in
-  let out = Buffer.create (String.length s) in
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i >= n then ()
-    else if i + m <= n && String.sub s i m = sub then begin
-      Buffer.add_char out ' ';
-      go (i + m)
-    end
-    else begin
-      Buffer.add_char out s.[i];
-      go (i + 1)
-    end
-  in
-  go 0;
-  Buffer.contents out
+let hex_digit c =
+  match c with
+  | '0' .. '9' -> Some (Char.code c - Char.code '0')
+  | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
+  | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
+  | _ -> None
+
+let unescape_label = function
+  | "-" -> ""
+  | s ->
+      let n = String.length s in
+      let out = Buffer.create n in
+      let rec go i =
+        if i < n then
+          match
+            if s.[i] = '%' && i + 2 < n then
+              (hex_digit s.[i + 1], hex_digit s.[i + 2])
+            else (None, None)
+          with
+          | Some hi, Some lo ->
+              Buffer.add_char out (Char.chr ((16 * hi) + lo));
+              go (i + 3)
+          | _ ->
+              Buffer.add_char out s.[i];
+              go (i + 1)
+      in
+      go 0;
+      Buffer.contents out
 
 let render t =
   let buf = Buffer.create 4096 in
   List.iter
     (fun e ->
       Buffer.add_string buf
-        (Printf.sprintf "entry %d %s\n" e.id
-           (if e.label = "" then "-" else escape_label e.label));
+        (Printf.sprintf "entry %d %s\n" e.id (escape_label e.label));
       Buffer.add_string buf "chars";
       Array.iter
         (fun v -> Buffer.add_string buf (Printf.sprintf " %.17g" v))
@@ -242,8 +266,7 @@ let parse_lines lines =
           match String.split_on_char ' ' line with
           | "entry" :: _id :: label :: _ ->
               flush_entry ();
-              current_label :=
-                Some (if label = "-" then "" else unescape_label label);
+              current_label := Some (unescape_label label);
               go rest (remaining - 1)
           | "chars" :: values -> (
               match floats values with

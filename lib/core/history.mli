@@ -60,6 +60,14 @@ val save : t -> string -> unit
     write is atomic ({!Harmony_persist.Persist.write_atomic}): a crash
     mid-save leaves the previous contents intact, never a truncated or
     corrupt database.
+
+    Every label survives {!save} and {!load} byte for byte: ['%'] and
+    every byte at or below the space are written as [%XX], and a label
+    that is exactly ["-"] as [%2D] (a bare [-] is the empty label).
+    Files in the earlier format, which escaped only spaces (as [%20]),
+    load as they always did, except that a label which held a literal
+    [%XX] sequence (two hex digits after a ['%']) now decodes it to
+    that byte.
     @raise Sys_error (or [Unix.Unix_error]) on I/O failure. *)
 
 val load : string -> t

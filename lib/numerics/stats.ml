@@ -145,18 +145,31 @@ let pearson xs ys =
 let check_same_length name a b =
   if Array.length a <> Array.length b then invalid_arg (name ^ ": length mismatch")
 
+(* The distance kernels run inside the simplex loop and the seed pick,
+   so they are plain loops: a float accumulator captured by a closure
+   (as in [Array.iteri (fun ... -> s := ...)]) is boxed on every
+   update. *)
 let chebyshev_distance a b =
   check_same_length "Stats.chebyshev_distance" a b;
   let d = ref 0.0 in
-  Array.iteri (fun i x -> d := Float.max !d (Float.abs (x -. b.(i)))) a;
+  for i = 0 to Array.length a - 1 do
+    let x = Float.abs (a.(i) -. b.(i)) in
+    (* [d := Float.max !d x] without the call: [x] is never negative,
+       so a NaN is the only case that needs care, and as in
+       [Float.max] the newest NaN wins. *)
+    if Float.is_nan x || x > !d then d := x
+  done;
   !d
 
 let euclidean_distance a b =
   check_same_length "Stats.euclidean_distance" a b;
   let s = ref 0.0 in
-  Array.iteri
-    (fun i x ->
-      let d = x -. b.(i) in
-      s := !s +. (d *. d))
-    a;
+  for i = 0 to Array.length a - 1 do
+    let d = a.(i) -. b.(i) in
+    (* The square is the left operand: when both are NaN, x86-64
+       keeps the left one's payload, and the tests pin NaN payloads to
+       those of a closure-based reference, which compiles to this
+       order. *)
+    s := (d *. d) +. !s
+  done;
   sqrt !s

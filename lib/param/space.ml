@@ -118,13 +118,17 @@ let config_key c =
   Array.iteri (fun i v -> Bytes.set_int64_le b (8 * i) (Int64.bits_of_float v)) c;
   Bytes.unsafe_to_string b
 
+(* A loop that stops at the first coordinate more than 1e-9 apart.  A
+   NaN difference is not more than 1e-9, so it counts as equal. *)
 let config_equal a b =
-  Array.length a = Array.length b
-  && begin
-       let ok = ref true in
-       Array.iteri (fun i v -> if Float.abs (v -. b.(i)) > 1e-9 then ok := false) a;
-       !ok
-     end
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < n && not (Float.abs (a.(!i) -. b.(!i)) > 1e-9) do
+    incr i
+  done;
+  !i = n
 
 let pp_config t ppf c =
   Format.fprintf ppf "@[<h>{";

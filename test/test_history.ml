@@ -2,6 +2,10 @@ open Harmony
 open Harmony_objective
 module Param = Harmony_param.Param
 module Space = Harmony_param.Space
+module Gen = QCheck2.Gen
+
+let seed = [| 0x5eed; 1515 |]
+let to_alcotest t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make seed) t
 
 let space = Space.create [ Param.int_range ~name:"x" ~lo:0 ~hi:10 ~default:0 () ]
 let obj = Objective.create ~space ~direction:Objective.Higher_is_better (fun c -> c.(0))
@@ -137,6 +141,105 @@ let write_file path text =
   let oc = open_out_bin path in
   output_string oc text;
   close_out oc
+
+(* Labels are arbitrary byte strings and must come back byte for byte,
+   from both the strict and the salvaging reader. *)
+let awkward_labels =
+  [ ""; "-"; "%"; "%20"; "%2D"; "%%"; "%zz"; "a b"; " lead"; "trail "; "\t";
+    "two\nlines"; "cr\r"; "\x00"; "\xff"; "-x"; "100%"; "a%b"; "end" ]
+
+let gen_label =
+  Gen.(
+    frequency
+      [
+        (2, oneofl awkward_labels);
+        (2, string_size (int_range 0 12));
+        ( 3,
+          string_size
+            ~gen:(oneofl [ ' '; '\t'; '\n'; '\r'; '%'; '-'; '2'; '0'; 'D'; 'a' ])
+            (int_range 0 8) );
+      ])
+
+let labels_after_save labels =
+  let db = History.create () in
+  List.iteri
+    (fun i label ->
+      ignore
+        (History.add db ~label ~characteristics:[| float_of_int i |]
+           ~evaluations:[ ([| 1.0 |], float_of_int i) ] ()))
+    labels;
+  let path = Filename.temp_file "harmony_history" ".db" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      History.save db path;
+      let strict = History.load path in
+      let salvaged, dropped = History.load_salvage path in
+      let labels_of t = List.map (fun e -> e.History.label) (History.entries t) in
+      (labels_of strict, labels_of salvaged, dropped))
+
+let prop_label_roundtrip =
+  QCheck2.Test.make ~name:"labels survive save and load" ~count:300
+    ~print:QCheck2.Print.(list string) Gen.(list_size (int_range 1 4) gen_label)
+    (fun labels ->
+      let strict, salvaged, dropped = labels_after_save labels in
+      List.equal String.equal labels strict
+      && List.equal String.equal labels salvaged
+      && dropped = 0)
+
+let test_label_escapes_on_disk () =
+  let db = History.create () in
+  List.iter
+    (fun label ->
+      ignore (History.add db ~label ~characteristics:[| 0.0 |] ~evaluations:[] ()))
+    [ ""; "-"; "a b%\n-"; "x\ty" ];
+  let path = Filename.temp_file "harmony_history" ".db" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      History.save db path;
+      let entry_lines =
+        List.filter
+          (fun l -> String.length l > 6 && String.sub l 0 6 = "entry ")
+          (String.split_on_char '\n'
+             (In_channel.with_open_bin path In_channel.input_all))
+      in
+      Alcotest.(check (list string)) "entry lines"
+        [ "entry 0 -"; "entry 1 %2D"; "entry 2 a%20b%25%0A-"; "entry 3 x%09y" ]
+        entry_lines)
+
+(* A newline in the second of four labels must not end the salvage
+   after the first entry. *)
+let test_salvage_keeps_newline_label () =
+  let labels = [ "first"; "second\nline"; "third"; "fourth" ] in
+  let strict, salvaged, dropped = labels_after_save labels in
+  Alcotest.(check (list string)) "strict load" labels strict;
+  Alcotest.(check (list string)) "all four salvaged" labels salvaged;
+  Alcotest.(check int) "nothing dropped" 0 dropped
+
+(* A file in the earlier format, which escaped only spaces: every label
+   reads as it always did. *)
+let test_load_earlier_format () =
+  let path = Filename.temp_file "harmony_history" ".db" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      write_file path
+        "entry 0 -\nchars 0.5\neval 10 1\nend\n\
+         entry 1 shopping%20mix%20v2\nchars 0.25 0.75\neval 20 2\neval 21 3\nend\n\
+         entry 2 50%\nchars 1\nend\n\
+         entry 3 a-b%\tc\nchars 2\neval 5 4\nend\n";
+      let db = History.load path in
+      Alcotest.(check (list string)) "labels"
+        [ ""; "shopping mix v2"; "50%"; "a-b%\tc" ]
+        (List.map (fun e -> e.History.label) (History.entries db));
+      Alcotest.(check (list int)) "evaluations per entry" [ 1; 2; 0; 1 ]
+        (List.map (fun e -> List.length e.History.evaluations) (History.entries db));
+      match History.entries db with
+      | _ :: e :: _ ->
+          Alcotest.(check (array (float 0.0))) "characteristics" [| 0.25; 0.75 |]
+            e.History.characteristics
+      | [] | [ _ ] -> Alcotest.fail "expected four entries")
 
 let test_load_salvage_truncated () =
   let full =
@@ -301,6 +404,10 @@ let suite =
     Alcotest.test_case "merged evaluations" `Quick test_merged_evaluations;
     Alcotest.test_case "save load roundtrip" `Quick test_save_load_roundtrip;
     Alcotest.test_case "label with spaces" `Quick test_save_load_label_with_spaces;
+    to_alcotest prop_label_roundtrip;
+    Alcotest.test_case "label escapes on disk" `Quick test_label_escapes_on_disk;
+    Alcotest.test_case "salvage keeps newline label" `Quick test_salvage_keeps_newline_label;
+    Alcotest.test_case "load earlier format" `Quick test_load_earlier_format;
     Alcotest.test_case "load malformed" `Quick test_load_malformed;
     Alcotest.test_case "salvage truncated" `Quick test_load_salvage_truncated;
     Alcotest.test_case "salvage garbage" `Quick test_load_salvage_garbage;

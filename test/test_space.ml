@@ -115,6 +115,72 @@ let prop_snap_projection =
       let s = Space.snap space [| a; b |] in
       Space.is_valid space s && Space.config_equal s (Space.snap space s))
 
+(* [config_equal] against a closure-based reference version; NaN
+   differences count as equal in both, and 1e-9 apart is equal while
+   one ulp more is not. *)
+let reference_config_equal a b =
+  Array.length a = Array.length b
+  && begin
+       let ok = ref true in
+       Array.iteri (fun i v -> if Float.abs (v -. b.(i)) > 1e-9 then ok := false) a;
+       !ok
+     end
+
+let test_config_equal_tolerance () =
+  let at_tolerance = [| 0.0; 1e-9; Float.succ 1e-9; -0.0 |] in
+  Array.iter
+    (fun x ->
+      Array.iter
+        (fun y ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%h vs %h" x y)
+            (reference_config_equal [| x |] [| y |])
+            (Space.config_equal [| x |] [| y |]))
+        at_tolerance)
+    at_tolerance;
+  Alcotest.(check bool) "exactly 1e-9 apart" true (Space.config_equal [| 0.0 |] [| 1e-9 |]);
+  Alcotest.(check bool) "one ulp more" false
+    (Space.config_equal [| 0.0 |] [| Float.succ 1e-9 |]);
+  Alcotest.(check bool) "NaN counts as equal" true
+    (Space.config_equal [| Float.nan; 1.0 |] [| 2.0; 1.0 |])
+
+let prop_config_equal_matches_reference =
+  let open QCheck2.Gen in
+  let value =
+    frequency
+      [
+        ( 3,
+          oneofl
+            [
+              Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0; 1e-9;
+              Float.succ 1e-9; -1e-9; 1.0;
+            ] );
+        (2, float_range (-10.0) 10.0);
+      ]
+  in
+  let gen =
+    let* n = int_range 0 10 in
+    let* a = array_size (return n) value in
+    let* b =
+      flatten_a
+        (Array.map
+           (fun x ->
+             frequency
+               [
+                 (6, return x);
+                 (1, map (fun d -> x +. d) (oneofl [ 1e-9; -1e-9; 1e-12 ]));
+                 (1, value);
+               ])
+           a)
+    in
+    let* extra = frequencyl [ (9, 0); (1, 1) ] in
+    return (a, Array.append b (Array.make extra 0.0))
+  in
+  QCheck2.Test.make ~name:"config_equal matches the closure reference" ~count:2000 gen
+    (fun (a, b) ->
+      Bool.equal (Space.config_equal a b) (reference_config_equal a b)
+      && Bool.equal (Space.config_equal b a) (reference_config_equal b a))
+
 let suite =
   [
     Alcotest.test_case "create duplicate" `Quick test_create_duplicate;
@@ -133,6 +199,8 @@ let suite =
     Alcotest.test_case "enumerate distinct valid" `Quick test_enumerate_distinct_and_valid;
     Alcotest.test_case "distance" `Quick test_distance;
     Alcotest.test_case "config equal" `Quick test_config_equal;
+    Alcotest.test_case "config equal tolerance" `Quick test_config_equal_tolerance;
     Alcotest.test_case "config to string" `Quick test_config_to_string;
   ]
-  @ [ QCheck_alcotest.to_alcotest prop_snap_projection ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_snap_projection; prop_config_equal_matches_reference ]

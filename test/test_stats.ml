@@ -171,6 +171,81 @@ let prop_variance_nonneg =
   QCheck2.Test.make ~name:"variance nonnegative" ~count:200 float_array
     (fun a -> Stats.variance a >= 0.0)
 
+(* The distance kernels against closure-based reference versions:
+   results must agree bit for bit, NaN payloads, signed zeros and
+   infinities included, and a length mismatch must raise the same
+   [Invalid_argument]. *)
+let reference_chebyshev a b =
+  if Array.length a <> Array.length b then
+    invalid_arg "Stats.chebyshev_distance: length mismatch";
+  let d = ref 0.0 in
+  Array.iteri (fun i x -> d := Float.max !d (Float.abs (x -. b.(i)))) a;
+  !d
+
+let reference_euclidean a b =
+  if Array.length a <> Array.length b then
+    invalid_arg "Stats.euclidean_distance: length mismatch";
+  let s = ref 0.0 in
+  Array.iteri
+    (fun i x ->
+      let d = x -. b.(i) in
+      s := !s +. (d *. d))
+    a;
+  sqrt !s
+
+(* NaNs of both signs and two payloads, signed zeros, infinities, and
+   values whose differences are exactly 1e-9 or one ulp past it. *)
+let special_floats =
+  [
+    Float.nan; Float.neg Float.nan; Int64.float_of_bits 0x7ff0_0000_0000_0001L;
+    Float.infinity; Float.neg_infinity; 0.0; -0.0; 1e-9; Float.succ 1e-9;
+    Float.pred 1e-9; -1e-9; 1.0; Float.max_float; Float.min_float;
+  ]
+
+let gen_kernel_pair =
+  let open QCheck2.Gen in
+  let value = frequency [ (3, oneofl special_floats); (2, float_range (-10.0) 10.0) ] in
+  let* n = int_range 0 12 in
+  let* a = array_size (return n) value in
+  let* b =
+    flatten_a
+      (Array.map
+         (fun x ->
+           frequency
+             [
+               (3, return x);
+               (1, map (fun d -> x +. d) (oneofl [ 1e-9; -1e-9; 1e-12 ]));
+               (3, value);
+             ])
+         a)
+  in
+  let* mismatch = frequencyl [ (9, false); (1, true) ] in
+  return (a, if mismatch then Array.append b [| 0.0 |] else b)
+
+let outcome f a b =
+  match f a b with
+  | v -> Ok (Int64.bits_of_float v)
+  | exception Invalid_argument msg -> Error msg
+
+let print_kernel_pair (a, b) =
+  let show v = Printf.sprintf "%h" v in
+  Printf.sprintf "[%s] [%s]"
+    (String.concat "; " (Array.to_list (Array.map show a)))
+    (String.concat "; " (Array.to_list (Array.map show b)))
+
+let prop_distances_match_reference =
+  QCheck2.Test.make ~name:"distances bit-identical to the closure reference"
+    ~count:2000 ~print:print_kernel_pair gen_kernel_pair (fun (a, b) ->
+      outcome Stats.euclidean_distance a b = outcome reference_euclidean a b
+      && outcome Stats.chebyshev_distance a b = outcome reference_chebyshev a b
+      && outcome Stats.euclidean_distance b a = outcome reference_euclidean b a
+      && outcome Stats.chebyshev_distance b a = outcome reference_chebyshev b a)
+
+let test_chebyshev_mismatch () =
+  Alcotest.check_raises "mismatch"
+    (Invalid_argument "Stats.chebyshev_distance: length mismatch") (fun () ->
+      ignore (Stats.chebyshev_distance [| 1.0; 2.0 |] [| 1.0 |]))
+
 let suite =
   [
     Alcotest.test_case "mean" `Quick test_mean;
@@ -200,9 +275,11 @@ let suite =
     Alcotest.test_case "pearson constant" `Quick test_pearson_constant;
     Alcotest.test_case "distances" `Quick test_distances;
     Alcotest.test_case "distance mismatch" `Quick test_distance_mismatch;
+    Alcotest.test_case "chebyshev mismatch" `Quick test_chebyshev_mismatch;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
         prop_mean_bounded; prop_normalize_range; prop_histogram_total;
         prop_variance_nonneg; prop_sort_floatarray_matches_array_sort;
+        prop_distances_match_reference;
       ]
