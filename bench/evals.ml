@@ -1,16 +1,17 @@
 (* Evaluation-throughput micro-benchmark: evals/sec and Gc minor
    words per evaluation for the two hot objectives (analytic MVA
    model, discrete-event simulation) plus the batch+memo engine on a
-   tuning-shaped stream, bytes allocated per message of a journaled
-   service, and minor words per data-analyzer seed pick.  The numbers
-   back the before/after tables in EXPERIMENTS.md and guard the
-   allocation discipline in CI:
+   tuning-shaped stream, bytes allocated per message and write
+   amplification of a journaled service, and minor words per
+   data-analyzer seed pick.  The numbers back the before/after tables
+   in EXPERIMENTS.md and guard the allocation discipline in CI:
 
      dune exec bench/evals.exe                      print the table
      dune exec bench/evals.exe -- --check FILE      fail (exit 1) if
                                                     minor words/eval,
-                                                    bytes/message or
-                                                    words/prepare
+                                                    bytes/message,
+                                                    write amplification
+                                                    or words/prepare
                                                     regressed >2x over
                                                     the recorded
                                                     baseline
@@ -138,10 +139,14 @@ let des_batch_figures ?pool () =
    clients, the default [compact_every], journals in a temp dir.  Each
    call carries every live client's next message (register, a report
    per assignment, deregister after [done]); a client that leaves is
-   replaced by a new one.  Returns bytes allocated per message and
-   messages per second.  Bytes come from [Gc.allocated_bytes], which
-   unlike minor words also counts what is allocated straight in the
-   major heap, such as a snapshot-sized string. *)
+   replaced by a new one.  Returns bytes allocated per message,
+   messages per second and the log's write amplification: (journal
+   bytes + snapshot bytes) / journal bytes.  Bytes allocated come from
+   [Gc.allocated_bytes], which unlike minor words also counts what is
+   allocated straight in the major heap, such as a snapshot-sized
+   string.  Journal bytes are counted by a sink wrapper on every shard,
+   and each shard's snapshot is sized at every journal reset, i.e. once
+   per compaction; all three figures cover the timed calls only. *)
 let wal_spec =
   "{ harmonyBundle P0 { int {1 16 1} }}\n\
    { harmonyBundle P1 { int {1 20-$P0 1} }}\n\
@@ -157,7 +162,22 @@ let wal_figures () =
       ~options:{ Simplex.default_options with Simplex.max_evaluations = 30 }
       ~shards ()
   in
-  Service.attach_journals service ~journal ();
+  let counting = ref false in
+  let journal_bytes = ref 0 and snapshot_bytes = ref 0 in
+  let meter ~shard (sink : Persist.sink) =
+    let snapshot = Service.shard_journal ~journal ~shard ^ ".snapshot" in
+    let write s =
+      sink.Persist.write s;
+      if !counting then journal_bytes := !journal_bytes + String.length s
+    in
+    let reset () =
+      sink.Persist.reset ();
+      if !counting then
+        snapshot_bytes := !snapshot_bytes + (Unix.stat snapshot).Unix.st_size
+    in
+    { sink with Persist.write; reset }
+  in
+  Service.attach_journals ~wrap:meter service ~journal ();
   let serial = ref 0 in
   let fresh () =
     incr serial;
@@ -208,6 +228,7 @@ let wal_figures () =
   done;
   Gc.full_major ();
   let calls = 200 in
+  counting := true;
   let bytes0 = Gc.allocated_bytes () in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to calls do
@@ -215,6 +236,7 @@ let wal_figures () =
   done;
   let elapsed = Unix.gettimeofday () -. t0 in
   let bytes = Gc.allocated_bytes () -. bytes0 in
+  counting := false;
   Service.detach_journals service;
   for shard = 0 to shards - 1 do
     let p = Service.shard_journal ~journal ~shard in
@@ -223,7 +245,11 @@ let wal_figures () =
   done;
   (try Sys.rmdir dir with Sys_error _ -> ());
   let messages = float_of_int (calls * live) in
-  (bytes /. messages, messages /. Float.max 1e-9 elapsed)
+  let amplification =
+    float_of_int (!journal_bytes + !snapshot_bytes)
+    /. float_of_int (max 1 !journal_bytes)
+  in
+  (bytes /. messages, messages /. Float.max 1e-9 elapsed, amplification)
 
 (* The data analyzer's seed pick on a fixed experience database: one
    entry per TPC-W mix, each with 100 distinct configurations measured
@@ -289,7 +315,8 @@ let json_number ~key text =
       done;
       float_of_string_opt (Buffer.contents b)
 
-let baseline_json ~mva ~des ~batch ~des_batch ~wal_bytes ~analyzer =
+let baseline_json ~mva ~des ~batch ~des_batch ~wal_bytes ~wal_amplification
+    ~analyzer =
   Printf.sprintf
     "{\n\
     \  \"mva_words_per_eval\": %.1f,\n\
@@ -299,13 +326,14 @@ let baseline_json ~mva ~des ~batch ~des_batch ~wal_bytes ~analyzer =
     \  \"batch_evals_per_sec\": %.0f,\n\
     \  \"des_batch_evals_per_sec\": %.0f,\n\
     \  \"wal_bytes_per_msg\": %.0f,\n\
+    \  \"wal_write_amplification\": %.2f,\n\
     \  \"analyzer_words_per_prepare\": %.0f\n\
      }\n"
     mva.words_per_eval mva.evals_per_sec des.words_per_eval
     des.evals_per_sec batch.evals_per_sec des_batch.evals_per_sec wal_bytes
-    analyzer.words_per_eval
+    wal_amplification analyzer.words_per_eval
 
-let check ~baseline_file ~mva ~des ~wal_bytes ~analyzer =
+let check ~baseline_file ~mva ~des ~wal_bytes ~wal_amplification ~analyzer =
   let text = In_channel.with_open_text baseline_file In_channel.input_all in
   let verdicts =
     List.filter_map
@@ -324,6 +352,10 @@ let check ~baseline_file ~mva ~des ~wal_bytes ~analyzer =
         ("mva", "mva_words_per_eval", "minor words/eval", mva.words_per_eval);
         ("des", "des_words_per_eval", "minor words/eval", des.words_per_eval);
         ("wal", "wal_bytes_per_msg", "bytes/message", wal_bytes);
+        ( "wal",
+          "wal_write_amplification",
+          "x write amplification",
+          wal_amplification );
         ( "analyzer",
           "analyzer_words_per_prepare",
           "minor words/prepare",
@@ -374,7 +406,7 @@ let () =
         ( timed "batch-pool" (fun () -> batch_figures ~pool ()),
           timed "des-batch" (fun () -> des_batch_figures ~pool ()) ))
   in
-  let wal_bytes, wal_per_sec = timed "wal" wal_figures in
+  let wal_bytes, wal_per_sec, wal_amplification = timed "wal" wal_figures in
   let analyzer = timed "analyzer" analyzer_figures in
   let row label f =
     Printf.printf "%-18s %12.1f %14.0f\n" label f.words_per_eval
@@ -396,11 +428,13 @@ let () =
   row "des-batch" des_batch;
   Printf.printf "%-18s (batch of 64 = 8 distinct x 8, memo on, %d domains)\n"
     "" jobs;
-  Printf.printf "%-18s %12.0f %14.0f\n" "wal" wal_bytes wal_per_sec;
-  Printf.printf "%-18s (bytes/message, messages/sec: journaled service, 4 \
-                 shards x 64 clients)\n" "";
+  Printf.printf "%-18s %12.0f %14.0f %8.2fx\n" "wal" wal_bytes wal_per_sec
+    wal_amplification;
+  Printf.printf "%-18s (bytes/message, messages/sec, write amplification: \
+                 journaled service, 4 shards x 64 clients)\n" "";
   Telemetry.gauge telemetry "evals.wal.bytes_per_msg" wal_bytes;
   Telemetry.gauge telemetry "evals.wal.per_sec" wal_per_sec;
+  Telemetry.gauge telemetry "evals.wal.write_amplification" wal_amplification;
   row "analyzer" analyzer;
   Printf.printf "%-18s (minor words/prepare, prepares/sec: 3 entries x 100 \
                  configs, exact match)\n" "";
@@ -413,8 +447,10 @@ let () =
       Out_channel.with_open_text file (fun oc ->
           Out_channel.output_string oc
             (baseline_json ~mva ~des ~batch:batch_pool ~des_batch ~wal_bytes
-               ~analyzer));
+               ~wal_amplification ~analyzer));
       Printf.printf "baseline written to %s\n" file);
   match !check_file with
   | None -> ()
-  | Some file -> check ~baseline_file:file ~mva ~des ~wal_bytes ~analyzer
+  | Some file ->
+      check ~baseline_file:file ~mva ~des ~wal_bytes ~wal_amplification
+        ~analyzer

@@ -179,10 +179,12 @@ val attach_journal :
     {!recover} to resume a previous run.  Every [Register], [Report]
     and [Report_failed] is made durable (fsync) before it mutates
     state; [Query] is read-only and not journaled.  Once the journal
-    exceeds [compact_every] records (default 64) it is compacted: the
-    current session's replayable essence is written atomically to the
-    snapshot and the journal restarts empty, so the on-disk footprint
-    stays O(current session).  [wrap] interposes on the journal's file
+    exceeds [compact_every] records (default 64) and holds at least
+    half as many bytes as the session's replayable essence, it is
+    compacted: the essence is written atomically to the snapshot and
+    the journal restarts empty, so the on-disk footprint stays
+    O(current session) and each snapshot writes at most twice the
+    journal bytes it replaces ({!Harmony_persist.Wal.compact_if_due}).  [wrap] interposes on the journal's file
     sink (the crash harness injects {!Harmony_persist.Persist.fault_sink}
     here).  While journaling, {!handle} can raise the sink's I/O
     exceptions ({!Harmony_persist.Persist.Crashed}, [Sys_error],
@@ -239,7 +241,8 @@ val recover :
     corrupt tails are dropped, and the first inconsistency ends the
     replay — the longest valid prefix wins.  On the way out the
     recovered state is compacted into a fresh snapshot, so a crash
-    loop cannot re-accumulate damage.  With a live [telemetry] handle
+    loop cannot re-accumulate damage; the journal continues after the
+    highest seq either file held ({!Harmony_persist.Wal.checkpoint}).  With a live [telemetry] handle
     the replay totals surface as [server.recovery.replayed] /
     [server.recovery.dropped] gauges.
     @raise Invalid_argument when [compact_every < 1] (and [Sys_error] /

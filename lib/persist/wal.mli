@@ -17,7 +17,15 @@
     at the next compaction).  Compaction writes the header and the
     kept frames, in the order they were kept, through
     {!Persist.write_atomic}: nothing is re-encoded and the snapshot is
-    never built as one string. *)
+    never built as one string.
+
+    Compaction is triggered by size: the log keeps the live set's bytes
+    and the bytes journaled since the last compaction, and compacts only
+    once the journal holds at least half as many bytes as the live set
+    (and more than [compact_every] records).  Each snapshot then writes
+    at most twice the journal bytes it replaces, so a record costs at
+    most 3x its own bytes on disk, and the journal recovery replays
+    beside the snapshot stays near half the live set. *)
 
 type t
 
@@ -28,7 +36,8 @@ val attach :
   string ->
   t
 (** Start a fresh log at [path]: the journal is truncated and any
-    snapshot removed.  [wrap] interposes on the journal's file sink.
+    snapshot removed.  [compact_every] is the record floor of
+    {!compact_if_due}.  [wrap] interposes on the journal's file sink.
     @raise Sys_error (or [Unix.Unix_error]) on I/O failure. *)
 
 val reopen :
@@ -40,17 +49,28 @@ val reopen :
   t * (int * 'e) list * int
 (** Resume the log at [path] after a crash: the events of {!load}, to
     be replayed by the caller, who rebuilds the live set with {!keep}
-    and {!retire} and then calls {!checkpoint}. *)
+    and {!retire} and then calls {!checkpoint}.  The journal is read
+    and scanned once.  The log remembers the highest seq either file
+    holds: the snapshot header's and every decodable journal record's,
+    stale ones included. *)
 
 val checkpoint : t -> seq:int -> unit
-(** End a recovery: the log continues after [seq], and the live set is
-    compacted at once, so torn tails, stale records and diverged
-    suffixes are durably gone. *)
+(** End a recovery: the log continues after the larger of [seq] (the
+    last record replay applied) and the highest seq {!reopen} saw, and
+    the live set is compacted at once under that seq, so torn tails,
+    stale records and diverged suffixes are durably gone.  The seq never
+    moves backwards: replay can stop below the snapshot header (the
+    newest records were retired before the last compaction, or a suffix
+    diverged), and a crash between this compaction's rename and its
+    journal reset must still leave every record in the old journal
+    stale.  So seqs after such a recovery skip ahead. *)
 
 val close : t -> unit
 
 val seq : t -> int
-(** The seq of the last record appended (or set by {!checkpoint}). *)
+(** The seq of the last record appended (or set by {!checkpoint}).
+    Between {!reopen} and {!checkpoint}, the highest seq the files
+    held. *)
 
 val oversize : string -> string option
 (** [Some reason] when [payload] cannot be journaled: its frame would
@@ -71,9 +91,14 @@ val retire : t -> owner:string -> unit
     under the same name afterwards start a new history. *)
 
 val compact_if_due : t -> bool
-(** Compact when the journal holds more than [compact_every] records:
-    write the snapshot (header with the current seq, then the live
-    frames), then reset the journal.  Returns whether it compacted. *)
+(** Compact when the journal holds more than [compact_every] records
+    {e and} at least half as many bytes as the live set: write the
+    snapshot (header with the current seq, then the live frames), then
+    reset the journal.  Returns whether it compacted.  Each snapshot's
+    frames after the header total at most twice the bytes journaled
+    since the previous compaction (at most 3x write amplification);
+    [compact_every] keeps a tiny live set from compacting on every
+    append. *)
 
 val load :
   magic:string ->

@@ -281,8 +281,11 @@ val attach_journals :
     {!recover} to resume).  State-changing messages ([register],
     [report], [report failed], [done]) are fsync'd before they are
     applied; each shard compacts independently once its journal
-    exceeds [compact_every] records (default 64), writing its live
-    sessions' replayable essence to [<shard path>.snapshot].  [wrap]
+    exceeds [compact_every] records (default 64) and holds at least
+    half as many bytes as its live sessions' replayable essence,
+    writing that essence to [<shard path>.snapshot]; so each snapshot
+    writes at most twice the journal bytes it replaces
+    ({!Harmony_persist.Wal.compact_if_due}).  [wrap]
     interposes per shard (the crash harness faults a single shard's
     sink).
     @raise Invalid_argument when [compact_every < 1]. *)
@@ -315,7 +318,9 @@ val recover :
     Every shard independently loads its snapshot + journal, replays
     its messages through the deterministic stack cross-checking each
     recorded reply byte-for-byte, keeps the longest self-consistent
-    prefix, and compacts on the way out.  Never raises on corrupt
+    prefix, and compacts on the way out; its journal continues after
+    the highest seq either of its files held
+    ({!Harmony_persist.Wal.checkpoint}).  Never raises on corrupt
     input: a torn, stale or garbage shard degrades to that shard's
     valid prefix (possibly empty) while the other shards recover in
     full.  [options], [max_report_failures] and [shards] must match

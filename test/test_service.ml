@@ -602,13 +602,22 @@ let test_live_crash_one_shard () =
 (* ------------------------------------------------------------------ *)
 (* Crashes that land in a pruning snapshot                             *)
 
-(* Every client of this fleet tunes twice: a maximizing session, then,
-   after deregistering, a minimizing one.  So its shards' compactions
-   retire owners as the fleet goes: the deregister drops the first
-   session, the second register starts a new history. *)
-let register_as client direction =
+(* Every client of this fleet tunes three times, alternating a
+   maximizing and a minimizing session, and deregisters between them.
+   So its shards' compactions retire owners as the fleet goes: each
+   deregister drops a finished session, each new register starts a new
+   history. *)
+let sessions_per_client = 3
+
+let register_as client n =
+  let direction = if n mod 2 = 0 then Server.Maximize else Server.Minimize in
   Service.Client
     { client; payload = Server.Register { spec = paper_spec; direction } }
+
+(* A tuning session ends in [`Leaving] (then deregisters and joins the
+   next one) or, for the last session, in [`Finished]. *)
+let finish n d =
+  if n + 1 < sessions_per_client then `Leaving (n, d) else `Finished d
 
 let lifecycle_step service state c =
   let unexpected r =
@@ -616,29 +625,21 @@ let lifecycle_step service state c =
   in
   let set s = Hashtbl.replace state c s in
   match Hashtbl.find state c with
-  | `Start -> (
-      match Service.handle service (register_as c Server.Maximize) with
-      | Service.Client_reply { reply = Server.Assign a; _ } -> set (`First a)
+  | `Joining n -> (
+      match Service.handle service (register_as c n) with
+      | Service.Client_reply { reply = Server.Assign a; _ } ->
+          set (`Tuning (n, a))
       | r -> unexpected r)
-  | `Rejoin -> (
-      match Service.handle service (register_as c Server.Minimize) with
-      | Service.Client_reply { reply = Server.Assign a; _ } -> set (`Second a)
-      | r -> unexpected r)
-  | `First a -> (
+  | `Tuning (n, a) -> (
       match Service.handle service (report_msg c a) with
-      | Service.Client_reply { reply = Server.Assign a; _ } -> set (`First a)
+      | Service.Client_reply { reply = Server.Assign a; _ } ->
+          set (`Tuning (n, a))
       | Service.Client_reply { reply = Server.Done _ as d; _ } ->
-          set (`Leaving (Server.reply_to_string d))
+          set (finish n (Server.reply_to_string d))
       | r -> unexpected r)
-  | `Second a -> (
-      match Service.handle service (report_msg c a) with
-      | Service.Client_reply { reply = Server.Assign a; _ } -> set (`Second a)
-      | Service.Client_reply { reply = Server.Done _ as d; _ } ->
-          set (`Finished (Server.reply_to_string d))
-      | r -> unexpected r)
-  | `Leaving _ -> (
+  | `Leaving (n, _) -> (
       match Service.handle service (Service.Deregister { client = c }) with
-      | Service.Deregistered _ -> set `Rejoin
+      | Service.Deregistered _ -> set (`Joining (n + 1))
       | r -> unexpected r)
   | `Finished _ -> ()
 
@@ -668,22 +669,17 @@ let resync service state c =
   in
   match (Hashtbl.find state c, Service.handle service (query_msg c)) with
   | `Finished _, _ -> ()
-  | (`Start | `First _), Service.Client_reply { reply = Server.Assign a; _ } ->
-      set (`First a)
-  | `First _, Service.Client_reply { reply = Server.Done _ as d; _ } ->
-      set (`Leaving (Server.reply_to_string d))
-  | `Leaving d, Service.Client_reply { reply = Server.Done _ as d'; _ } ->
-      Alcotest.(check string) (c ^ ": first done survives") d
+  | ( (`Joining n | `Tuning (n, _)),
+      Service.Client_reply { reply = Server.Assign a; _ } ) ->
+      set (`Tuning (n, a))
+  | `Tuning (n, _), Service.Client_reply { reply = Server.Done _ as d; _ } ->
+      set (finish n (Server.reply_to_string d))
+  | `Leaving (_, d), Service.Client_reply { reply = Server.Done _ as d'; _ } ->
+      Alcotest.(check string) (c ^ ": done survives") d
         (Server.reply_to_string d')
-  | `Leaving _, Service.Client_reply { reply = Server.Rejected _; _ } ->
-      set `Rejoin
-  | (`Rejoin | `Second _), Service.Client_reply { reply = Server.Assign a; _ }
-    ->
-      set (`Second a)
-  | `Second _, Service.Client_reply { reply = Server.Done _ as d; _ } ->
-      set (`Finished (Server.reply_to_string d))
-  | (`Start | `Rejoin), Service.Client_reply { reply = Server.Rejected _; _ } ->
-      ()
+  | `Leaving (n, _), Service.Client_reply { reply = Server.Rejected _; _ } ->
+      set (`Joining (n + 1))
+  | `Joining _, Service.Client_reply { reply = Server.Rejected _; _ } -> ()
   | _, r -> fail r
 
 let test_crash_in_pruning_snapshot () =
@@ -691,7 +687,7 @@ let test_crash_in_pruning_snapshot () =
   let victim = Service.shard_for ~shards "alpha" in
   let fresh () =
     let state = Hashtbl.create 8 in
-    List.iter (fun c -> Hashtbl.replace state c `Start) fleet;
+    List.iter (fun c -> Hashtbl.replace state c (`Joining 0)) fleet;
     state
   in
   (* Reference run: note the journal bytes written before every

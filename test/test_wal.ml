@@ -8,8 +8,10 @@
    at every [compact_every] from 1 to 8; each snapshot the log writes
    must equal the model's bytes, and a recovery from the files must
    continue every client exactly as the uninterrupted run does.  Also
-   here: a message too large to journal gets a reply, not an
-   exception. *)
+   here: no snapshot writes more than twice the journal bytes it
+   replaces, a crash in a recovery's own compaction cannot make the
+   next recovery re-apply stale records, and a message too large to
+   journal gets a reply, not an exception. *)
 
 open Harmony
 module Service = Harmony_service.Service
@@ -61,12 +63,14 @@ type 'ev model = {
   compact_every : int;
   mutable seq : int;
   mutable records : int;  (* journal records since the last compaction *)
+  mutable journal_bytes : int;  (* their frame bytes *)
   mutable log : (int * string * 'ev) list;  (* newest first *)
   mutable snapshots : string list;  (* newest first *)
 }
 
 let model ~magic ~encode ~compact_every =
-  { magic; encode; compact_every; seq = 0; records = 0; log = []; snapshots = [] }
+  { magic; encode; compact_every; seq = 0; records = 0; journal_bytes = 0;
+    log = []; snapshots = [] }
 
 let model_snapshot ?(seq = 0) m log =
   let buf = Buffer.create 1024 in
@@ -77,15 +81,21 @@ let model_snapshot ?(seq = 0) m log =
     (List.rev log);
   Buffer.contents buf
 
-(* One journaled record pair: [extend] updates the log under the new
-   seq, then the compaction trigger fires past [compact_every]. *)
-let model_step m extend =
+(* One journaled record pair, [recv] (or a shed) and [rep]: [extend]
+   updates the log under the new seq, then the compaction trigger fires
+   past [compact_every] records once the journal holds at least half as
+   many bytes as the live frames. *)
+let model_step m (recv, rep) extend =
   m.seq <- m.seq + 1;
+  let bytes seq ev = Frame.encoded_size (m.encode ~seq ev) in
   m.records <- m.records + 2;
+  m.journal_bytes <- m.journal_bytes + bytes m.seq recv + bytes m.seq rep;
   m.log <- extend m.seq m.log;
-  if m.records > m.compact_every then begin
+  let live = List.fold_left (fun a (seq, _, ev) -> a + bytes seq ev) 0 m.log in
+  if m.records > m.compact_every && 2 * m.journal_bytes >= live then begin
     m.snapshots <- model_snapshot ~seq:m.seq m m.log :: m.snapshots;
-    m.records <- 0
+    m.records <- 0;
+    m.journal_bytes <- 0
   end
 
 let service_client = function
@@ -127,17 +137,10 @@ let server_extend_log log ~seq message reply =
   | _ -> rep :: recv :: log
 
 (* The closing compaction of a recovery: it encodes the events it
-   decoded (decoding trims a register's spec), under the seq of the
-   last record it replayed — lower than the log's when the newest
-   records were retired before the last compaction. *)
+   decoded (decoding trims a register's spec), under the log's own seq,
+   the highest either file held. *)
 let recovery_snapshot m decode =
-  let seq =
-    match m.log with
-    | _ when m.records > 0 -> m.seq
-    | (newest, _, _) :: _ -> newest
-    | [] -> 0
-  in
-  model_snapshot ~seq m
+  model_snapshot ~seq:m.seq m
     (List.map
        (fun (seq, owner, ev) ->
          match decode (m.encode ~seq ev) with
@@ -275,13 +278,14 @@ let prop_service_live_set =
               if service_journaled message then
                 let m = models.(Service.shard_of_client service ids.(c)) in
                 let client = ids.(c) in
-                model_step m (fun seq log ->
-                    if is_shed reply then
-                      (seq, client, Service.Event.Reply
-                                      (Service.reply_to_string reply))
-                      :: (seq, client, Service.Event.Shed message)
-                      :: log
-                    else service_extend_log log ~seq message reply))
+                let rep = Service.Event.Reply (Service.reply_to_string reply) in
+                if is_shed reply then
+                  let shed = Service.Event.Shed message in
+                  model_step m (shed, rep) (fun seq log ->
+                      (seq, client, rep) :: (seq, client, shed) :: log)
+                else
+                  model_step m (Service.Event.Recv message, rep)
+                    (fun seq log -> service_extend_log log ~seq message reply))
             steps;
           Service.detach_journals service;
           Array.iteri
@@ -353,15 +357,17 @@ let prop_server_live_set =
               match step with
               | Shed ->
                   Server.journal_shed server (Server.Report 0.5) ~reply:shed_text;
-                  model_step m (fun seq log ->
-                      (seq, "", Server.Event.Reply shed_text)
-                      :: (seq, "", Server.Event.Shed (Server.Report 0.5))
-                      :: log)
+                  let shed = Server.Event.Shed (Server.Report 0.5) in
+                  let rep = Server.Event.Reply shed_text in
+                  model_step m (shed, rep) (fun seq log ->
+                      (seq, "", rep) :: (seq, "", shed) :: log)
               | Query | Deregister -> ignore (Server.handle server message)
               | Register _ | Report _ | Report_failed ->
                   let reply = Server.handle server message in
-                  model_step m (fun seq log ->
-                      server_extend_log log ~seq message reply))
+                  model_step m
+                    ( Server.Event.Recv message,
+                      Server.Event.Reply (Server.reply_to_string reply) )
+                    (fun seq log -> server_extend_log log ~seq message reply))
             steps;
           Server.detach_journal server;
           Alcotest.(check (list string)) "every snapshot equals the model's"
@@ -383,6 +389,198 @@ let prop_server_live_set =
             (List.filter (fun st -> st <> Deregister) continuation);
           Server.detach_journal r.Server.server;
           true))
+
+(* ------------------------------------------------------------------ *)
+(* Write amplification                                                 *)
+
+(* A sink wrapper checking the bound the size trigger guarantees: at
+   every journal reset, the snapshot's frames after the header total at
+   most twice the bytes journaled since the previous reset.  Each
+   violation is recorded as (snapshot frame bytes, journaled bytes). *)
+let amplification_sink ~armed ~snapshot violations (sink : Persist.sink) =
+  let journaled = ref 0 in
+  let write s =
+    sink.Persist.write s;
+    journaled := !journaled + String.length s
+  in
+  let reset () =
+    sink.Persist.reset ();
+    (if !armed then
+       let frames =
+         match (Harmony_persist.Journal.read snapshot).Frame.records with
+         | _header :: frames -> frames
+         | [] -> []
+       in
+       let bytes =
+         List.fold_left (fun a r -> a + Frame.encoded_size r) 0 frames
+       in
+       if bytes > 2 * !journaled then
+         violations := (bytes, !journaled) :: !violations);
+    journaled := 0
+  in
+  { sink with Persist.write; sync = ignore; reset }
+
+let no_violations violations =
+  Alcotest.(check (list (pair int int)))
+    "every snapshot's frames are at most twice the bytes journaled since \
+     the previous reset"
+    [] (List.rev violations)
+
+let prop_service_amplification =
+  QCheck2.Test.make ~name:"service snapshots write at most 2x the journal"
+    ~count:80 ~print:print_script gen_service_script
+    (fun (_, steps, compact_every, limited) ->
+      let shards = 2 in
+      let admission = if limited then Some rate_limited else None in
+      with_paths shards (fun journal ->
+          let service = Service.create ~options ?admission ~shards () in
+          let armed = ref false and violations = ref [] in
+          Service.attach_journals ~compact_every
+            ~wrap:(fun ~shard sink ->
+              amplification_sink ~armed
+                ~snapshot:(Service.shard_journal ~journal ~shard ^ ".snapshot")
+                violations sink)
+            service ~journal ();
+          armed := true;
+          List.iter
+            (fun (c, step) ->
+              ignore (Service.handle service (service_message ids.(c) step)))
+            steps;
+          Service.detach_journals service;
+          no_violations !violations;
+          true))
+
+let prop_server_amplification =
+  QCheck2.Test.make ~name:"server snapshots write at most 2x the journal"
+    ~count:80 ~print:print_script gen_server_script
+    (fun (_, steps, compact_every, reject_reregister) ->
+      with_paths 0 (fun journal ->
+          let server = Server.create ~options ~reject_reregister () in
+          let armed = ref false and violations = ref [] in
+          Server.attach_journal ~compact_every
+            ~wrap:
+              (amplification_sink ~armed ~snapshot:(journal ^ ".snapshot")
+                 violations)
+            server ~journal ();
+          armed := true;
+          List.iter
+            (fun (_, step) ->
+              match step with
+              | Shed ->
+                  Server.journal_shed server (Server.Report 0.5) ~reply:shed_text
+              | Register _ | Report _ | Report_failed | Query | Deregister ->
+                  ignore (Server.handle server (payload step)))
+            steps;
+          Server.detach_journal server;
+          no_violations !violations;
+          true))
+
+(* ------------------------------------------------------------------ *)
+(* Recovery never moves the log's seq backwards                        *)
+
+(* A sink wrapper whose reset, once [die] is set, kills the process
+   and leaves the journal as it was: the crash window between a
+   snapshot's rename and the journal reset. *)
+let dies_at_reset die (sink : Persist.sink) =
+  let reset () =
+    if !die then raise Persist.Crashed else sink.Persist.reset ()
+  in
+  { sink with Persist.reset }
+
+(* One shard at [compact_every:1]: bob and alice register, alice
+   deregisters at seq 3, and the process dies at the journal reset of
+   the compaction that follows, so the snapshot (header seq 3) holds
+   only bob's frames and the stale journal only alice's deregister.
+   The spec is short enough that bob's frames stay under twice the
+   deregister's bytes, so the size trigger does compact there.
+   Replay applies nothing past seq 1; a checkpoint at seq 1 would let
+   the next messages reuse seqs 2 and 3, and a second crash at that
+   checkpoint's own journal reset would leave the stale [3 recv alice
+   done] to be re-applied by the next recovery. *)
+let test_recovery_keeps_the_log_seq () =
+  let spec = "{ harmonyBundle B { int {1 8 1} }}" in
+  let register client =
+    Service.Client
+      {
+        client;
+        payload = Server.Register { spec; direction = Server.Maximize };
+      }
+  in
+  let assign service client =
+    match Service.handle service (register client) with
+    | Service.Client_reply { reply = Server.Assign _; _ } as r ->
+        Service.reply_to_string r
+    | r -> Alcotest.fail ("register: " ^ Service.reply_to_string r)
+  in
+  let first_crash journal =
+    let service = Service.create ~options ~shards:1 () in
+    let die = ref false in
+    Service.attach_journals ~compact_every:1
+      ~wrap:(fun ~shard:_ sink -> dies_at_reset die sink)
+      service ~journal ();
+    let bob = assign service "bob" in
+    ignore (assign service "alice");
+    die := true;
+    (match Service.handle service (Service.Deregister { client = "alice" }) with
+    | r ->
+        Alcotest.fail
+          ("no compaction after the deregister: " ^ Service.reply_to_string r)
+    | exception Persist.Crashed -> ());
+    Service.detach_journals service;
+    bob
+  in
+  (* The recovered log: its snapshot, and the seq its next journaled
+     message gets. *)
+  let recovered journal =
+    let r = Service.recover ~options ~compact_every:1 ~shards:1 ~journal () in
+    let path = Service.shard_journal ~journal ~shard:0 in
+    let snapshot =
+      Option.value ~default:"" (Persist.read_file (path ^ ".snapshot"))
+    in
+    ignore
+      (Service.handle r.Service.service
+         (Service.Client { client = "bob"; payload = Server.Report 1.0 }));
+    Service.detach_journals r.Service.service;
+    let events, _ =
+      Harmony_persist.Wal.load ~magic:"harmony-service-snapshot"
+        ~decode:Service.Event.decode path
+    in
+    match List.rev events with
+    | (seq, _) :: _ -> (snapshot, Some seq)
+    | [] -> (snapshot, None)
+  in
+  let expected bob =
+    String.concat ""
+      (List.map Frame.encode
+         [ "harmony-service-snapshot 1 3";
+           Service.Event.encode ~seq:1 (Service.Event.Recv (register "bob"));
+           Service.Event.encode ~seq:1 (Service.Event.Reply bob) ])
+  in
+  with_paths 1 (fun journal ->
+      let bob = first_crash journal in
+      let snapshot, next = recovered journal in
+      Alcotest.(check string) "one crash: header seq 3 and bob's frames"
+        (expected bob) snapshot;
+      Alcotest.(check (option int)) "one crash: next message gets seq 4"
+        (Some 4) next);
+  with_paths 1 (fun journal ->
+      let bob = first_crash journal in
+      let opened = ref [] in
+      (match
+         Service.recover ~options ~compact_every:1 ~shards:1
+           ~wrap:(fun ~shard:_ sink ->
+             opened := sink :: !opened;
+             dies_at_reset (ref true) sink)
+           ~journal ()
+       with
+      | _ -> Alcotest.fail "no crash at the checkpoint's journal reset"
+      | exception Persist.Crashed -> ());
+      List.iter (fun (sink : Persist.sink) -> sink.Persist.close ()) !opened;
+      let snapshot, next = recovered journal in
+      Alcotest.(check string) "two crashes: header seq 3 and bob's frames"
+        (expected bob) snapshot;
+      Alcotest.(check (option int)) "two crashes: next message gets seq 4"
+        (Some 4) next)
 
 (* ------------------------------------------------------------------ *)
 (* A message too large to journal                                      *)
@@ -441,6 +639,10 @@ let suite =
   [
     to_alcotest prop_service_live_set;
     to_alcotest prop_server_live_set;
+    to_alcotest prop_service_amplification;
+    to_alcotest prop_server_amplification;
+    Alcotest.test_case "recovery keeps the log's seq" `Quick
+      test_recovery_keeps_the_log_seq;
     Alcotest.test_case "oversize message rejected, not raised" `Quick
       test_oversize_message_rejected;
   ]
