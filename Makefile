@@ -36,12 +36,14 @@ test-fast: lint
 
 # Durability only (DESIGN.md §10): the framing/sink/journal unit+property
 # tests, the crash-injection harness (kill-at-every-record-boundary
-# byte-identity, live fault-sink crashes, corrupt-input recovery) and
-# the log's differential test against the list-based model.
+# byte-identity, live fault-sink crashes, corrupt-input recovery), the
+# log's differential test against the list-based model, and `serve
+# --journal` / `--recover` run end to end against committed transcripts.
 test-crash:
 	dune exec test/test_main.exe -- test persist
 	dune exec test/test_main.exe -- test crash
 	dune exec test/test_main.exe -- test wal
+	dune build @test/serve/runtest
 
 # Sharded-service load tier (DESIGN.md §13): the service unit/property
 # suite, then the seeded load generator driving 1k clients through the

@@ -445,7 +445,9 @@ let serve_cmd =
     let doc =
       "Write-ahead journal FILE: every state-changing protocol event is \
        logged and fsynced before it is applied, so a crashed server can be \
-       restarted with $(b,--recover) without losing the tuning session."
+       restarted with $(b,--recover) without losing the tuning session.  \
+       Shard $(i,i) journals to $(b,FILE.shard)$(i,i) (a single session to \
+       $(b,FILE.shard0)), compacting into $(b,.snapshot) beside it."
     in
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
   in
@@ -453,7 +455,10 @@ let serve_cmd =
     let doc =
       "Rebuild the server state from the journal (and its snapshot) before \
        serving, instead of starting fresh.  Requires $(b,--journal).  A \
-       torn or corrupt journal tail degrades to the longest valid prefix."
+       torn or corrupt journal tail degrades to the longest valid prefix.  \
+       A bare $(b,FILE) or $(b,FILE.snapshot) without $(b,FILE.shard0) is \
+       a single-session journal from an earlier version: it is refused, \
+       not read."
     in
     Arg.(value & flag & info [ "recover" ] ~doc)
   in
@@ -521,189 +526,119 @@ let serve_cmd =
     in
     (* The serve loop is the one place a wall clock is injected: span
        timestamps and handle latencies are milliseconds since startup.
-       lib/ itself never reads a clock (lint rule D1). *)
+       lib/ itself never reads a clock (lint rule D1).  Each shard
+       carries a flight recorder: the last 256 events stay resident for
+       the [dump-flight] protocol message, whether or not anyone is
+       exporting full traces. *)
     let start = Unix.gettimeofday () in
-    let telemetry =
-      Telemetry.create ~clock:(fun () -> (Unix.gettimeofday () -. start) *. 1e3) ()
-    in
-    (* Line protocol on stdin/stdout.  `register min|max` keeps reading
-       specification lines until a blank line or EOF. *)
-    let serve server =
-      (* Single-session edge policing: one shard, one implicit client.
-         Rejections are journaled as shed records (when the message
-         class is journaled at all) so recovery replays them
-         byte-for-byte, exactly like the sharded service. *)
-      let admission =
-        Option.map
-          (Admission.create ~telemetry:(fun _ -> telemetry) ~shards:1)
-          admission_config
-      in
-      let rec read_spec acc =
-        match In_channel.input_line stdin with
-        | None -> List.rev acc
-        | Some line when String.trim line = "" -> List.rev acc
-        | Some line -> read_spec (line :: acc)
-      in
-      let respond reply =
-        print_endline (Server.reply_to_string reply);
-        flush stdout
-      in
-      let handle message =
-        match admission with
-        | None -> Server.handle server message
-        | Some adm -> (
-            Admission.tick adm;
-            let enqueued_at = Admission.now adm in
-            let deadline =
-              Option.map (fun d -> enqueued_at + d) deadline_ticks
-            in
-            let priority =
-              match message with
-              | Server.Register _ -> Admission.Critical
-              | Server.Report _ | Server.Report_failed -> Admission.Normal
-              | Server.Query | Server.Metrics -> Admission.Low
-            in
-            match
-              Admission.check adm ~shard:0 ~client:"client" ~priority
-                ~enqueued_at ?deadline ()
-            with
-            | Admission.Admit ->
-                let reply = Server.handle server message in
-                Admission.complete adm ~shard:0;
-                reply
-            | Admission.Reject { reason; retry_after; degraded } ->
-                let reply =
-                  Server.Rejected
-                    (Admission.reject_text ~reason ~retry_after ~degraded)
-                in
-                (match message with
-                | Server.Query | Server.Metrics -> ()
-                | Server.Register _ | Server.Report _ | Server.Report_failed
-                  ->
-                    Server.journal_shed server message
-                      ~reply:(Server.reply_to_string reply));
-                reply)
-      in
-      let rec loop () =
-        match In_channel.input_line stdin with
-        | None -> ()
-        | Some line -> (
-            let line = String.trim line in
-            if line = "" then loop ()
-            else if line = "quit" then ()
-            else begin
-              let text =
-                match String.split_on_char ' ' line with
-                | "register" :: _ ->
-                    line ^ "\n" ^ String.concat "\n" (read_spec [])
-                | _ -> line
-              in
-              (match Server.parse_message text with
-              | Ok message -> respond (handle message)
-              | Error msg -> respond (Server.Rejected msg));
-              loop ()
-            end)
-      in
-      Format.printf
-        "harmony tuning server: 'register min|max' + RSL lines + blank line, \
-         then 'query' / 'report <perf>' / 'report failed' / 'metrics' / \
-         'quit'@.";
-      loop ();
-      `Ok ()
-    in
-    (* The sharded service speaks the client-id-prefixed protocol on
-       the same stdin/stdout loop; each shard gets its own wall-clocked
-       telemetry handle, merged on demand by [service-metrics]. *)
-    let serve_service service =
-      let rec read_spec acc =
-        match In_channel.input_line stdin with
-        | None -> List.rev acc
-        | Some line when String.trim line = "" -> List.rev acc
-        | Some line -> read_spec (line :: acc)
-      in
-      let respond reply =
-        print_endline (Service.reply_to_string reply);
-        flush stdout
-      in
-      let rec loop () =
-        match In_channel.input_line stdin with
-        | None -> ()
-        | Some line -> (
-            let line = String.trim line in
-            if line = "" then loop ()
-            else if line = "quit" then ()
-            else begin
-              let text =
-                match String.split_on_char ' ' line with
-                | _ :: "register" :: _ ->
-                    line ^ "\n" ^ String.concat "\n" (read_spec [])
-                | _ -> line
-              in
-              (match Service.parse_message text with
-              | Ok message ->
-                  (* Deadline stamping happens at the edge, against the
-                     tick this message will be handled at (the clock
-                     ticks once per handled message): --deadline-ticks 0
-                     means "handle at arrival", which a synchronous
-                     loop always meets. *)
-                  let enqueued_at = Service.admission_now service + 1 in
-                  let deadline =
-                    Option.map (fun d -> enqueued_at + d) deadline_ticks
-                  in
-                  respond
-                    (Service.handle_env service
-                       (Service.envelope ~enqueued_at ?deadline message))
-              | Error msg -> respond (Service.Service_error msg));
-              loop ()
-            end)
-      in
-      Format.printf
-        "harmony tuning service (%d shard(s)): '<id> register min|max' + RSL \
-         lines + blank line, then '<id> query' / '<id> report <perf>' / \
-         '<id> report failed' / '<id> done' / 'service-metrics' / \
-         'dump-flight' / 'quit'@."
-        (Service.shards service);
-      loop ();
-      `Ok ()
-    in
-    (* Each serve shard carries a flight recorder: the last 256 events
-       stay resident for the [dump-flight] protocol message, whether or
-       not anyone is exporting full traces. *)
     let shard_telemetry _shard =
       Telemetry.create
         ~clock:(fun () -> (Unix.gettimeofday () -. start) *. 1e3)
         ~flight:(Flight.create ~capacity:256) ()
     in
-    match (shards, journal, recover) with
-    | _, None, true -> `Error (false, "--recover requires --journal")
-    | Some n, _, _ when n < 1 -> `Error (false, "--shards must be >= 1")
-    | None, None, false -> serve (Server.create ~options ~telemetry ())
-    | None, Some path, false ->
-        let server = Server.create ~options ~telemetry () in
-        Server.attach_journal server ~journal:path ();
-        serve server
-    | None, Some path, true ->
-        let r = Server.recover ~options ~telemetry ~journal:path () in
-        Format.printf "recovered from %s: %d event(s) replayed, %d dropped@."
-          path r.Server.replayed r.Server.dropped;
-        (match r.Server.last_reply with
+    let rec read_spec acc =
+      match In_channel.input_line stdin with
+      | None -> List.rev acc
+      | Some line when String.trim line = "" -> List.rev acc
+      | Some line -> read_spec (line :: acc)
+    in
+    (* Line protocol on stdin/stdout.  A register line keeps reading
+       specification lines until a blank line or EOF; [handle] answers
+       one message's text with its reply's. *)
+    let serve ~banner ~is_register handle =
+      let rec loop () =
+        match In_channel.input_line stdin with
         | None -> ()
-        | Some reply ->
-            Format.printf "last reply before the crash: %s@."
-              (Server.reply_to_string reply));
-        serve r.Server.server
-    | Some n, None, false ->
-        serve_service
-          (Service.create ~options ~telemetry:shard_telemetry
-             ?admission:admission_config ~shards:n ())
-    | Some n, Some path, false ->
-        let service =
-          Service.create ~options ~telemetry:shard_telemetry
-            ?admission:admission_config ~shards:n ()
-        in
+        | Some line -> (
+            let line = String.trim line in
+            if line = "" then loop ()
+            else if line = "quit" then ()
+            else begin
+              let text =
+                if is_register (String.split_on_char ' ' line) then
+                  line ^ "\n" ^ String.concat "\n" (read_spec [])
+                else line
+              in
+              print_endline (handle text);
+              flush stdout;
+              loop ()
+            end)
+      in
+      Format.printf "%s@." banner;
+      loop ();
+      `Ok ()
+    in
+    (* A single session is a one-shard service driven through
+       [Service.handle_single]: it journals, recovers and is policed by
+       the same code as every shard. *)
+    let serve_single service =
+      serve
+        ~banner:
+          "harmony tuning server: 'register min|max' + RSL lines + blank \
+           line, then 'query' / 'report <perf>' / 'report failed' / \
+           'metrics' / 'quit'"
+        ~is_register:(function "register" :: _ -> true | _ -> false)
+        (fun text ->
+          Server.reply_to_string
+            (match Server.parse_message text with
+            | Ok message -> Service.handle_single ?deadline_ticks service message
+            | Error msg -> Server.Rejected msg))
+    in
+    (* The sharded service speaks the client-id-prefixed protocol;
+       [service-metrics] merges the per-shard registries on demand. *)
+    let serve_service service =
+      serve
+        ~banner:
+          (Printf.sprintf
+             "harmony tuning service (%d shard(s)): '<id> register min|max' \
+              + RSL lines + blank line, then '<id> query' / '<id> report \
+              <perf>' / '<id> report failed' / '<id> done' / \
+              'service-metrics' / 'dump-flight' / 'quit'"
+             (Service.shards service))
+        ~is_register:(function _ :: "register" :: _ -> true | _ -> false)
+        (fun text ->
+          Service.reply_to_string
+            (match Service.parse_message text with
+            | Ok message -> Service.handle_stamped ?deadline_ticks service message
+            | Error msg -> Service.Service_error msg))
+    in
+    (* Journals written before single sessions ran as one shard sit at
+       FILE and FILE.snapshot; a recovery that read only FILE.shard0*
+       would silently start an empty session over them. *)
+    let older_journal path =
+      let shard0 = Service.shard_journal ~journal:path ~shard:0 in
+      let exists = List.exists Sys.file_exists in
+      exists [ path; path ^ ".snapshot" ]
+      && not (exists [ shard0; shard0 ^ ".snapshot" ])
+    in
+    let n = Option.value ~default:1 shards in
+    let create () =
+      Service.create ~options ~telemetry:shard_telemetry
+        ?admission:admission_config ~shards:n ()
+    in
+    let run_service service =
+      match shards with
+      | None -> serve_single service
+      | Some _ -> serve_service service
+    in
+    match (journal, recover) with
+    | None, true -> `Error (false, "--recover requires --journal")
+    | _ when n < 1 -> `Error (false, "--shards must be >= 1")
+    | Some path, true when older_journal path ->
+        `Error
+          ( false,
+            Printf.sprintf
+              "%s is a single-session journal in the format used before \
+               sessions ran as one shard, which this version does not \
+               read; finish that session with the earlier binary, or move \
+               %s and %s.snapshot aside"
+              path path path )
+    | None, false -> run_service (create ())
+    | Some path, false ->
+        let service = create () in
         Service.attach_journals service ~journal:path ();
-        serve_service service
-    | Some n, Some path, true ->
+        run_service service
+    | Some path, true ->
         let r =
           Service.recover ~options ~telemetry:shard_telemetry
             ?admission:admission_config ~shards:n ~journal:path ()
@@ -716,7 +651,7 @@ let serve_cmd =
             Format.printf "  shard %d: %d replayed, %d dropped@." pr.shard
               pr.replayed pr.dropped)
           r.Service.per_shard;
-        serve_service r.Service.service
+        run_service r.Service.service
   in
   let doc =
     "Run the tuning server on stdin/stdout (line protocol), optionally \

@@ -157,10 +157,6 @@ let decode_log ~magic ~decode path (journal : Frame.scan) =
   in
   (snap_events @ journal_events, !dropped, !highest)
 
-let load ~magic ~decode path =
-  let events, dropped, _ = decode_log ~magic ~decode path (Journal.read path) in
-  (events, dropped)
-
 (* The journal is read and scanned once: [open_file]'s scan is the one
    the events come from. *)
 let reopen ?wrap ~magic ~decode ~compact_every path =

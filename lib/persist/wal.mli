@@ -1,6 +1,6 @@
-(** A write-ahead log with snapshot compaction, shared by every
-    journaled state machine ([Server] for one session, each [Service]
-    shard for many).
+(** A write-ahead log with snapshot compaction: the log behind every
+    [Service] shard, whose sessions it journals, snapshots and
+    recovers (a lone session runs as a one-shard service).
 
     The log is a {!Journal} at [path] plus an atomically written
     snapshot at [path ^ ".snapshot"].  The snapshot's first record is
@@ -47,12 +47,19 @@ val reopen :
   compact_every:int ->
   string ->
   t * (int * 'e) list * int
-(** Resume the log at [path] after a crash: the events of {!load}, to
-    be replayed by the caller, who rebuilds the live set with {!keep}
-    and {!retire} and then calls {!checkpoint}.  The journal is read
-    and scanned once.  The log remembers the highest seq either file
-    holds: the snapshot header's and every decodable journal record's,
-    stale ones included. *)
+(** Resume the log at [path] after a crash.  The events are the
+    snapshot's followed by the journal's, minus journal records the
+    snapshot already covers (seq <= the header's); the count is of
+    records dropped: undecodable ones, stale ones, and a whole snapshot
+    whose header is not [magic]'s.  The caller replays the events,
+    rebuilds the live set with {!keep} and {!retire}, and then calls
+    {!checkpoint}.  The journal is read and scanned once.  The log
+    remembers the highest seq either file holds: the snapshot header's
+    and every decodable journal record's, stale ones included.  Never
+    raises on what the files hold; torn tails are dropped by the frame
+    scan.
+    @raise Sys_error (or [Unix.Unix_error]) if the journal cannot be
+    re-opened for writing. *)
 
 val checkpoint : t -> seq:int -> unit
 (** End a recovery: the log continues after the larger of [seq] (the
@@ -99,14 +106,3 @@ val compact_if_due : t -> bool
     since the previous compaction (at most 3x write amplification);
     [compact_every] keeps a tiny live set from compacting on every
     append. *)
-
-val load :
-  magic:string ->
-  decode:(string -> (int * 'e) option) ->
-  string ->
-  (int * 'e) list * int
-(** The snapshot's events followed by the journal's, minus journal
-    records the snapshot already covers (seq <= the header's), and the
-    number of records dropped: undecodable ones, stale ones, and a
-    whole snapshot whose header is not [magic]'s.  Total: never raises,
-    whatever the files hold. *)

@@ -33,10 +33,10 @@ type envelope = {
 
 let envelope ?enqueued_at ?deadline message = { message; enqueued_at; deadline }
 
-(* A shard's log runs the same WAL discipline as [Server]'s, except
-   its replayable essence interleaves many clients' sessions, so every
-   kept record is owned by its client (an accepted re-register or a
-   deregister retires exactly that client's history). *)
+(* A shard's log interleaves many clients' sessions in its replayable
+   essence, so every kept record is owned by its client (an accepted
+   re-register or a deregister retires exactly that client's
+   history). *)
 type shard = {
   tel : Telemetry.t;
   sessions : (string, Server.t) Hashtbl.t;
@@ -441,7 +441,7 @@ let priority_of_message = function
    submitting domain, before the batch dispatches, so it never races
    the shard tasks' own appends.  A message too large to journal is
    not journaled shed either. *)
-let journal_shed_in_shard shard message reply_text =
+let record_shed shard message reply_text =
   match shard.wal with
   | Some w when journaled message -> (
       let seq = Wal.seq w + 1 in
@@ -607,7 +607,7 @@ let handle_env t env =
             reply
         | Some text ->
             let reply = shed_reply env.message text in
-            journal_shed_in_shard t.shards_.(s) env.message
+            record_shed t.shards_.(s) env.message
               (reply_to_string reply);
             reply)
   in
@@ -615,6 +615,55 @@ let handle_env t env =
   reply
 
 let handle t message = handle_env t (envelope message)
+
+(* A message is stamped at the tick it is handled at (the clock ticks
+   once per [handle_env]), so a deadline of 0 means "handle at
+   arrival", which a synchronous caller always meets. *)
+let handle_stamped ?deadline_ticks t message =
+  let enqueued_at = admission_now t + 1 in
+  let deadline = Option.map (fun d -> enqueued_at + d) deadline_ticks in
+  handle_env t (envelope ~enqueued_at ?deadline message)
+
+(* ------------------------------------------------------------------ *)
+(* The single-session protocol                                         *)
+
+(* Unprefixed single-session messages run as this one client, so a
+   lone session journals, recovers and is policed exactly like a
+   shard's. *)
+let single_client = "session"
+
+let handle_single ?deadline_ticks t message =
+  (* Each message sent, the implicit deregister included, gets its own
+     stamp: a register stamped before its deregister ran would expire. *)
+  let send m = handle_stamped ?deadline_ticks t m in
+  let send_client payload = send (Client { client = single_client; payload }) in
+  let live () =
+    Hashtbl.mem t.shards_.(shard_of_client t single_client).sessions
+      single_client
+  in
+  let reply =
+    match message with
+    | Server.Metrics -> send Service_metrics
+    | Server.Register _ when live () -> (
+        (* Re-registering restarts the session, as on a lone [Server]:
+           the live one is deregistered first.  A shed deregister
+           answers the register, which the client then retries. *)
+        match send (Deregister { client = single_client }) with
+        | Deregistered _ -> send_client message
+        | (Client_reply _ | Service_stats _ | Flight_dump _ | Service_error _)
+          as r ->
+            r)
+    | Server.Register _ | Server.Query | Server.Report _ | Server.Report_failed
+      ->
+        send_client message
+  in
+  match reply with
+  | Client_reply { reply; _ } -> reply
+  | Service_stats text -> Server.Stats text
+  | Service_error text -> Server.Rejected text
+  (* Unreachable: neither answers a client message or a probe. *)
+  | (Deregistered _ | Flight_dump _) as r ->
+      Server.Rejected ("unexpected reply: " ^ reply_to_string r)
 
 let handle_batch_env ?pool ?(cancel = Pool.Cancel.none) t envelopes =
   let msgs = Array.of_list envelopes in
@@ -682,7 +731,7 @@ let handle_batch_env ?pool ?(cancel = Pool.Cancel.none) t envelopes =
               per_shard.(s) <- i :: per_shard.(s)
           | Some text ->
               let reply = shed_reply env.message text in
-              journal_shed_in_shard t.shards_.(s) env.message
+              record_shed t.shards_.(s) env.message
                 (reply_to_string reply);
               replies.(i) <- Some reply))
     msgs;

@@ -39,12 +39,15 @@
     logical clock.  Hence the full reply stream, every metric, and
     every journal byte are independent of the domain count.
 
-    {b Durability.}  {!attach_journals} gives every shard a
-    crash-safe write-ahead journal ([<path>.shard<i>]); {!recover}
-    re-opens all of them, replays each shard's messages through the
-    deterministic stack with byte-for-byte reply cross-checks, and
-    degrades shard-by-shard: one corrupt shard costs that shard's
-    tail, never the other shards' sessions.
+    {b Durability.}  This is the one journaled state machine:
+    {!attach_journals} gives every shard a crash-safe write-ahead
+    journal ([<path>.shard<i>]); {!recover} re-opens all of them,
+    replays each shard's messages through the deterministic stack with
+    byte-for-byte reply cross-checks, and degrades shard-by-shard: one
+    corrupt shard costs that shard's tail, never the other shards'
+    sessions.  A lone session is a one-shard service driven through
+    {!handle_single}, so [harmony_cli serve --journal FILE] writes
+    [FILE.shard0].
 
     {b Overload.}  With an {!Admission} config the service polices its
     edge: per-shard inflight budgets, per-client token buckets,
@@ -157,8 +160,10 @@ val handle : t -> message -> reply
 (** Process one message through its shard.  Total: every protocol
     error (unknown client, duplicate register, bad spec) is an error
     reply, never an exception.  While a journal is attached, the
-    sink's I/O exceptions propagate exactly as in {!Server.handle} —
-    a service that cannot persist a message must not acknowledge it —
+    sink's I/O exceptions propagate
+    ({!Harmony_persist.Persist.Crashed}, [Sys_error],
+    [Unix.Unix_error]) — a service that cannot persist a message must
+    not acknowledge it —
     and a message whose journal record would exceed
     {!Harmony_persist.Frame.max_payload} is answered [Rejected],
     neither applied nor journaled.  Equivalent to {!handle_env} on a
@@ -169,6 +174,30 @@ val handle_env : t -> envelope -> reply
     configured) decides before the shard sees the message; a rejection
     is a total [Rejected] reply with a [retry-after=N] hint, journaled
     as a [shed] record when the message class is journaled. *)
+
+val handle_stamped : ?deadline_ticks:int -> t -> message -> reply
+(** {!handle_env} for a synchronous caller: the message is enqueued at
+    the admission tick it is handled at, with a deadline
+    [deadline_ticks] later (none without it), so a deadline of [0]
+    means "handle at arrival" and is always met.  What [harmony_cli
+    serve] runs for each line. *)
+
+val handle_single : ?deadline_ticks:int -> t -> Server.message -> Server.reply
+(** The single-session protocol over the service: one unprefixed
+    {!Server.message} at a time, run as the fixed client [session]
+    through {!handle_env}, so a lone session is journaled, recovered
+    and policed by the same code as every shard's.  [Metrics] is
+    answered as [service-metrics] (the merged registry).  A [Register]
+    while the session is live deregisters it first, so re-registering
+    restarts the session as on a lone {!Server}.  Every message sent,
+    the implicit deregister included, goes through {!handle_stamped}.
+
+    Replies are byte-identical to an in-memory {!Server.create}'s
+    with the same options, except in two cases: before any accepted
+    [Register] (and after a rejected one), [Query], [Report] and
+    [Report_failed] answer ["unknown client session: register
+    first"] instead of ["no specification registered"]; and a rejected
+    [Register] also ends the session that was live. *)
 
 val handle_batch :
   ?pool:Harmony_parallel.Pool.t ->
@@ -255,10 +284,16 @@ val reply_to_string : reply -> string
 
 (** One shard-journal record: a message as received, the reply the
     shard produced, or a message the admission layer shed — all
-    carrying the shard's sequence number (the same WAL discipline as
-    {!Server.Event}).  A [Shed] message was never applied; on replay
-    its paired reply is taken literally instead of regenerated, which
-    is what makes journaled rejections replay byte-for-byte. *)
+    carrying the shard's sequence number, which numbers the shard's
+    journaled messages: a message's reply record carries its seq, so
+    recovery pairs them back up, and a stale journal tail (a crash
+    between snapshot rename and journal reset) is detected by seq
+    alone.  Replies to received messages are cross-checks that
+    deterministic replay must regenerate byte-for-byte.  A [Shed]
+    message was never applied; on replay its paired reply is taken
+    literally instead of regenerated, which is what makes journaled
+    rejections replay byte-for-byte.  The single-session protocol
+    ({!handle_single}) journals here too, as client [session]. *)
 module Event : sig
   type t = Recv of message | Reply of string | Shed of message
 

@@ -1485,6 +1485,102 @@ let test_violations_in_counts_bucket_occupancy () =
       Alcotest.(check int) "conservative inside a bucket" 3
         (Slo.violations_in snap ~threshold:6.0)
 
+(* ------------------------------------------------------------------ *)
+(* The single-session entry point against a lone Server                *)
+
+(* Registers draw from a tunable spec, an unparsable one, one with a
+   single feasible point (rejected at register) and one degenerate in
+   one dimension (aborted once its initial vertices are measured). *)
+let single_specs =
+  [| paper_spec; "{ nope }"; "{ harmonyBundle B { int {3 3 1} }}";
+     "{ harmonyBundle B { int {1 8 1} }}\n{ harmonyBundle C { int {3 3 1} }}" |]
+
+let gen_single_message =
+  Gen.frequency
+    [
+      ( 3,
+        Gen.map2
+          (fun i minimize ->
+            Server.Register
+              {
+                spec = single_specs.(i);
+                direction = (if minimize then Server.Minimize else Server.Maximize);
+              })
+          (Gen.int_bound (Array.length single_specs - 1))
+          Gen.bool );
+      (6, Gen.map (fun v -> Server.Report (float_of_int v)) (Gen.int_range 0 100));
+      (1, Gen.return Server.Report_failed);
+      (2, Gen.return Server.Query);
+      (1, Gen.return Server.Metrics);
+    ]
+
+(* A short budget, so scripts reach [done] and re-register often. *)
+let single_options = { Simplex.default_options with Simplex.max_evaluations = 5 }
+
+(* The lone-Server reference with the entry point's two documented
+   differences, and nothing else: every register starts from a fresh
+   server (a rejected one thereby ends the live session), and while no
+   register has been accepted since the last rejected one, the missing
+   session reads as the service's unknown client. *)
+let single_reference messages =
+  let server = ref (Server.create ~options:single_options ()) in
+  let accepted = ref false in
+  List.map
+    (fun message ->
+      (match message with
+      | Server.Register _ -> server := Server.create ~options:single_options ()
+      | Server.Query | Server.Report _ | Server.Report_failed | Server.Metrics ->
+          ());
+      let reply = Server.handle !server message in
+      (match (message, reply) with
+      | Server.Register _, Server.Rejected _ -> accepted := false
+      | Server.Register _, (Server.Assign _ | Server.Done _ | Server.Stats _) ->
+          accepted := true
+      | (Server.Query | Server.Report _ | Server.Report_failed | Server.Metrics), _
+        ->
+          ());
+      match reply with
+      | Server.Rejected "no specification registered" when not !accepted ->
+          Server.Rejected "unknown client session: register first"
+      | reply -> reply)
+    messages
+
+(* Half the scripts run with edge policing and a deadline of 0 ticks:
+   each message, the implicit deregister included, is stamped at the
+   tick it is handled at, so none may expire. *)
+let prop_single_matches_server =
+  QCheck2.Test.make ~name:"handle_single matches a lone server" ~count:400
+    ~print:(fun (messages, policed) ->
+      Printf.sprintf "policed=%b [%s]" policed
+        (String.concat "; "
+           (List.map (fun m -> String.escaped (Server.message_to_string m))
+              messages)))
+    Gen.(pair (list_size (int_range 1 40) gen_single_message) bool)
+    (fun (messages, policed) ->
+      let service =
+        if policed then
+          Service.create ~options:single_options
+            ~admission:Admission.default_config ~shards:1 ()
+        else Service.create ~options:single_options ~shards:1 ()
+      in
+      let deadline_ticks = if policed then Some 0 else None in
+      let replies =
+        List.map
+          (fun m ->
+            Server.reply_to_string
+              (Service.handle_single ?deadline_ticks service m))
+          messages
+      in
+      List.iter
+        (fun r ->
+          if Admission.is_rejection_text r then
+            Alcotest.fail ("policed reply shed: " ^ r))
+        replies;
+      Alcotest.(check (list string)) "replies match the reference"
+        (List.map Server.reply_to_string (single_reference messages))
+        replies;
+      true)
+
 let suite =
   [
     Alcotest.test_case "routing deterministic" `Quick test_routing_deterministic;
@@ -1526,6 +1622,7 @@ let suite =
     Alcotest.test_case "kill at boundary replays rejections" `Slow
       test_kill_at_boundary_replays_rejections;
     to_alcotest prop_serializable;
+    to_alcotest prop_single_matches_server;
     Alcotest.test_case "trace bytes identical across domains" `Quick
       test_trace_bytes_identical_across_domains;
     Alcotest.test_case "dump-flight returns analyzer-ready rings" `Quick

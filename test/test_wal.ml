@@ -1,13 +1,13 @@
-(* The shared write-ahead log, checked differentially.
+(* The write-ahead log, checked differentially.
 
    The reference model is the list-based bookkeeping the log's live set
    replaced: every journaled message prepends its events to a list, an
    accepted register (or a deregister) filters its owner's events out,
    and every compaction re-encodes the whole list.  Random scripts run
-   through a journaled service (and a journaled single-session server)
-   at every [compact_every] from 1 to 8; each snapshot the log writes
-   must equal the model's bytes, and a recovery from the files must
-   continue every client exactly as the uninterrupted run does.  Also
+   through a journaled service at every [compact_every] from 1 to 8;
+   each snapshot the log writes must equal the model's bytes, and a
+   recovery from the files must continue every client exactly as the
+   uninterrupted run does.  Also
    here: no snapshot writes more than twice the journal bytes it
    replaces, a crash in a recovery's own compaction cannot make the
    next recovery re-apply stale records, and a message too large to
@@ -128,14 +128,6 @@ let service_extend_log log ~seq message reply =
       rep :: recv :: prune log
   | _ -> rep :: recv :: log
 
-let server_extend_log log ~seq message reply =
-  let recv = (seq, "", Server.Event.Recv message) in
-  let rep = (seq, "", Server.Event.Reply (Server.reply_to_string reply)) in
-  match (message, reply) with
-  | Server.Register _, (Server.Assign _ | Server.Done _ | Server.Stats _) ->
-      [ rep; recv ]
-  | _ -> rep :: recv :: log
-
 (* The closing compaction of a recovery: it encodes the events it
    decoded (decoding trims a register's spec), under the log's own seq,
    the highest either file held. *)
@@ -157,18 +149,15 @@ type step =
   | Report_failed
   | Query
   | Deregister
-  | Shed  (* single-session scripts only: an admission rejection *)
 
-(* A service client can deregister; a single session can only be
-   shed, through [Server.journal_shed]. *)
-let gen_step ~single =
+let gen_step =
   Gen.frequency
     [
       (2, Gen.map (fun ws -> Register ws) Gen.bool);
       (9, Gen.map (fun v -> Report v) (Gen.int_range 0 100));
       (1, Gen.return Report_failed);
       (1, Gen.return Query);
-      (1, Gen.return (if single then Shed else Deregister));
+      (1, Gen.return Deregister);
     ]
 
 let payload = function
@@ -180,12 +169,12 @@ let payload = function
         }
   | Report v -> Server.Report (float_of_int v)
   | Report_failed -> Server.Report_failed
-  | Query | Deregister | Shed -> Server.Query
+  | Query | Deregister -> Server.Query
 
 let service_message client step =
   match step with
   | Deregister -> Service.Deregister { client }
-  | Register _ | Report _ | Report_failed | Query | Shed ->
+  | Register _ | Report _ | Report_failed | Query ->
       Service.Client { client; payload = payload step }
 
 (* What every client does after the script, on the uninterrupted
@@ -234,8 +223,7 @@ let print_script (clients, steps, compact_every, flag) =
               | Report v -> "report " ^ string_of_int v
               | Report_failed -> "report failed"
               | Query -> "query"
-              | Deregister -> "done"
-              | Shed -> "shed"))
+              | Deregister -> "done"))
           steps))
 
 let gen_service_script =
@@ -243,7 +231,7 @@ let gen_service_script =
     int_range 3 4 >>= fun clients ->
     quad (return clients)
       (list_size (int_range 16 64)
-         (pair (int_bound (clients - 1)) (gen_step ~single:false)))
+         (pair (int_bound (clients - 1)) gen_step))
       (int_range 1 8) bool)
 
 (* ------------------------------------------------------------------ *)
@@ -324,73 +312,6 @@ let prop_service_live_set =
           true))
 
 (* ------------------------------------------------------------------ *)
-(* Server                                                              *)
-
-let shed_text = "error overloaded: retry-after=1"
-
-let gen_server_script =
-  Gen.(
-    quad (return 1)
-      (list_size (int_range 10 48) (pair (return 0) (gen_step ~single:true)))
-      (int_range 1 8) bool)
-
-let prop_server_live_set =
-  QCheck2.Test.make ~name:"server snapshots equal the list model" ~count:80
-    ~print:print_script gen_server_script
-    (fun (_, steps, compact_every, reject_reregister) ->
-      with_paths 0 (fun journal ->
-          let server = Server.create ~options ~reject_reregister () in
-          let armed = ref false in
-          let seen = ref [] in
-          Server.attach_journal ~compact_every
-            ~wrap:
-              (snapshots_at_reset ~armed ~snapshot:(journal ^ ".snapshot") seen)
-            server ~journal ();
-          armed := true;
-          let m =
-            model ~magic:"harmony-snapshot" ~encode:Server.Event.encode
-              ~compact_every
-          in
-          List.iter
-            (fun (_, step) ->
-              let message = payload step in
-              match step with
-              | Shed ->
-                  Server.journal_shed server (Server.Report 0.5) ~reply:shed_text;
-                  let shed = Server.Event.Shed (Server.Report 0.5) in
-                  let rep = Server.Event.Reply shed_text in
-                  model_step m (shed, rep) (fun seq log ->
-                      (seq, "", rep) :: (seq, "", shed) :: log)
-              | Query | Deregister -> ignore (Server.handle server message)
-              | Register _ | Report _ | Report_failed ->
-                  let reply = Server.handle server message in
-                  model_step m
-                    ( Server.Event.Recv message,
-                      Server.Event.Reply (Server.reply_to_string reply) )
-                    (fun seq log -> server_extend_log log ~seq message reply))
-            steps;
-          Server.detach_journal server;
-          Alcotest.(check (list string)) "every snapshot equals the model's"
-            (List.rev m.snapshots) (List.rev !seen);
-          let r =
-            Server.recover ~options ~reject_reregister ~compact_every ~journal ()
-          in
-          Alcotest.(check int) "clean files: nothing dropped" 0 r.Server.dropped;
-          Alcotest.(check string) "recovery snapshot equals the model's"
-            (recovery_snapshot m Server.Event.decode)
-            (Option.value ~default:""
-               (Persist.read_file (journal ^ ".snapshot")));
-          List.iter
-            (fun step ->
-              let message = payload step in
-              Alcotest.(check string) "continues as uninterrupted"
-                (Server.reply_to_string (Server.handle server message))
-                (Server.reply_to_string (Server.handle r.Server.server message)))
-            (List.filter (fun st -> st <> Deregister) continuation);
-          Server.detach_journal r.Server.server;
-          true))
-
-(* ------------------------------------------------------------------ *)
 (* Write amplification                                                 *)
 
 (* A sink wrapper checking the bound the size trigger guarantees: at
@@ -447,31 +368,6 @@ let prop_service_amplification =
               ignore (Service.handle service (service_message ids.(c) step)))
             steps;
           Service.detach_journals service;
-          no_violations !violations;
-          true))
-
-let prop_server_amplification =
-  QCheck2.Test.make ~name:"server snapshots write at most 2x the journal"
-    ~count:80 ~print:print_script gen_server_script
-    (fun (_, steps, compact_every, reject_reregister) ->
-      with_paths 0 (fun journal ->
-          let server = Server.create ~options ~reject_reregister () in
-          let armed = ref false and violations = ref [] in
-          Server.attach_journal ~compact_every
-            ~wrap:
-              (amplification_sink ~armed ~snapshot:(journal ^ ".snapshot")
-                 violations)
-            server ~journal ();
-          armed := true;
-          List.iter
-            (fun (_, step) ->
-              match step with
-              | Shed ->
-                  Server.journal_shed server (Server.Report 0.5) ~reply:shed_text
-              | Register _ | Report _ | Report_failed | Query | Deregister ->
-                  ignore (Server.handle server (payload step)))
-            steps;
-          Server.detach_journal server;
           no_violations !violations;
           true))
 
@@ -541,12 +437,9 @@ let test_recovery_keeps_the_log_seq () =
       (Service.handle r.Service.service
          (Service.Client { client = "bob"; payload = Server.Report 1.0 }));
     Service.detach_journals r.Service.service;
-    let events, _ =
-      Harmony_persist.Wal.load ~magic:"harmony-service-snapshot"
-        ~decode:Service.Event.decode path
-    in
-    match List.rev events with
-    | (seq, _) :: _ -> (snapshot, Some seq)
+    (* The checkpoint reset the journal: bob's report is all it holds. *)
+    match List.rev (Harmony_persist.Journal.read path).Frame.records with
+    | last :: _ -> (snapshot, Option.map fst (Service.Event.decode last))
     | [] -> (snapshot, None)
   in
   let expected bob =
@@ -619,28 +512,12 @@ let test_oversize_message_rejected () =
       Alcotest.(check int) "only the normal register was journaled" 1
         r.Service.replayed;
       Alcotest.(check int) "nothing dropped" 0 r.Service.dropped;
-      Service.detach_journals r.Service.service);
-  with_paths 0 (fun journal ->
-      let server = Server.create ~options () in
-      Server.attach_journal server ~journal ();
-      (match Server.handle server huge with
-      | Server.Rejected text -> too_large text
-      | r -> Alcotest.fail ("oversize register: " ^ Server.reply_to_string r));
-      (match Server.handle server normal with
-      | Server.Assign _ -> ()
-      | r -> Alcotest.fail ("normal register: " ^ Server.reply_to_string r));
-      Server.detach_journal server;
-      let r = Server.recover ~options ~journal () in
-      Alcotest.(check int) "only the normal register was journaled" 1
-        r.Server.replayed;
-      Server.detach_journal r.Server.server)
+      Service.detach_journals r.Service.service)
 
 let suite =
   [
     to_alcotest prop_service_live_set;
-    to_alcotest prop_server_live_set;
     to_alcotest prop_service_amplification;
-    to_alcotest prop_server_amplification;
     Alcotest.test_case "recovery keeps the log's seq" `Quick
       test_recovery_keeps_the_log_seq;
     Alcotest.test_case "oversize message rejected, not raised" `Quick
