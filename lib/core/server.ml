@@ -36,6 +36,8 @@ type t = {
   max_report_failures : int;
   reject_reregister : bool;
   telemetry : Telemetry.t;
+  messages : Telemetry.counter;  (* server.messages *)
+  handle_ms : Telemetry.histogram;  (* server.handle_ms *)
   mutable session : session option;
   mutable handled : int;  (* messages ever handled; seeds fallback trace roots *)
 }
@@ -44,7 +46,11 @@ let create ?(options = Simplex.default_options) ?(max_report_failures = 3)
     ?(reject_reregister = false) ?(telemetry = Telemetry.off) () =
   if max_report_failures < 1 then
     invalid_arg "Server.create: max_report_failures < 1";
+  (* A service creates a server per session on a shared shard handle;
+     these resolve to the shard's existing slots. *)
   { options; max_report_failures; reject_reregister; telemetry;
+    messages = Telemetry.counter telemetry "server.messages";
+    handle_ms = Telemetry.histogram telemetry "server.handle_ms";
     session = None; handled = 0 }
 
 let spec t = Option.map (fun s -> s.rsl) t.session
@@ -95,12 +101,14 @@ let next_reply session =
       in
       Done { best = assignment_of_config session best_config; performance }
 
-let message_kind = function
-  | Register _ -> "register"
-  | Query -> "query"
-  | Report _ -> "report"
-  | Report_failed -> "report-failed"
-  | Metrics -> "metrics"
+(* The [kind] arg of a [server.handle] span; constant lists, so naming
+   the kind allocates nothing. *)
+let kind_args = function
+  | Register _ -> [ ("kind", Telemetry.Str "register") ]
+  | Query -> [ ("kind", Telemetry.Str "query") ]
+  | Report _ -> [ ("kind", Telemetry.Str "report") ]
+  | Report_failed -> [ ("kind", Telemetry.Str "report-failed") ]
+  | Metrics -> [ ("kind", Telemetry.Str "metrics") ]
 
 let handle_message t message =
   match (message, t.session) with
@@ -274,26 +282,26 @@ let message_to_string = function
 let handle ?ctx t message =
   let tel = t.telemetry in
   t.handled <- t.handled + 1;
-  (* A message arriving without a service-derived trace context (direct
-     embedding, replay, examples) still gets a deterministic root keyed
-     by arrival order, so every handle span carries correlation ids. *)
-  let ctx =
-    match ctx with
-    | Some c -> c
-    | None -> Telemetry.Ctx.root ~client:"server" ~seq:t.handled
-  in
-  Telemetry.span_begin tel "server.handle"
-    ~args:
-      (("kind", Telemetry.Str (message_kind message)) :: Telemetry.Ctx.args ctx);
-  Telemetry.incr tel "server.messages";
-  let started = Telemetry.now tel in
-  let sctx = Telemetry.Ctx.child ctx "server.search" in
-  Telemetry.span_begin tel "server.search" ~args:(Telemetry.Ctx.args sctx);
-  let reply = handle_total t message in
-  Telemetry.span_end tel "server.search";
-  Telemetry.observe tel
-    ~exemplar:(Telemetry.Ctx.trace_id ctx)
-    "server.handle_ms"
-    (Telemetry.now tel -. started);
-  Telemetry.span_end tel "server.handle";
-  reply
+  if not (Telemetry.enabled tel) then handle_total t message
+  else begin
+    (* A message arriving without a service-derived trace context
+       (direct embedding, replay, examples) still gets a deterministic
+       root keyed by arrival order, so every handle span carries
+       correlation ids. *)
+    let ctx =
+      match ctx with
+      | Some c -> c
+      | None -> Telemetry.Ctx.root ~client:"server" ~seq:t.handled
+    in
+    Telemetry.span_begin tel ~ctx ~args:(kind_args message) "server.handle";
+    Telemetry.add t.messages 1;
+    let started = Telemetry.now tel in
+    Telemetry.span_begin tel
+      ~ctx:(Telemetry.Ctx.child ctx "server.search")
+      "server.search";
+    let reply = handle_total t message in
+    Telemetry.span_end tel "server.search";
+    Telemetry.observe_into ~ctx t.handle_ms (Telemetry.now tel -. started);
+    Telemetry.span_end tel "server.handle";
+    reply
+  end

@@ -93,7 +93,7 @@ let tune ?top_n ?characteristics ?label ?pool ?options t =
      the ids are reproducible without any ambient state. *)
   t.tunes <- t.tunes + 1;
   let ctx = Telemetry.Ctx.root ~client:"session" ~seq:t.tunes in
-  Telemetry.span t.telemetry ~args:(Telemetry.Ctx.args ctx) "session.tune"
+  Telemetry.span t.telemetry ~ctx "session.tune"
   @@ fun () ->
   (* Opt-in incremental durability: every [checkpoint_every] completed
      evaluations, persist the experience gathered so far, so a mid-run

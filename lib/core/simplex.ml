@@ -122,6 +122,27 @@ let diameter space vertices =
 
 module Telemetry = Harmony_telemetry.Telemetry
 
+(* What one simplex step did, for the step's instant and its span's
+   [kind] argument.  Names and args are constants, so a step builds no
+   string. *)
+type step = No_step | Converged | Reflect | Expand | Contract | Shrink
+
+let step_instant = function
+  | No_step -> "simplex.none"
+  | Converged -> "simplex.converged"
+  | Reflect -> "simplex.reflect"
+  | Expand -> "simplex.expand"
+  | Contract -> "simplex.contract"
+  | Shrink -> "simplex.shrink"
+
+let step_args = function
+  | No_step -> [ ("kind", Telemetry.Str "none") ]
+  | Converged -> [ ("kind", Telemetry.Str "converged") ]
+  | Reflect -> [ ("kind", Telemetry.Str "reflect") ]
+  | Expand -> [ ("kind", Telemetry.Str "expand") ]
+  | Contract -> [ ("kind", Telemetry.Str "contract") ]
+  | Shrink -> [ ("kind", Telemetry.Str "shrink") ]
+
 let optimize ?(telemetry = Telemetry.off) ?pool ?(options = default_options) obj =
   let space = obj.Objective.space in
   let n = Space.dims space in
@@ -139,7 +160,8 @@ let optimize ?(telemetry = Telemetry.off) ?pool ?(options = default_options) obj
   let eval c = (eval_batch [| c |]).(0) in
   (* What the current simplex step did, for the step span's [kind]
      argument; set at each transformation site below. *)
-  let step_kind = ref "none" in
+  let step_kind = ref No_step in
+  let steps = Telemetry.counter telemetry "simplex.steps" in
   let budget_left () = !evaluations < options.max_evaluations in
   let iterations = ref 0 in
   let sort vertices =
@@ -180,7 +202,7 @@ let optimize ?(telemetry = Telemetry.off) ?pool ?(options = default_options) obj
        discrete grid this is the genuine fixpoint test: when shrinking
        moves nothing, the simplex cannot change any further. *)
     let shrink () =
-      step_kind := "shrink";
+      step_kind := Shrink;
       let best = vertices.(0) in
       (* Every move is computed from the pre-shrink simplex (each
          vertex shrinks towards the fixed best), so the changed
@@ -207,11 +229,11 @@ let optimize ?(telemetry = Telemetry.off) ?pool ?(options = default_options) obj
     in
     while budget_left () && not !converged do
       incr iterations;
-      step_kind := "none";
+      step_kind := No_step;
       Telemetry.span_begin telemetry "simplex.step";
-      Telemetry.incr telemetry "simplex.steps";
+      Telemetry.add steps 1;
       if diameter space vertices <= options.tolerance then begin
-        step_kind := "converged";
+        step_kind := Converged;
         converged := true
       end
       else begin
@@ -229,7 +251,7 @@ let optimize ?(telemetry = Telemetry.off) ?pool ?(options = default_options) obj
           else begin
             let v = eval contracted in
             if Objective.better obj v worst.value then
-              replace_worst "contract" { config = contracted; value = v }
+              replace_worst Contract { config = contracted; value = v }
             else shrink ()
           end
         end
@@ -239,39 +261,37 @@ let optimize ?(telemetry = Telemetry.off) ?pool ?(options = default_options) obj
             (* Try expanding further. *)
             let expanded = move ~from:worst.config ~towards:cen ~factor:3.0 in
             if Space.config_equal expanded reflected || is_vertex expanded then
-              replace_worst "reflect" { config = reflected; value = rv }
+              replace_worst Reflect { config = reflected; value = rv }
             else begin
               let ev = eval expanded in
               if Objective.better obj ev rv then
-                replace_worst "expand" { config = expanded; value = ev }
-              else replace_worst "reflect" { config = reflected; value = rv }
+                replace_worst Expand { config = expanded; value = ev }
+              else replace_worst Reflect { config = reflected; value = rv }
             end
           end
           else if Objective.better obj rv second_worst.value then
-            replace_worst "reflect" { config = reflected; value = rv }
+            replace_worst Reflect { config = reflected; value = rv }
           else if budget_left () then begin
             (* Contraction (keep the reflection if it at least beats
                the worst vertex). *)
             let contracted = move ~from:worst.config ~towards:cen ~factor:0.5 in
             if is_vertex contracted then
               if Objective.better obj rv worst.value then
-                replace_worst "reflect" { config = reflected; value = rv }
+                replace_worst Reflect { config = reflected; value = rv }
               else shrink ()
             else begin
               let cv = eval contracted in
               if Objective.better obj cv worst.value then
-                replace_worst "contract" { config = contracted; value = cv }
+                replace_worst Contract { config = contracted; value = cv }
               else if Objective.better obj rv worst.value then
-                replace_worst "reflect" { config = reflected; value = rv }
+                replace_worst Reflect { config = reflected; value = rv }
               else shrink ()
             end
           end
         end
       end;
-      Telemetry.instant telemetry ("simplex." ^ !step_kind);
-      Telemetry.span_end telemetry
-        ~args:[ ("kind", Telemetry.Str !step_kind) ]
-        "simplex.step"
+      Telemetry.instant telemetry (step_instant !step_kind);
+      Telemetry.span_end telemetry ~args:(step_args !step_kind) "simplex.step"
     done;
     !converged
   in

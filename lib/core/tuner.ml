@@ -54,14 +54,17 @@ let tune ?(telemetry = Telemetry.off) ?ctx ?pool ?(options = default_options)
      after the pool joins), so the ids are a function of the
      evaluation sequence alone — identical at any pool size. *)
   let measure_seq = ref 0 in
-  let measure_args () =
+  let measure_begin () =
     match ctx with
-    | None -> []
+    | None -> Telemetry.span_begin telemetry "measure"
     | Some c ->
         let i = !measure_seq in
         incr measure_seq;
-        Telemetry.Ctx.args (Telemetry.Ctx.child_i c "measure" i)
+        Telemetry.span_begin telemetry
+          ~ctx:(Telemetry.Ctx.child_i c "measure" i)
+          "measure"
   in
+  let evaluations = Telemetry.counter telemetry "tuner.evaluations" in
   let traced =
     if not (Telemetry.enabled telemetry) then measured
     else
@@ -69,8 +72,8 @@ let tune ?(telemetry = Telemetry.off) ?ctx ?pool ?(options = default_options)
         measured with
         Objective.eval =
           (fun c ->
-            Telemetry.span_begin telemetry ~args:(measure_args ()) "measure";
-            Telemetry.incr telemetry "tuner.evaluations";
+            measure_begin ();
+            Telemetry.add evaluations 1;
             match measured.Objective.eval c with
             | v ->
                 Telemetry.span_end telemetry
@@ -91,9 +94,8 @@ let tune ?(telemetry = Telemetry.off) ?ctx ?pool ?(options = default_options)
               let values = Objective.run_batch measured disp configs in
               Array.iter
                 (fun v ->
-                  Telemetry.span_begin telemetry ~args:(measure_args ())
-                    "measure";
-                  Telemetry.incr telemetry "tuner.evaluations";
+                  measure_begin ();
+                  Telemetry.add evaluations 1;
                   Telemetry.span_end telemetry
                     ~args:[ ("performance", Telemetry.Num v) ]
                     "measure")

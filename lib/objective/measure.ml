@@ -274,20 +274,26 @@ let robust ?(telemetry = Telemetry.off) ?(policy = default_policy)
   let handle =
     { registry = reg; handle_lock = lock; clock; clock_start = Clock.now clock }
   in
+  let measurements = Telemetry.counter reg c_measurements in
+  let attempts_c = Telemetry.counter reg c_attempts in
+  let retries_c = Telemetry.counter reg c_retries in
+  let faults_c = Telemetry.counter reg c_faults in
+  let give_ups = Telemetry.counter reg c_give_ups in
+  let backoff = Telemetry.histogram reg ~bounds:backoff_bounds h_backoff in
   let eval c =
     let result, attempts, retries, faults, slept =
       measure_one ~policy ~clock obj c
     in
     Mutex.protect lock (fun () ->
-        Telemetry.incr reg c_measurements;
-        Telemetry.incr reg ~by:attempts c_attempts;
-        Telemetry.incr reg ~by:retries c_retries;
-        Telemetry.incr reg ~by:faults c_faults;
-        Telemetry.observe reg ~bounds:backoff_bounds h_backoff slept;
+        Telemetry.add measurements 1;
+        Telemetry.add attempts_c attempts;
+        Telemetry.add retries_c retries;
+        Telemetry.add faults_c faults;
+        Telemetry.observe_into backoff slept;
         Telemetry.gauge reg g_backoff (Clock.now clock -. handle.clock_start);
         match result with
         | Ok _ -> ()
-        | Error _ -> Telemetry.incr reg c_give_ups);
+        | Error _ -> Telemetry.add give_ups 1);
     match result with Ok v -> v | Error _ -> penalty
   in
   (* Batched measurements group by configuration (the per-config

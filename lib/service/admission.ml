@@ -38,6 +38,8 @@ type bucket = { mutable tokens : int; mutable last : int }
 
 type shard_state = {
   tel : Telemetry.t;
+  admitted : Telemetry.counter;
+  queue_delay : Telemetry.histogram;
   mutable inflight : int;
   mutable degraded : bool;
   mutable window_start : int;
@@ -97,7 +99,11 @@ let create ?telemetry ~shards config =
         Telemetry.declare_histogram tel ~bounds:queue_delay_bounds
           h_queue_delay;
         Telemetry.gauge tel g_degraded 0.;
-        { tel; inflight = 0; degraded = false; window_start = 0;
+        { tel;
+          admitted = Telemetry.counter tel c_admitted;
+          queue_delay =
+            Telemetry.histogram tel ~bounds:queue_delay_bounds h_queue_delay;
+          inflight = 0; degraded = false; window_start = 0;
           window_shed = 0 })
   in
   { config; clock = 0; shard_state; buckets = Hashtbl.create 64 }
@@ -157,7 +163,7 @@ let reject s ~reason ~retry_after =
   | Cancelled -> Telemetry.incr s.tel c_cancelled);
   Reject { reason; retry_after; degraded = s.degraded }
 
-let check t ~shard ~client ~priority ?enqueued_at ?deadline ?exemplar () =
+let check t ~shard ~client ~priority ?enqueued_at ?deadline ?ctx () =
   let s = t.shard_state.(shard) in
   match deadline with
   | Some d when d < t.clock ->
@@ -210,12 +216,12 @@ let check t ~shard ~client ~priority ?enqueued_at ?deadline ?exemplar () =
             end
             else begin
               s.inflight <- s.inflight + 1;
-              Telemetry.incr s.tel c_admitted;
+              Telemetry.add s.admitted 1;
               (match enqueued_at with
               | Some at ->
                   let delay = max 0 (t.clock - at) in
-                  Telemetry.observe s.tel ~bounds:queue_delay_bounds
-                    ?exemplar h_queue_delay (float_of_int delay)
+                  Telemetry.observe_into ?ctx s.queue_delay
+                    (float_of_int delay)
               | None -> ());
               Admit
             end)
@@ -233,7 +239,7 @@ let check_service t =
     reject s ~reason:Degraded_shed ~retry_after
   end
   else begin
-    Telemetry.incr s.tel c_admitted;
+    Telemetry.add s.admitted 1;
     Admit
   end
 

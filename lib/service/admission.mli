@@ -106,7 +106,7 @@ val check :
   priority:priority ->
   ?enqueued_at:int ->
   ?deadline:int ->
-  ?exemplar:string ->
+  ?ctx:Harmony_telemetry.Telemetry.Ctx.t ->
   unit ->
   verdict
 (** Admission decision for one message, in arrival order.  Checks run
@@ -114,8 +114,8 @@ val check :
     bucket, then the shard inflight cap.  [Admit] consumes one
     inflight slot (release it with {!complete}) and one token, and
     observes [now - enqueued_at] in the queue-delay histogram when
-    [enqueued_at] is given ([exemplar] attaches the message's trace id
-    to the bucket that delay lands in).  A [deadline] of [d] admits
+    [enqueued_at] is given ([ctx] attaches the message's trace id to
+    the bucket that delay lands in).  A [deadline] of [d] admits
     messages up to and including tick [d]. *)
 
 val check_service : t -> verdict

@@ -191,7 +191,7 @@ let test_jsonl_round_trip () =
       ());
   Telemetry.observe tel
     ~bounds:[| 1.0; 5.0; 10.0 |]
-    ~exemplar:(Telemetry.Ctx.trace_id ctx) "server.handle_ms" 2.0;
+    ~ctx "server.handle_ms" 2.0;
   let t = load (Export.jsonl tel) in
   (match Trace_core.find_histogram t "server.handle_ms" with
   | None -> Alcotest.fail "histogram lost in the round trip"
