@@ -526,14 +526,17 @@ let serve_cmd =
     in
     (* The serve loop is the one place a wall clock is injected: span
        timestamps and handle latencies are milliseconds since startup.
-       lib/ itself never reads a clock (lint rule D1).  Each shard
-       carries a flight recorder: the last 256 events stay resident for
-       the [dump-flight] protocol message, whether or not anyone is
-       exporting full traces. *)
+       lib/ itself never reads a clock (lint rule D1).  Serve never
+       exports events — [metrics] and [service-metrics] read the
+       registry, [dump-flight] reads the rings — so each shard handle is
+       metrics-only and memory stays bounded however long it runs; the
+       flight recorder keeps the last 256 events per shard for
+       [dump-flight]. *)
     let start = Unix.gettimeofday () in
     let shard_telemetry _shard =
       Telemetry.create
         ~clock:(fun () -> (Unix.gettimeofday () -. start) *. 1e3)
+        ~record_events:false
         ~flight:(Flight.create ~capacity:256) ()
     in
     let rec read_spec acc =
