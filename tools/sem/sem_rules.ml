@@ -507,9 +507,10 @@ let run_s2 ~(summary : Sem_summary.t) (units : (string * string * structure) lis
         :: !diags
   | _ -> ());
   (* Forced leaves of the lock order: the telemetry registry lock and
-     the flight recorder's ring lock.  Telemetry records an event and
-     only then mirrors it into the flight ring, so neither may be held
-     while acquiring anything else. *)
+     the flight recorder's ring lock.  A handle with a ring attached
+     adopts the ring's mutex as its lock and writes the ring slot in the
+     same critical section as the event, so neither may be held while
+     acquiring anything else. *)
   List.iter
     (fun (leaf_prefix, what) ->
       List.iter
