@@ -1,6 +1,7 @@
 (* Evaluation-throughput micro-benchmark: evals/sec and Gc minor
    words per evaluation for the two hot objectives (analytic MVA
-   model, discrete-event simulation) plus the batch+memo engine on a
+   model, discrete-event simulation), minor words and time per
+   fault-injection attempt, the batch+memo engine on a
    tuning-shaped stream, bytes allocated per message and write
    amplification of a journaled service, minor words per data-analyzer
    seed pick, and minor words per message that shard telemetry adds to
@@ -10,6 +11,7 @@
      dune exec bench/evals.exe                      print the table
      dune exec bench/evals.exe -- --check FILE      fail (exit 1) if
                                                     minor words/eval,
+                                                    words/fault attempt,
                                                     bytes/message,
                                                     write amplification,
                                                     words/prepare or
@@ -110,6 +112,29 @@ let des_figures () =
       let c = configs.(!i land 7) in
       incr i;
       ignore (obj.Objective.eval c : float))
+
+(* One [with_faults] attempt at [fault_profile 0.05] over a constant
+   objective, cycling through 64 distinct configurations so each is
+   attempted many times; an attempt that raises a fault counts like
+   any other.  What remains is the fault layer's own cost: the key,
+   the attempt table and the draws. *)
+let fault_layer_figures () =
+  let constant =
+    Objective.create ~space:Ws.Wsconfig.space
+      ~direction:Objective.Higher_is_better (fun _ -> 1.0)
+  in
+  let obj =
+    Objective.with_faults ~rates:(Objective.fault_profile 0.05) ~seed:42
+      constant
+  in
+  let configs = distinct_configs obj.Objective.space ~count:64 ~seed:42 in
+  let i = ref 0 in
+  measure ~warmup:200 ~calls:20_000 ~per_call:1 (fun () ->
+      let c = configs.(!i land 63) in
+      incr i;
+      match obj.Objective.eval c with
+      | v -> ignore (v : float)
+      | exception Objective.Measurement_failed _ -> ())
 
 (* The batch+memo engine on a tuning-shaped stream: 64 distinct
    configurations, each occurring 8 times, interleaved the way a
@@ -355,12 +380,13 @@ let json_number ~key text =
       done;
       float_of_string_opt (Buffer.contents b)
 
-let baseline_json ~mva ~des ~batch ~des_batch ~wal_bytes ~wal_amplification
-    ~analyzer ~service_telemetry =
+let baseline_json ~mva ~faults ~des ~batch ~des_batch ~wal_bytes
+    ~wal_amplification ~analyzer ~service_telemetry =
   Printf.sprintf
     "{\n\
     \  \"mva_words_per_eval\": %.1f,\n\
     \  \"mva_evals_per_sec\": %.0f,\n\
+    \  \"fault_layer_words_per_attempt\": %.1f,\n\
     \  \"des_words_per_eval\": %.1f,\n\
     \  \"des_evals_per_sec\": %.0f,\n\
     \  \"batch_evals_per_sec\": %.0f,\n\
@@ -370,12 +396,12 @@ let baseline_json ~mva ~des ~batch ~des_batch ~wal_bytes ~wal_amplification
     \  \"analyzer_words_per_prepare\": %.0f,\n\
     \  \"service_telemetry_words_per_msg\": %.1f\n\
      }\n"
-    mva.words_per_eval mva.evals_per_sec des.words_per_eval
+    mva.words_per_eval mva.evals_per_sec faults.words_per_eval des.words_per_eval
     des.evals_per_sec batch.evals_per_sec des_batch.evals_per_sec wal_bytes
     wal_amplification analyzer.words_per_eval service_telemetry
 
-let check ~baseline_file ~mva ~des ~wal_bytes ~wal_amplification ~analyzer
-    ~service_telemetry =
+let check ~baseline_file ~mva ~faults ~des ~wal_bytes ~wal_amplification
+    ~analyzer ~service_telemetry =
   let text = In_channel.with_open_text baseline_file In_channel.input_all in
   let verdicts =
     List.filter_map
@@ -392,6 +418,10 @@ let check ~baseline_file ~mva ~des ~wal_bytes ~wal_amplification ~analyzer
             else None)
       [
         ("mva", "mva_words_per_eval", "minor words/eval", mva.words_per_eval);
+        ( "fault-layer",
+          "fault_layer_words_per_attempt",
+          "minor words/attempt",
+          faults.words_per_eval );
         ("des", "des_words_per_eval", "minor words/eval", des.words_per_eval);
         ("wal", "wal_bytes_per_msg", "bytes/message", wal_bytes);
         ( "wal",
@@ -440,6 +470,7 @@ let () =
   in
   let timed label f = Telemetry.span telemetry ("evals." ^ label) f in
   let mva = timed "mva" mva_figures in
+  let faults = timed "fault-layer" fault_layer_figures in
   let des = timed "des" des_figures in
   let jobs =
     match Sys.getenv_opt "HARMONY_JOBS" with
@@ -469,6 +500,14 @@ let () =
   in
   Printf.printf "%-18s %12s %14s\n" "objective" "words/eval" "evals/sec";
   row "mva" mva;
+  Printf.printf "%-18s %12.1f %14.0f %8.0f ns\n" "fault-layer"
+    faults.words_per_eval faults.evals_per_sec
+    (1e9 /. Float.max 1e-9 faults.evals_per_sec);
+  Printf.printf "%-18s (minor words/attempt, attempts/sec, ns/attempt: \
+                 with_faults at fault_profile 0.05 over a constant)\n" "";
+  Telemetry.gauge telemetry "evals.fault-layer.words_per_eval"
+    faults.words_per_eval;
+  Telemetry.gauge telemetry "evals.fault-layer.per_sec" faults.evals_per_sec;
   row "des" des;
   row "batch-sequential" batch_seq;
   Printf.printf "%-18s (batch of 512 = 64 distinct x 8, memo on)\n" "";
@@ -501,11 +540,11 @@ let () =
   | Some file ->
       Out_channel.with_open_text file (fun oc ->
           Out_channel.output_string oc
-            (baseline_json ~mva ~des ~batch:batch_pool ~des_batch ~wal_bytes
-               ~wal_amplification ~analyzer ~service_telemetry));
+            (baseline_json ~mva ~faults ~des ~batch:batch_pool ~des_batch
+               ~wal_bytes ~wal_amplification ~analyzer ~service_telemetry));
       Printf.printf "baseline written to %s\n" file);
   match !check_file with
   | None -> ()
   | Some file ->
-      check ~baseline_file:file ~mva ~des ~wal_bytes ~wal_amplification
-        ~analyzer ~service_telemetry
+      check ~baseline_file:file ~mva ~faults ~des ~wal_bytes
+        ~wal_amplification ~analyzer ~service_telemetry

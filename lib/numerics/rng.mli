@@ -11,6 +11,12 @@ type t
 val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed. *)
 
+val seeded_float : int -> float
+(** [seeded_float seed] is [float (create seed) 1.0], the first draw
+    of a fresh generator, bit for bit, without building the generator:
+    one uniform float in [0, 1) per seed, for draws that must be pure
+    functions of their key. *)
+
 val split : t -> t
 (** [split t] derives a new generator whose stream is independent of
     the remainder of [t]'s stream. *)

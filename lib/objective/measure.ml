@@ -79,6 +79,58 @@ let penalty_for = function
   | Objective.Higher_is_better -> -1e9
   | Objective.Lower_is_better -> 1e9
 
+(* MAD-based rejection over the first [n] (> 0) readings of [buf],
+   oldest first: a reading farther from the median than [threshold] *
+   MAD is an outlier.  When the MAD collapses to zero (a majority of
+   identical readings) any deviating reading is rejected; the epsilon
+   keeps honest float jitter alive.  Fewer than three readings are all
+   kept.  Returns the median of the kept readings (of all readings,
+   when none is kept) and how many were rejected.
+
+   Every median reads the readings newest first, sorts them with
+   [Array.sort Float.compare] and takes [Stats.percentile_sorted]: the
+   order, sort and arithmetic of [Stats.median] and [Stats.mad] over
+   the newest-first readings, so +0.0 against -0.0 and duplicate
+   readings keep their bits.  One array serves the readings' sort and
+   then the deviations'; when every reading is kept, the kept median is
+   the median already taken. *)
+let vet ~threshold buf n =
+  let a = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    a.(i) <- buf.(n - 1 - i)
+  done;
+  Array.sort Float.compare a;
+  let med = Stats.percentile_sorted a 50.0 in
+  if n < 3 then (med, 0)
+  else begin
+    for i = 0 to n - 1 do
+      a.(i) <- Float.abs (buf.(n - 1 - i) -. med)
+    done;
+    Array.sort Float.compare a;
+    let mad = Stats.percentile_sorted a 50.0 in
+    let limit = threshold *. Float.max mad (1e-9 *. Float.max 1.0 (Float.abs med)) in
+    let kept = ref 0 in
+    for i = 0 to n - 1 do
+      if Float.abs (buf.(i) -. med) <= limit then incr kept
+    done;
+    let kept = !kept in
+    if kept = n then (med, 0)
+    else begin
+      let v = Array.make (Int.max kept 1) med in
+      if kept > 0 then begin
+        let j = ref 0 in
+        for i = n - 1 downto 0 do
+          if Float.abs (buf.(i) -. med) <= limit then begin
+            v.(!j) <- buf.(i);
+            incr j
+          end
+        done;
+        Array.sort Float.compare v
+      end;
+      (Stats.percentile_sorted v 50.0, n - kept)
+    end
+  end
+
 (* One logical measurement.  Returns the vetted result plus the
    (attempts, retries, faults) it cost, so callers can merge the
    counts into shared counters under their own lock. *)
@@ -87,7 +139,9 @@ let measure_one ~policy ~clock (obj : Objective.t) c =
      (measurement noise, fault injection) gets the median-of-k
      treatment so a corrupted reading cannot pass as the truth. *)
   let wanted = if Objective.noisy obj then policy.samples else 1 in
-  let readings = ref [] in
+  (* The readings in arrival order: at most two rounds of [wanted]. *)
+  let readings = Array.make (2 * wanted) 0.0 in
+  let count = ref 0 in
   let attempts = ref 0 in
   let retries = ref 0 in
   let faults = ref 0 in
@@ -112,7 +166,9 @@ let measure_one ~policy ~clock (obj : Objective.t) c =
       incr attempts;
       if retrying then incr retries;
       match obj.Objective.eval c with
-      | v when Float.is_finite v -> readings := v :: !readings
+      | v when Float.is_finite v ->
+          readings.(!count) <- v;
+          incr count
       | _ ->
           (* The timeout sentinel (or any non-finite reading). *)
           incr faults;
@@ -137,48 +193,31 @@ let measure_one ~policy ~clock (obj : Objective.t) c =
       if not !aborted then take_reading policy.max_attempts ~retrying:false
     done
   in
-  (* MAD-based rejection: a reading farther from the median than
-     [mad_threshold] * MAD is an outlier.  When the MAD collapses to
-     zero (a majority of identical readings) any deviating reading is
-     rejected; the epsilon keeps honest float jitter alive.  Returns
-     the kept readings and how many were rejected — rejection counts
-     are charged once, by the caller. *)
-  let vet all =
-    if Array.length all < 3 then (all, 0)
-    else begin
-      let med = Stats.median all in
-      let mad = Stats.mad all in
-      let scale = Float.max mad (1e-9 *. Float.max 1.0 (Float.abs med)) in
-      let kept =
-        Array.of_list
-          (List.filter
-             (fun x -> Float.abs (x -. med) <= policy.mad_threshold *. scale)
-             (Array.to_list all))
-      in
-      let rejected = Array.length all - Array.length kept in
-      ((if Array.length kept = 0 then [| med |] else kept), rejected)
-    end
-  in
   take_round ();
-  (* A median can be fooled when corrupted readings outnumber honest
-     ones within one round ([v; 8v; 8v]).  Any rejection marks the
-     whole measurement suspect: take one confirmation round and re-vet
-     over everything, so the corrupted minority of the larger sample
-     is voted out. *)
-  let vetted, rejected =
-    let _, first_rejected = vet (Array.of_list !readings) in
-    if first_rejected > 0 && wanted > 1 && not !aborted then take_round ();
-    vet (Array.of_list !readings)
-  in
-  if rejected > 0 then begin
-    faults := !faults + rejected;
-    last_fault := Objective.Outlier
-  end;
   let result =
-    match !readings with
-    | [] ->
-        Error { attempts = !attempts; faults = !faults; last_fault = !last_fault }
-    | _ -> Ok (Stats.median vetted)
+    if !count = 0 then
+      Error { attempts = !attempts; faults = !faults; last_fault = !last_fault }
+    else begin
+      let threshold = policy.mad_threshold in
+      (* A median can be fooled when corrupted readings outnumber
+         honest ones within one round ([v; 8v; 8v]).  Any rejection
+         marks the whole measurement suspect: take one confirmation
+         round and re-vet over everything, so the corrupted minority
+         of the larger sample is voted out.  Rejections are charged
+         once, from the last vetting. *)
+      let median, rejected =
+        match vet ~threshold readings !count with
+        | _, rejected when rejected > 0 && wanted > 1 && not !aborted ->
+            take_round ();
+            vet ~threshold readings !count
+        | vetted -> vetted
+      in
+      if rejected > 0 then begin
+        faults := !faults + rejected;
+        last_fault := Objective.Outlier
+      end;
+      Ok median
+    end
   in
   (result, !attempts, !retries, !faults, !slept)
 

@@ -94,14 +94,18 @@ let group_by_key configs =
    repeated occurrences of one configuration stay on one task in input
    order, preserving that configuration's attempt sequence exactly. *)
 let batch_by_key eval disp configs =
-  let groups = group_by_key configs in
-  let results = Array.make (Array.length configs) 0.0 in
-  let eval_group idxs =
-    List.iter (fun i -> results.(i) <- eval configs.(i)) idxs;
-    0.0
-  in
-  ignore (disp.run eval_group groups : float array);
-  results
+  (* One configuration is one group: dispatch it without the table. *)
+  if Array.length configs = 1 then disp.run eval configs
+  else begin
+    let groups = group_by_key configs in
+    let results = Array.make (Array.length configs) 0.0 in
+    let eval_group idxs =
+      List.iter (fun i -> results.(i) <- eval configs.(i)) idxs;
+      0.0
+    in
+    ignore (disp.run eval_group groups : float array);
+    results
+  end
 
 let better t a b =
   match t.direction with
@@ -176,6 +180,10 @@ let fault_profile rate =
     outlier_magnitude = 8.0;
   }
 
+(* A configuration's fault state: whether it is persistently broken,
+   and how many attempts it has had. *)
+type fault_state = { broken : bool; mutable attempts : int }
+
 let with_faults ?(rates = fault_profile 0.1) ~seed t =
   let check name r =
     if r < 0.0 || r > 1.0 then
@@ -196,22 +204,33 @@ let with_faults ?(rates = fault_profile 0.1) ~seed t =
      once interleaves the attempt counter — give each parallel arm
      its own objective, the discipline the parallel engine already
      uses.) *)
-  let attempts : (string, int) Hashtbl.t = Hashtbl.create 256 in
+  let table : (string, fault_state) Hashtbl.t = Hashtbl.create 256 in
   let lock = Mutex.create () in
   let draw key attempt tag =
-    let st = Rng.create (Hashtbl.hash (seed, key, attempt, tag)) in
-    Rng.float st 1.0
+    Rng.seeded_float (Hashtbl.hash (seed, key, attempt, tag))
   in
   let eval c =
     let key = Space.config_key c in
-    let attempt =
-      Mutex.protect lock (fun () ->
-          let n = Option.value (Hashtbl.find_opt attempts key) ~default:0 in
-          Hashtbl.replace attempts key (n + 1);
-          n)
+    Mutex.lock lock;
+    let state =
+      match Hashtbl.find_opt table key with
+      | Some state -> state
+      | None ->
+          (* The persistent decision depends on (seed, configuration)
+             only: drawn once, on first sight, then kept. *)
+          let state =
+            {
+              broken = draw key (-1) "persistent" < rates.persistent;
+              attempts = 0;
+            }
+          in
+          Hashtbl.add table key state;
+          state
     in
-    if draw key (-1) "persistent" < rates.persistent then
-      raise (Measurement_failed Persistent);
+    let attempt = state.attempts in
+    state.attempts <- attempt + 1;
+    Mutex.unlock lock;
+    if state.broken then raise (Measurement_failed Persistent);
     if draw key attempt "transient" < rates.transient then
       raise (Measurement_failed Transient);
     if draw key attempt "timeout" < rates.timeout then timed_out

@@ -87,24 +87,24 @@ let derive (config : Wsconfig.t) ~mix =
   { config; mix; hit_window; hit_in_window; proxy_inflation; app_inflation;
     db_inflation; delayed_write_factor }
 
-let cache_hit_probability t i =
-  if (Tpcw.demand i).Tpcw.cacheable then t.hit_window *. t.hit_in_window else 0.0
+(* The per-interaction formulas, over an interaction's demand record.
+   Inlined into both the per-interaction functions below and the
+   one-pass means, so the physics is written once and the means loop
+   boxes no intermediate float. *)
+let[@inline] cache_hit_of t (d : Tpcw.demand) =
+  if d.Tpcw.cacheable then t.hit_window *. t.hit_in_window else 0.0
 
-let proxy_hit_ms t i =
-  let d = Tpcw.demand i in
+let[@inline] proxy_hit_of t (d : Tpcw.demand) =
   (0.8 +. (0.008 *. d.Tpcw.response_kb)) *. t.proxy_inflation
 
-let proxy_forward_ms t i =
-  let d = Tpcw.demand i in
+let[@inline] proxy_forward_of t (d : Tpcw.demand) =
   (0.4 +. (0.012 *. d.Tpcw.response_kb)) *. t.proxy_inflation
 
-let app_service_ms t i =
-  let d = Tpcw.demand i in
+let[@inline] app_service_of t (d : Tpcw.demand) =
   let packets = ceil (d.Tpcw.response_kb /. float_of_int t.config.Wsconfig.http_buffer_kb) in
   (d.Tpcw.app_ms +. (syscall_ms *. packets)) *. t.app_inflation
 
-let db_service_ms t i =
-  let d = Tpcw.demand i in
+let[@inline] db_service_of t (d : Tpcw.demand) =
   if
     Float.equal d.Tpcw.db_ms 0.0
     && Float.equal d.Tpcw.db_write_ms 0.0
@@ -121,6 +121,12 @@ let db_service_ms t i =
     *. t.db_inflation
   end
 
+let cache_hit_probability t i = cache_hit_of t (Tpcw.demand i)
+let proxy_hit_ms t i = proxy_hit_of t (Tpcw.demand i)
+let proxy_forward_ms t i = proxy_forward_of t (Tpcw.demand i)
+let app_service_ms t i = app_service_of t (Tpcw.demand i)
+let db_service_ms t i = db_service_of t (Tpcw.demand i)
+
 let proxy_servers _ = 16
 let proxy_queue_limit t = t.config.Wsconfig.http_accept_count
 let app_servers t = min t.config.Wsconfig.ajp_max_processors app_cpu_contexts
@@ -128,22 +134,33 @@ let app_queue_limit t = t.config.Wsconfig.ajp_accept_count
 let db_servers t = min t.config.Wsconfig.mysql_max_connections db_parallelism
 let db_queue_limit _ = 512
 
-let weighted t f =
-  Array.fold_left (fun acc (i, w) -> acc +. (w *. f i)) 0.0 t.mix.Tpcw.weights
+(* The four mix-weighted means in one pass over the mix.  Each
+   accumulator adds its terms in mix order from 0.0, exactly as a
+   separate fold per mean would, so the results are the folds' bits. *)
+let means_into t out =
+  let weights = t.mix.Tpcw.weights in
+  let hit = ref 0.0 and proxy = ref 0.0 and app = ref 0.0 and db = ref 0.0 in
+  for j = 0 to Array.length weights - 1 do
+    let i, w = weights.(j) in
+    let d = Tpcw.demand i in
+    let h = cache_hit_of t d in
+    hit := !hit +. (w *. h);
+    proxy :=
+      !proxy +. (w *. ((h *. proxy_hit_of t d) +. ((1.0 -. h) *. proxy_forward_of t d)));
+    app := !app +. (w *. ((1.0 -. h) *. app_service_of t d));
+    db := !db +. (w *. ((1.0 -. h) *. db_service_of t d))
+  done;
+  Float.Array.set out 0 !hit;
+  Float.Array.set out 1 !proxy;
+  Float.Array.set out 2 !app;
+  Float.Array.set out 3 !db
 
-let mean_cache_hit t = weighted t (cache_hit_probability t)
+let mean t cell =
+  let out = Float.Array.make 4 0.0 in
+  means_into t out;
+  Float.Array.get out cell
 
-let mean_proxy_ms t =
-  weighted t (fun i ->
-      let h = cache_hit_probability t i in
-      (h *. proxy_hit_ms t i) +. ((1.0 -. h) *. proxy_forward_ms t i))
-
-let mean_app_ms t =
-  weighted t (fun i ->
-      let h = cache_hit_probability t i in
-      (1.0 -. h) *. app_service_ms t i)
-
-let mean_db_ms t =
-  weighted t (fun i ->
-      let h = cache_hit_probability t i in
-      (1.0 -. h) *. db_service_ms t i)
+let mean_cache_hit t = mean t 0
+let mean_proxy_ms t = mean t 1
+let mean_app_ms t = mean t 2
+let mean_db_ms t = mean t 3

@@ -57,3 +57,10 @@ val mean_db_ms : t -> float
 (** Mix-weighted per-request expected demand at each tier (app/db
     weighted by miss probability) — the inputs of the analytic
     model. *)
+
+val means_into : t -> floatarray -> unit
+(** [means_into t out] writes {!mean_cache_hit}, {!mean_proxy_ms},
+    {!mean_app_ms} and {!mean_db_ms} into cells 0 to 3 of [out] in one
+    pass over the mix, allocating nothing; each is bit-identical to
+    its function.
+    @raise Invalid_argument when [out] has fewer than 4 cells. *)

@@ -20,7 +20,7 @@ val default_options : options
 
 (** The Schweitzer AMVA fixed-point solver, exposed with its scratch
     state so hot paths can re-solve without allocating: all
-    per-iteration arrays live in a caller-owned (or per-domain)
+    per-station arrays live in a caller-owned (or per-domain)
     {!Amva.scratch}. *)
 module Amva : sig
   type scratch
@@ -29,30 +29,30 @@ module Amva : sig
 
   val solve :
     ?scratch:scratch ->
-    ?max_iterations:int ->
-    ?early_exit:bool ->
-    ?warm:bool ->
     clients:int ->
     think_ms:float ->
     demands_ms:float array ->
     servers:int array ->
     unit ->
     float
-  (** Throughput (interactions per ms).  [max_iterations] defaults to
-      200.  [early_exit] (default true) stops at the exact fixed point
-      — once throughput and every queue length repeat bitwise, the
-      remaining iterations are the identity, so the result is provably
-      byte-identical to the fixed-budget solve.  [warm] (default
-      false) starts from the scratch's previous solution when the
-      population, think time, and servers match and at most one
-      station's demand changed — the incremental re-solve for
-      one-parameter sweeps; leave it off on shared paths that must be
-      evaluation-order-independent.
-      @raise Invalid_argument on zero stations or mismatched lengths. *)
+  (** Throughput (interactions per ms) after at most 200 iterations.
+      The solve stops earlier only at the exact fixed point — once
+      throughput and every queue length repeat bitwise, the remaining
+      iterations are the identity, so the result is the 200-iteration
+      solve's, bit for bit.
+      @raise Invalid_argument on zero stations, mismatched lengths,
+      [clients < 1], a server count below 1, or a negative or
+      non-finite think time or demand. *)
 
   val queue_lengths : scratch -> float array
   (** Per-station mean queue lengths of the scratch's last solve. *)
 end
+
+val mmck_blocking : servers:int -> queue:int -> offered:float -> float
+(** Blocking probability of an M/M/c/K station with [servers] servers
+    and [queue] waiting places under [offered] Erlangs (arrival rate x
+    mean service time); [0.] when [offered <= 0].  Requires
+    [servers >= 1]. *)
 
 type result = {
   wips : float;             (** web interactions per second *)
@@ -63,6 +63,11 @@ type result = {
 }
 
 val evaluate : ?options:options -> Wsconfig.t -> mix:Tpcw.mix -> result
+(** Solve the model for one configuration.  Stations 0, 1 and 2 are
+    the proxy, app and db tiers.
+    @raise Invalid_argument when [clients < 1], when [think_ms] is
+    negative or not finite, or when the configuration gives a station
+    no server or a non-finite demand. *)
 
 val wips : ?options:options -> Wsconfig.t -> mix:Tpcw.mix -> float
 

@@ -51,20 +51,23 @@ let default =
     proxy_cache_mem_mb = 64;
   }
 
+(* Coordinate [i] of [c], snapped onto its parameter's grid. *)
+let snapped c i = int_of_float (Param.snap (Space.param space i) c.(i))
+
 let of_config c =
-  let c = Space.snap space c in
-  let at i = int_of_float c.(i) in
+  if Array.length c <> Space.dims space then
+    invalid_arg "Wsconfig.of_config: arity mismatch";
   {
-    ajp_accept_count = at 0;
-    ajp_max_processors = at 1;
-    http_buffer_kb = at 2;
-    http_accept_count = at 3;
-    mysql_max_connections = at 4;
-    mysql_delayed_queue = at 5;
-    mysql_net_buffer_kb = at 6;
-    proxy_max_object_kb = at 7;
-    proxy_min_object_kb = at 8;
-    proxy_cache_mem_mb = at 9;
+    ajp_accept_count = snapped c 0;
+    ajp_max_processors = snapped c 1;
+    http_buffer_kb = snapped c 2;
+    http_accept_count = snapped c 3;
+    mysql_max_connections = snapped c 4;
+    mysql_delayed_queue = snapped c 5;
+    mysql_net_buffer_kb = snapped c 6;
+    proxy_max_object_kb = snapped c 7;
+    proxy_min_object_kb = snapped c 8;
+    proxy_cache_mem_mb = snapped c 9;
   }
 
 let to_config t =
