@@ -1,37 +1,35 @@
 # Convenience targets; dune is the source of truth.
 
-.PHONY: all build lint lint-sem test test-fast test-crash test-service test-chaos trace-smoke trace-analyze bench bench-quick bench-evals experiments examples clean
+.PHONY: all build lint test test-fast test-crash test-service test-chaos trace-smoke trace-analyze bench bench-evals experiments examples clean
 
 all: build
 
 build:
 	dune build @all
 
-# Project-specific static analysis (DESIGN.md §8): determinism,
-# NaN-safety and totality invariants over lib/, bin/, bench/ and the
-# trace-analyzer core.  Exits non-zero on any unwaived finding.
+# Project-specific static analysis over the typedtree (DESIGN.md §8):
+# determinism, NaN-safety, totality, race and lock-order invariants
+# over lib/, bin/, bench/ and the trace-analyzer core.  @check writes
+# the .cmt files harmony_sem reads (a plain build leaves the
+# executables without them).  Exits non-zero on any unwaived finding
+# beyond the committed baseline.
 lint:
-	dune exec tools/lint/harmony_lint.exe -- --allowlist tools/lint/allowlist lib bin bench tools/trace
-
-# Semantic analysis over the typedtree (DESIGN.md §14): races on
-# pool-submitted closures, lock-order cycles, float comparisons at
-# inferred types, handler totality.  Reads the .cmt files the build
-# just produced; gates on the committed findings baseline.
-lint-sem: build
+	dune build @check
 	dune exec tools/sem/harmony_sem.exe -- \
-	  --allowlist tools/lint/allowlist \
-	  --baseline tools/sem/baseline --check-baseline lib
+	  --allowlist tools/sem/allowlist \
+	  --baseline tools/sem/baseline --check-baseline \
+	  lib bin bench tools/trace
 
 # Includes the parallel-engine determinism test (registry tables at 1
 # vs 4 domains must be byte-identical).
 test:
 	dune runtest
 
-# What CI runs: lint + semantic-analysis preflight, then a full build
-# plus the unit/property suite (which includes the crash suite).
-test-fast: lint
+# What CI runs: a full build, the static analysis, then the
+# unit/property suite (which includes the crash suite).
+test-fast:
 	dune build @all
-	$(MAKE) lint-sem
+	$(MAKE) lint
 	dune runtest
 
 # Durability only (DESIGN.md §10): the framing/sink/journal unit+property
@@ -101,12 +99,10 @@ trace-analyze:
 	dune exec tools/trace/harmony_trace.exe -- self trace-analyze/service.jsonl \
 	  > trace-analyze/self.txt
 
+# Reproduction + ablations (every table and figure, then the design
+# ablations).
 bench:
 	dune exec bench/main.exe
-
-# Reproduction + ablations only; skips the Bechamel micro-benchmarks.
-bench-quick:
-	BENCH_QUICK=1 dune exec bench/main.exe
 
 # Allocation-discipline smoke (DESIGN.md §12): evals/sec and minor
 # words per evaluation for the MVA and DES objectives plus the

@@ -1,27 +1,22 @@
-(* The benchmark harness, in three parts:
+(* The benchmark harness, in two parts:
 
    1. Reproduction: regenerate every table and figure of the paper
       (the same output as `harmony_cli experiment all`).
    2. Ablations: tables quantifying the design choices called out in
       DESIGN.md (initial-simplex strategy, estimator vertex choice,
       classifier plug-ins, sensitivity repeats under noise).
-   3. Micro-benchmarks: one Bechamel Test.make per paper artifact
-      (how long regenerating each costs) plus the hot kernels.
 
    Run with: dune exec bench/main.exe
-   Skip the micro-benchmarks (fast CI mode): BENCH_QUICK=1 dune exec bench/main.exe
    Evaluation domains (parallel parts): HARMONY_JOBS=N (default: the
-   runtime's recommended domain count) *)
+   runtime's recommended domain count).  Per-evaluation costs live in
+   bench/evals.exe and perfbench/. *)
 
-open Bechamel
-open Toolkit
 open Harmony
 open Harmony_objective
 module Ws = Harmony_webservice
 module Generator = Harmony_datagen.Generator
 module Rng = Harmony_numerics.Rng
 module Space = Harmony_param.Space
-module Rsl = Harmony_param.Rsl
 module Report = Harmony_experiments.Report
 module Pool = Harmony_parallel.Pool
 module Telemetry = Harmony_telemetry.Telemetry
@@ -380,173 +375,7 @@ let ablations pool =
     ];
   Format.printf "@.telemetry: BENCH_<id>.json (Chrome traces, one per ablation)@."
 
-(* ------------------------------------------------------------------ *)
-(* Part 3: Bechamel micro-benchmarks                                   *)
-
-let experiment_tests =
-  (* One Test.make per paper artifact: the cost of regenerating it.
-     Reduced workloads keep a single run under ~100ms. *)
-  Test.make_grouped ~name:"experiments"
-    [
-      Test.make ~name:"fig4"
-        (Staged.stage (fun () -> ignore (Harmony_experiments.Fig4.run ~samples:500 ())));
-      Test.make ~name:"fig5"
-        (Staged.stage (fun () ->
-             ignore (Harmony_experiments.Fig5.run ~perturbations:[| 0.0 |] ())));
-      Test.make ~name:"fig6"
-        (Staged.stage (fun () ->
-             ignore
-               (Harmony_experiments.Fig6.run ~ns:[ 5 ] ~perturbations:[ 0.0 ] ())));
-      Test.make ~name:"fig7"
-        (Staged.stage (fun () ->
-             ignore (Harmony_experiments.Fig7.run ~distances:[ 0.2 ] ())));
-      Test.make ~name:"fig8"
-        (Staged.stage (fun () -> ignore (Harmony_experiments.Fig8.run ())));
-      Test.make ~name:"fig9"
-        (Staged.stage (fun () -> ignore (Harmony_experiments.Fig9.run ~ns:[ 3 ] ())));
-      Test.make ~name:"table1"
-        (Staged.stage (fun () ->
-             ignore (Harmony_experiments.Table1.run ~max_evaluations:60 ())));
-      Test.make ~name:"table2"
-        (Staged.stage (fun () ->
-             ignore (Harmony_experiments.Table2.run ~max_evaluations:60 ())));
-      Test.make ~name:"fig10"
-        (Staged.stage (fun () -> ignore (Harmony_experiments.Fig10.run ())));
-      Test.make ~name:"restriction"
-        (Staged.stage (fun () ->
-             ignore (Harmony_experiments.Restriction.run ~max_evaluations:60 ())));
-      Test.make ~name:"headline"
-        (Staged.stage (fun () ->
-             ignore (Harmony_experiments.Headline.run ~max_evaluations:60 ())));
-    ]
-
-let kernel_tests =
-  let model_obj = Ws.Model.objective ~mix:Ws.Tpcw.shopping () in
-  let default_config = Ws.Wsconfig.to_config Ws.Wsconfig.default in
-  let sim_options =
-    { Ws.Simulation.default_options with
-      Ws.Simulation.warmup_ms = 1_000.0; horizon_ms = 5_000.0 }
-  in
-  let g = Generator.synthetic_webservice () in
-  let datagen_obj = Generator.objective g ~workload:Generator.shopping_mix in
-  let datagen_defaults = Space.defaults (Generator.space g) in
-  let spec =
-    Rsl.parse "{ harmonyBundle B { int {1 8 1} }}\n{ harmonyBundle C { int {1 9-$B 1} }}"
-  in
-  let trace_points =
-    let outcome =
-      Tuner.tune ~options:{ Tuner.default_options with Tuner.max_evaluations = 60 } model_obj
-    in
-    List.map (fun e -> (e.Recorder.config, e.Recorder.performance)) outcome.Tuner.trace
-  in
-  Test.make_grouped ~name:"kernels"
-    [
-      Test.make ~name:"model-eval"
-        (Staged.stage (fun () -> ignore (model_obj.Objective.eval default_config)));
-      Test.make ~name:"sim-5s"
-        (Staged.stage (fun () ->
-             ignore
-               (Ws.Simulation.run ~options:sim_options Ws.Wsconfig.default
-                  ~mix:Ws.Tpcw.shopping)));
-      Test.make ~name:"datagen-eval"
-        (Staged.stage (fun () -> ignore (datagen_obj.Objective.eval datagen_defaults)));
-      Test.make ~name:"simplex-60-evals"
-        (Staged.stage (fun () ->
-             ignore
-               (Tuner.tune
-                  ~options:{ Tuner.default_options with Tuner.max_evaluations = 60 }
-                  model_obj)));
-      Test.make ~name:"sensitivity-model"
-        (Staged.stage (fun () -> ignore (Sensitivity.analyze model_obj)));
-      Test.make ~name:"estimator-fit"
-        (Staged.stage (fun () ->
-             ignore
-               (Estimator.estimate ~space:Ws.Wsconfig.space ~points:trace_points
-                  ~target:default_config ())));
-      Test.make ~name:"rsl-count"
-        (Staged.stage (fun () -> ignore (Rsl.feasible_count spec)));
-      Test.make ~name:"matmul-32-blocked"
-        (Staged.stage (fun () ->
-             ignore
-               (Harmony_cachesim.Matmul.run ~m:32 ~n:32 ~k:32 ~mb:8 ~nb:8 ~kb:8 ())));
-      Test.make ~name:"controller-session-20"
-        (Staged.stage (fun () ->
-             let c =
-               Controller.create
-                 ~options:{ Simplex.default_options with Simplex.max_evaluations = 20 }
-                 ~space:Ws.Wsconfig.space
-                 ~direction:Objective.Higher_is_better ()
-             in
-             let rec drive () =
-               match Controller.pending c with
-               | `Measure config ->
-                   Controller.report c
-                     (Ws.Model.wips (Ws.Wsconfig.of_config config) ~mix:Ws.Tpcw.shopping);
-                   drive ()
-               | `Done _ -> ()
-             in
-             drive ()));
-    ]
-
-let run_benchmarks tests =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false
-      ~predictors:[| Bechamel.Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:500 ~quota:(Time.second 0.3) ~stabilize:false
-      ~kde:(Some 500) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let results =
-    List.map (fun instance -> Analyze.all ols instance raw) instances
-  in
-  match Analyze.merge ols instances results with
-  | results ->
-      (* Flat textual rendering: name, ns/run. *)
-      let rows = ref [] in
-      Hashtbl.iter
-        (fun _responder per_test ->
-          Hashtbl.iter
-            (fun name ols ->
-              let est =
-                match Analyze.OLS.estimates ols with
-                | Some (x :: _) -> x
-                | Some [] | None -> nan
-              in
-              rows := (name, est) :: !rows)
-            per_test)
-        results;
-      let rows =
-        List.sort
-          (fun (a, x) (b, y) ->
-            match String.compare a b with 0 -> Float.compare x y | c -> c)
-          !rows
-      in
-      Format.printf "%-40s %16s@." "benchmark" "time/run";
-      Format.printf "%s@." (String.make 57 '-');
-      List.iter
-        (fun (name, ns) ->
-          let human =
-            if Float.is_nan ns then "n/a"
-            else if ns > 1e9 then Printf.sprintf "%8.2f s " (ns /. 1e9)
-            else if ns > 1e6 then Printf.sprintf "%8.2f ms" (ns /. 1e6)
-            else if ns > 1e3 then Printf.sprintf "%8.2f us" (ns /. 1e3)
-            else Printf.sprintf "%8.2f ns" ns
-          in
-          Format.printf "%-40s %16s@." name human)
-        rows
-
-let microbenchmarks () =
-  Format.printf "@.############ Micro-benchmarks (Bechamel) ############@.@.";
-  run_benchmarks experiment_tests;
-  Format.printf "@.";
-  run_benchmarks kernel_tests
-
 let () =
   Pool.with_pool ~domains:jobs (fun pool ->
       reproduction pool;
-      ablations pool);
-  if Sys.getenv_opt "BENCH_QUICK" = None then microbenchmarks ()
-  else Format.printf "@.(BENCH_QUICK set: micro-benchmarks skipped)@."
+      ablations pool)

@@ -17,7 +17,6 @@ module Pool = Harmony_parallel.Pool
 module Telemetry = Harmony_telemetry.Telemetry
 module Flight = Harmony_telemetry.Flight
 module Export = Harmony_telemetry.Export
-module Summary = Harmony_telemetry.Summary
 module Service = Harmony_service.Service
 module Admission = Harmony_service.Admission
 
@@ -414,7 +413,7 @@ let factorial_cmd =
 let stats_cmd =
   let file_arg =
     let doc =
-      "JSONL telemetry trace, as written by $(b,tune --telemetry FILE.jsonl)."
+      "Telemetry trace, as written by $(b,tune --telemetry FILE.jsonl)."
     in
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
   in
@@ -425,15 +424,17 @@ let stats_cmd =
         ~finally:(fun () -> close_in ic)
         (fun () -> really_input_string ic (in_channel_length ic))
     in
-    match Summary.of_jsonl text with
-    | Error msg -> `Error (false, file ^ ": " ^ msg)
-    | Ok summary ->
-        print_string (Summary.to_string summary);
+    match Trace_core.of_string text with
+    | Error msg | Ok { Trace_core.malformed = Some msg; _ } ->
+        `Error (false, file ^ ": " ^ msg)
+    | Ok trace ->
+        print_string (Trace_core.render_stats trace);
         `Ok ()
   in
   let doc =
-    "Summarize a JSONL telemetry trace: span durations, instants, counters, \
-     gauges and histograms."
+    "Summarize a telemetry trace (JSONL, a segmented or flight-recorder \
+     dump, or Chrome JSON): span durations, instants, counters, gauges and \
+     histograms.  A malformed record is an error naming its line."
   in
   Cmd.v (Cmd.info "stats" ~doc) Term.(ret (const run $ file_arg))
 

@@ -341,7 +341,7 @@ let robust ?(telemetry = Telemetry.off) ?(policy = default_policy)
      its final value is the deterministic total, not whichever task
      happened to write last. *)
   let batch disp configs =
-    let results = Objective.batch_by_key eval disp configs in
+    let results = Objective.batch_by_key obj eval disp configs in
     Mutex.protect lock (fun () ->
         Telemetry.gauge reg g_backoff (Clock.now clock -. handle.clock_start));
     results

@@ -27,17 +27,19 @@ let empty_stats = { hits = 0; misses = 0; evals = 0; faults = 0; retries = 0 }
 
 type dispatcher = { run : 'a. ('a -> float) -> 'a array -> float array }
 
+type randomness = Deterministic | Keyed | Stream
+
 type t = {
   space : Space.t;
   direction : direction;
   eval : Space.config -> float;
   batch : (dispatcher -> Space.config array -> float array) option;
-  noisy : bool;
+  randomness : randomness;
   stats : (unit -> stats) option;
 }
 
 let create ~space ~direction eval =
-  { space; direction; eval; batch = None; noisy = false; stats = None }
+  { space; direction; eval; batch = None; randomness = Deterministic; stats = None }
 
 let sequential_dispatcher = { run = (fun f xs -> Array.map f xs) }
 
@@ -46,13 +48,13 @@ let pool_dispatcher pool =
 
 (* The batch engine's fallback: a combinator stack without its own
    batch strategy fans a deterministic objective straight out to the
-   dispatcher; a noisy one (shared RNG stream — draw order matters)
-   stays on a sequential input-order fold, so batching never reorders
-   draws. *)
+   dispatcher; any other stays on a sequential input-order fold, so
+   batching never reorders draws. *)
 let run_batch t disp configs =
-  match t.batch with
-  | Some b -> b disp configs
-  | None -> if t.noisy then Array.map t.eval configs else disp.run t.eval configs
+  match (t.batch, t.randomness) with
+  | Some b, _ -> b disp configs
+  | None, Deterministic -> disp.run t.eval configs
+  | None, (Keyed | Stream) -> Array.map t.eval configs
 
 let eval_batch ?pool t configs =
   if Array.length configs = 0 then [||]
@@ -92,8 +94,17 @@ let group_by_key configs =
    configuration (fault injection, retry policies): distinct
    configurations are independent and fan out across domains, while
    repeated occurrences of one configuration stay on one task in input
-   order, preserving that configuration's attempt sequence exactly. *)
-let batch_by_key eval disp configs =
+   order, preserving that configuration's attempt sequence exactly.
+   The dispatch rule: when the stack [below] draws from a shared
+   stream, the groups run in order on the caller's domain instead —
+   the same grouped order, so the draws land where a one-domain run
+   puts them. *)
+let batch_by_key below eval disp configs =
+  let disp =
+    match below.randomness with
+    | Stream -> sequential_dispatcher
+    | Deterministic | Keyed -> disp
+  in
   (* One configuration is one group: dispatch it without the table. *)
   if Array.length configs = 1 then disp.run eval configs
   else begin
@@ -126,27 +137,39 @@ let worst_of t values =
 
 let eval_default t = t.eval (Space.defaults t.space)
 
-let noisy t = t.noisy
+let noisy t =
+  match t.randomness with Deterministic -> false | Keyed | Stream -> true
+
 let stats t = match t.stats with None -> None | Some get -> Some (get ())
 
 let with_noise rng ~level t =
   if level < 0.0 then invalid_arg "Objective.with_noise: negative level";
   (* One shared RNG stream: the draw order is the evaluation order, so
      batches of a noisy objective must stay sequential — [batch] is
-     cleared and the [run_batch] fallback keeps the input-order fold. *)
+     cleared and the [run_batch] fallback keeps the input-order fold.
+     Every layer built on top inherits [Stream], which keeps its
+     by-key batches on the caller's domain too. *)
   {
     t with
     eval = (fun c -> Rng.perturb rng level (t.eval c));
     batch = None;
-    noisy = true;
+    randomness = Stream;
   }
 
 let with_snap t =
   let snap c = Space.snap t.space c in
+  (* Snapping merges distinct configurations into one grid point, so
+     keyed draws below are no longer keyed by this layer's input: the
+     point's attempt counter advances in whatever order the merged
+     configurations arrive.  Above a snap they count as [Stream]. *)
+  let randomness =
+    match t.randomness with Keyed -> Stream | Deterministic | Stream -> t.randomness
+  in
   {
     t with
     eval = (fun c -> t.eval (snap c));
     batch = Some (fun disp configs -> run_batch t disp (Array.map snap configs));
+    randomness;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -247,8 +270,12 @@ let with_faults ?(rates = fault_profile 0.1) ~seed t =
      [cached] then refuses to freeze a possibly-corrupt first draw
      unless told to, exactly as for measurement noise.  Fault draws
      are keyed per configuration, so a by-key batch reproduces the
-     sequential draws exactly at any domain count. *)
-  { t with eval; batch = Some (batch_by_key eval); noisy = true }
+     sequential draws exactly at any domain count — unless a shared
+     stream below stays in charge. *)
+  let randomness =
+    match t.randomness with Stream -> Stream | Deterministic | Keyed -> Keyed
+  in
+  { t with eval; batch = Some (batch_by_key t eval); randomness }
 
 (* Counter names under which [cached] records on the telemetry
    registry — the single counting path (DESIGN.md §11); [stats] is a
@@ -259,7 +286,7 @@ let memo_misses = "objective.memo.misses"
 module Telemetry = Harmony_telemetry.Telemetry
 
 let cached ?(telemetry = Telemetry.off) ?(freeze_noise = false) t =
-  if t.noisy && not freeze_noise then
+  if noisy t && not freeze_noise then
     invalid_arg
       "Objective.cached: objective carries measurement noise; memoizing would \
        silently freeze the first draw of every configuration.  Either cache \

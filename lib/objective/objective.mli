@@ -55,6 +55,19 @@ type dispatcher = { run : 'a. ('a -> float) -> 'a array -> float array }
     {!Harmony_parallel.Pool.map_array}.  Both return results in input
     order, so a combinator's batch strategy is dispatcher-agnostic. *)
 
+type randomness =
+  | Deterministic  (** a function of the configuration *)
+  | Keyed
+      (** draws are a function of (configuration, attempt):
+          {!with_faults}, and [Measure.robust] over it *)
+  | Stream
+      (** the order in which distinct configurations are measured
+          changes the draws: some layer draws from one shared stream
+          ({!with_noise}), or a layer that merges configurations
+          ({!with_snap}) sits over keyed draws *)
+(** What randomness the stack up to a layer carries.  [{ t with ... }]
+    layers inherit it, and nothing above a [Stream] clears it. *)
+
 type t = {
   space : Space.t;
   direction : direction;
@@ -66,7 +79,7 @@ type t = {
           objectives) or to a sequential input-order fold (noisy
           ones).  Combinator authors wrap the layer below with
           {!run_batch}. *)
-  noisy : bool;  (** [with_noise] was applied somewhere in the stack *)
+  randomness : randomness;
   stats : (unit -> stats) option;  (** set by [cached]; use {!stats} *)
 }
 
@@ -87,7 +100,9 @@ val eval_batch :
       occurrences of one configuration keep their in-order attempt
       sequence on a single task;
     - shared-stream noise ([with_noise]) forces the whole batch onto
-      the sequential fold, so the draw order never changes.
+      the sequential fold, and a by-key layer anywhere above it runs
+      its groups in order on the caller's domain, so the draw order
+      never changes.
 
     Without [pool] the dispatch itself is sequential; the memo pass
     and per-layer bookkeeping are identical either way, so 1-domain
@@ -110,10 +125,13 @@ val group_by_key : Space.config array -> int list array
     first-occurrence order, indices within a group in input order. *)
 
 val batch_by_key :
-  (Space.config -> float) -> dispatcher -> Space.config array -> float array
-(** Batch strategy for layers whose randomness is keyed per
-    configuration: one dispatcher task per distinct configuration,
-    repeated occurrences evaluated in input order within the task. *)
+  t -> (Space.config -> float) -> dispatcher -> Space.config array -> float array
+(** [batch_by_key below eval] is the batch strategy for a layer over
+    [below] whose randomness is keyed per configuration: one
+    dispatcher task per distinct configuration, repeated occurrences
+    evaluated in input order within the task.  When [below] carries
+    [Stream] randomness the groups run in the same order on
+    {!sequential_dispatcher}, whatever dispatcher is passed. *)
 
 val better : t -> float -> float -> bool
 (** [better t a b] is true when performance [a] is strictly preferable
@@ -128,7 +146,8 @@ val eval_default : t -> float
 (** Evaluate the all-defaults configuration. *)
 
 val noisy : t -> bool
-(** Whether [with_noise] was applied at any layer. *)
+(** Whether the stack carries any randomness ([Keyed] or [Stream]):
+    [with_noise] or [with_faults] was applied at some layer. *)
 
 val stats : t -> stats option
 (** Memo counters when the objective (or an objective it was derived
@@ -142,7 +161,9 @@ val with_noise : Harmony_numerics.Rng.t -> level:float -> t -> t
 
 val with_snap : t -> t
 (** Snap configurations onto the grid before evaluating; makes an
-    objective total over continuous proposals. *)
+    objective total over continuous proposals.  Over [Keyed]
+    randomness the result is [Stream]: configurations that snap to
+    one point share its attempt sequence. *)
 
 type fault_rates = {
   transient : float;         (** per-attempt probability of a transient

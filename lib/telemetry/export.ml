@@ -2,8 +2,8 @@
 
    Three formats:
    - JSONL: one JSON object per line (events in order, then the
-     registry) — the format [harmony_cli stats] and {!Summary} parse
-     back.
+     registry) — the format [harmony_cli stats] and [harmony_trace]
+     parse back.
    - Chrome trace_event JSON: loadable in about:tracing / Perfetto.
    - Prometheus text exposition: the metrics registry only. *)
 

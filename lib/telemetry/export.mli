@@ -19,7 +19,8 @@ val format_of_filename : string -> format
 val jsonl : Telemetry.t -> string
 (** Events in record order (one object per line, [type] ∈
     begin/end/instant), followed by one line per counter, gauge and
-    histogram.  The format {!Summary.of_jsonl} parses back. *)
+    histogram.  The format [harmony_cli stats] and [harmony_trace]
+    parse back. *)
 
 val chrome : Telemetry.t -> string
 (** A complete Chrome trace JSON object: spans as B/E pairs, instants

@@ -86,7 +86,7 @@ let entries t =
 
 (* One JSON object per line, oldest first — same field names as
    [Export.jsonl] events plus the ring metadata, so [harmony_trace]
-   and [Summary.of_jsonl] both accept a dump. *)
+   and [harmony_cli stats] both read a dump. *)
 let to_jsonl ?shard t =
   let buf = Buffer.create 1024 in
   let shard_field =

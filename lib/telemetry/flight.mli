@@ -36,8 +36,8 @@ val entries : t -> entry list
 
 val to_jsonl : ?shard:int -> t -> string
 (** The retained window as JSONL event lines ([Export.jsonl]-shaped,
-    plus a ["shard"] field when given), parseable by
-    [Summary.of_jsonl] and [harmony_trace]. *)
+    plus a ["shard"] field when given), which [harmony_trace] and
+    [harmony_cli stats] read. *)
 
 val kind_to_string : kind -> string
 

@@ -293,7 +293,8 @@ let scripted ~noisy readings =
   {
     (Objective.create ~space:fault_space ~direction:Objective.Higher_is_better eval)
     with
-    Objective.noisy;
+    Objective.randomness =
+      (if noisy then Objective.Stream else Objective.Deterministic);
   }
 
 let v = 3.25

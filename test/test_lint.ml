@@ -1,15 +1,20 @@
-(* harmony_lint: per-rule fixtures (known-bad triggers, known-good
+(* harmony_sem's ported rules (D1, D2, T1, P1, and S3/S4 where they
+   absorbed N1/T2): per-rule fixtures (known-bad triggers, known-good
    passes), suppression via inline allow-comments and the allowlist
    file, output shape, and a self-check that the shipped tree is
-   lint-clean. *)
+   clean.
 
-let kept ?allowlist ~path src =
-  (Lint_driver.lint_source ?allowlist ~path src).Lint_driver.kept
+   Fixtures go through test_sem's harness (Sem_typecheck, then
+   Sem_driver), so the rules see exactly the typedtree shapes the cmt
+   path produces. *)
+
+let analyze ?allowlist ~path src = Test_sem.analyze ?allowlist ~path src
+let kept ?allowlist ~path src = (analyze ?allowlist ~path src).Sem_driver.kept
 
 let suppressed ?allowlist ~path src =
-  (Lint_driver.lint_source ?allowlist ~path src).Lint_driver.suppressed
+  (analyze ?allowlist ~path src).Sem_driver.suppressed
 
-let rules_of diags = List.map (fun d -> d.Lint_diag.rule) diags
+let rules_of = Test_sem.rules_of
 
 let check_rules msg expected ?allowlist ~path src =
   Alcotest.(check (list string)) msg expected (rules_of (kept ?allowlist ~path src))
@@ -37,6 +42,14 @@ let d1_scoped_to_lib () =
   check_rules "bin/ may read the clock" [] ~path:"bin/harmony_cli.ml"
     "let f () = Sys.time ()"
 
+(* Resolved paths close the gaps a name match leaves open: an alias
+   does not hide the module it names. *)
+let d1_sees_through_aliases () =
+  check_rules "module alias resolved" [ "D1" ] ~path:"lib/core/x.ml"
+    "module R = Random\nlet f () = R.int 10";
+  check_rules "local module alias resolved" [ "D1" ] ~path:"lib/core/x.ml"
+    "let f () = let module R = Random in R.bool ()"
+
 (* ------------------------------------------------------------------ *)
 (* D2 — module-toplevel mutable state *)
 
@@ -55,22 +68,23 @@ let d2_allows_local_state () =
     "let default_budget = 100"
 
 (* ------------------------------------------------------------------ *)
-(* N1 — polymorphic comparison at float type *)
+(* N1 — polymorphic comparison, now S3's (compare at any type, the
+   rest at float type) *)
 
 let n1_flags_poly_compare () =
-  check_rules "bare compare flagged" [ "N1" ] ~path:"lib/core/x.ml"
+  check_rules "bare compare flagged" [ "S3" ] ~path:"lib/core/x.ml"
     "let f xs = List.sort compare xs";
-  check_rules "compare applied to floats flagged" [ "N1" ]
+  check_rules "compare applied to floats flagged" [ "S3" ]
     ~path:"lib/core/x.ml" "let f a b = compare (a *. 2.0) b";
-  check_rules "float equality flagged" [ "N1" ] ~path:"lib/core/x.ml"
+  check_rules "float equality flagged" [ "S3" ] ~path:"lib/core/x.ml"
     "let f a = a = 0.0";
-  check_rules "float <> flagged" [ "N1" ] ~path:"lib/numerics/x.ml"
+  check_rules "float <> flagged" [ "S3" ] ~path:"lib/numerics/x.ml"
     "let f a = a <> 1.5";
-  check_rules "min on float flagged" [ "N1" ] ~path:"lib/core/x.ml"
+  check_rules "min on float flagged" [ "S3" ] ~path:"lib/core/x.ml"
     "let f a = min a 1.0";
-  check_rules "max on float expr flagged" [ "N1" ] ~path:"lib/core/x.ml"
+  check_rules "max on float expr flagged" [ "S3" ] ~path:"lib/core/x.ml"
     "let f a b = max a (b /. 2.0)";
-  check_rules "nan equality flagged" [ "N1" ] ~path:"lib/core/x.ml"
+  check_rules "nan equality flagged" [ "S3" ] ~path:"lib/core/x.ml"
     "let f x = x = nan"
 
 let n1_allows_typed_comparison () =
@@ -110,25 +124,36 @@ let t1_allows_opt_variants () =
   check_rules "_opt variants are the fix" [] ~path:"lib/core/x.ml"
     "let f h k xs o = (Hashtbl.find_opt h k, List.nth_opt xs 0, List.find_opt o xs)"
 
+let t1_sees_through_opens () =
+  check_rules "let open resolved" [ "T1" ] ~path:"lib/core/x.ml"
+    "let f h k = let open Hashtbl in find h k";
+  check_rules "open resolved" [ "T1" ] ~path:"lib/core/x.ml"
+    "open List\nlet f xs = hd xs"
+
+let t1_ignores_shadowing_module () =
+  check_rules "a local List is not the stdlib's" [] ~path:"lib/core/x.ml"
+    "module List = struct let hd = function [] -> 0 | x :: _ -> x end\n\
+     let f xs = List.hd xs"
+
 (* ------------------------------------------------------------------ *)
-(* T2 — totality of message paths *)
+(* T2 — totality of message paths, now S4's *)
 
 let t2_flags_partiality_in_handlers () =
-  check_rules "assert false in server flagged" [ "T2" ]
+  check_rules "assert false in server flagged" [ "S4" ]
     ~path:"lib/core/server.ml" "let f () = assert false";
-  check_rules "failwith in session flagged" [ "T2" ]
+  check_rules "failwith in session flagged" [ "S4" ]
     ~path:"lib/core/session.ml" {|let f () = failwith "boom"|};
-  check_rules "raise Not_found in server flagged" [ "T2" ]
+  check_rules "raise Not_found in server flagged" [ "S4" ]
     ~path:"lib/core/server.ml" "let f () = raise Not_found";
-  check_rules "assert false in the sharded service flagged" [ "T2" ]
+  check_rules "assert false in the sharded service flagged" [ "S4" ]
     ~path:"lib/service/service.ml" "let f () = assert false";
-  check_rules "failwith in the sharded service flagged" [ "T2" ]
+  check_rules "failwith in the sharded service flagged" [ "S4" ]
     ~path:"lib/service/service.ml" {|let f () = failwith "boom"|};
-  check_rules "exit in the sharded service flagged" [ "T2" ]
+  check_rules "exit in the sharded service flagged" [ "S4" ]
     ~path:"lib/service/service.ml" "let f () = exit 1";
-  check_rules "failwith in the admission layer flagged" [ "T2" ]
+  check_rules "failwith in the admission layer flagged" [ "S4" ]
     ~path:"lib/service/admission.ml" {|let f () = failwith "shed"|};
-  check_rules "raise Not_found in the admission layer flagged" [ "T2" ]
+  check_rules "raise Not_found in the admission layer flagged" [ "S4" ]
     ~path:"lib/service/admission.ml" "let f () = raise Not_found"
 
 let t2_scoped_to_message_paths () =
@@ -199,15 +224,14 @@ let allow_comment_previous_line () =
   check_rules "previous-line comment waives" [] ~path:"lib/core/x.ml" src
 
 let allow_comment_wrong_rule () =
-  let src = "let f xs = List.hd xs (* lint: allow N1 *)" in
+  let src = "let f xs = List.hd xs (* lint: allow S3 *)" in
   check_rules "wrong rule id does not waive" [ "T1" ] ~path:"lib/core/x.ml" src
 
 let allow_comment_multiple_rules () =
-  let src = "(* lint: allow T1 N1 *)\nlet f xs = List.hd (List.sort compare xs)" in
+  let src = "(* lint: allow T1 S3 *)\nlet f xs = List.hd (List.sort compare xs)" in
   check_rules "one comment, several rules" [] ~path:"lib/core/x.ml" src
 
-(* Unified semantics (shared with harmony_sem): a same-line waiver
-   covers exactly its own line; comment-only waiver lines accumulate
+(* A same-line waiver covers exactly its own line; comment-only waiver lines accumulate
    and all land on the next code line. *)
 let allow_comment_does_not_bleed () =
   let src =
@@ -219,7 +243,7 @@ let allow_comment_does_not_bleed () =
 let allow_comment_stacked_lines () =
   let src =
     "(* lint: allow T1 — head is guarded *)\n\
-     (* lint: allow N1 — ints compared *)\n\
+     (* lint: allow S3 — ints compared *)\n\
      let f xs = List.hd (List.sort compare xs)"
   in
   check_rules "stacked comment-only waivers all apply" [] ~path:"lib/core/x.ml"
@@ -237,7 +261,7 @@ let allowlist_waives_by_path () =
     "let f xs = List.hd xs";
   check_rules "other files still flagged" [ "T1" ] ~allowlist
     ~path:"lib/core/y.ml" "let f xs = List.hd xs";
-  check_rules "other rules still flagged" [ "T1"; "N1" ] ~allowlist
+  check_rules "other rules still flagged" [ "T1"; "S3" ] ~allowlist
     ~path:"lib/core/y.ml" "let f xs = List.hd (List.sort compare xs)"
 
 let allowlist_rejects_garbage () =
@@ -261,14 +285,9 @@ let diagnostics_are_sorted () =
   let lines = List.map (fun d -> d.Lint_diag.line) (kept ~path:"lib/core/x.ml" src) in
   Alcotest.(check (list int)) "report in source order" [ 1; 2; 3 ] lines
 
-let parse_errors_are_findings () =
-  match kept ~path:"lib/core/x.ml" "let f = (" with
-  | [ d ] -> Alcotest.(check string) "parse rule" "parse" d.Lint_diag.rule
-  | _ -> Alcotest.fail "expected exactly one parse finding"
-
 let json_output_shape () =
   let d =
-    Lint_diag.make ~rule:"N1" ~severity:Lint_diag.Error
+    Lint_diag.make ~rule:"S3" ~severity:Lint_diag.Error
       ~loc:Location.none {|bad "quote"|}
   in
   let json = Lint_diag.to_json d in
@@ -282,60 +301,87 @@ let json_output_shape () =
                && String.sub json i (String.length needle) = needle)
              (List.init (String.length json) Fun.id))
       then Alcotest.fail (Printf.sprintf "missing %s in %s" needle json))
-    [ {|"rule":"N1"|}; {|"severity":"error"|}; {|\"quote\"|} ]
+    [ {|"rule":"S3"|}; {|"severity":"error"|}; {|\"quote\"|} ]
 
 let failure_semantics () =
-  let result = Lint_driver.lint_source ~path:"lib/core/x.ml" "let f xs = List.hd xs" in
-  Alcotest.(check bool) "errors fail" true (Lint_driver.failed result);
-  let clean = Lint_driver.lint_source ~path:"lib/core/x.ml" "let f x = x + 1" in
-  Alcotest.(check bool) "clean passes" false (Lint_driver.failed clean)
+  let result = analyze ~path:"lib/core/x.ml" "let f xs = List.hd xs" in
+  Alcotest.(check bool) "errors fail" true (Sem_driver.failed result);
+  let clean = analyze ~path:"lib/core/x.ml" "let f x = x + 1" in
+  Alcotest.(check bool) "clean passes" false (Sem_driver.failed clean);
+  let waived =
+    analyze ~path:"lib/core/x.ml" "let f xs = List.hd xs (* lint: allow T1 *)"
+  in
+  Alcotest.(check bool) "waived findings pass" false (Sem_driver.failed waived)
 
 let rule_registry_well_formed () =
-  Alcotest.(check int) "six rules" 6 (List.length Lint_rules.all);
-  let ids = List.map (fun r -> r.Lint_rules.id) Lint_rules.all in
+  (* The ported rules keep their ids in the one registry; N1 and T2
+     live on as S3 and S4. *)
+  let ids = List.map (fun r -> r.Sem_rules.id) Sem_rules.all in
+  Alcotest.(check int)
+    "ids unique" (List.length ids)
+    (List.length (List.sort_uniq String.compare ids));
   Alcotest.(check (list string))
     "ids unique and stable"
-    [ "D1"; "D2"; "N1"; "T1"; "T2"; "P1" ]
-    ids
+    [ "D1"; "D2"; "T1"; "P1"; "S3"; "S4" ]
+    (List.filter
+       (fun id -> List.mem id ids)
+       [ "D1"; "D2"; "T1"; "P1"; "S3"; "S4" ])
 
 (* ------------------------------------------------------------------ *)
-(* Self-check: the shipped tree is lint-clean.  The test runs in the
-   dune sandbox next to the copied sources (declared as deps in
-   test/dune), so the repo root is the parent directory. *)
+(* Self-check: the shipped tree is clean.  The test runs in the dune
+   sandbox, whose parent is the build root: test/dune depends on the
+   @check aliases, so every unit of lib/, bin/, bench/ and tools/trace
+   has its cmt there, and on the repo allowlist. *)
 
 let tree_is_lint_clean () =
   let root p = Filename.concat ".." p in
-  let paths = List.filter Sys.file_exists [ root "lib"; root "bin"; root "bench" ] in
-  if paths = [] then Alcotest.skip ();
+  let dirs = [ "lib"; "bin"; "bench"; "tools/trace" ] in
+  let units, load_diags = Sem_cmt.load_units ~root:".." ~dirs in
+  (* Every directory contributes units: a missing @check dependency
+     would otherwise shrink the check silently. *)
+  List.iter
+    (fun dir ->
+      if
+        not
+          (List.exists
+             (fun u -> String.starts_with ~prefix:(dir ^ "/") u.Sem_cmt.path)
+             units)
+      then Alcotest.fail ("no cmt files for " ^ dir))
+    dirs;
   let allowlist =
-    if Sys.file_exists (root "tools/lint/allowlist") then
-      match Lint_allow.load_allowlist (root "tools/lint/allowlist") with
-      | Ok a -> a
-      | Error msg -> Alcotest.fail msg
-    else Lint_allow.empty_allowlist
+    match Lint_allow.load_allowlist (root "tools/sem/allowlist") with
+    | Ok a -> a
+    | Error msg -> Alcotest.fail msg
   in
-  let result = Lint_driver.lint_paths ~allowlist paths in
-  (match result.Lint_driver.kept with
+  let result =
+    Sem_driver.analyze ~allowlist
+      ~source_of:(fun p -> Sem_driver.default_source_of (root p))
+      units
+  in
+  (match load_diags @ result.Sem_driver.kept with
   | [] -> ()
   | ds ->
       let buf = Buffer.create 256 in
       List.iter
         (fun d -> Buffer.add_string buf (Format.asprintf "%a\n" Lint_diag.pp_text d))
         ds;
-      Alcotest.fail ("tree has unwaived lint findings:\n" ^ Buffer.contents buf));
-  Alcotest.(check bool) "lint exit would be 0" false (Lint_driver.failed result)
+      Alcotest.fail ("tree has unwaived findings:\n" ^ Buffer.contents buf));
+  Alcotest.(check bool) "exit would be 0" false (Sem_driver.failed result)
 
 let suite =
   [
     ("d1 flags global random/clock", `Quick, d1_flags_global_random);
     ("d1 allows seeded state", `Quick, d1_allows_seeded_state);
     ("d1 scoped to lib", `Quick, d1_scoped_to_lib);
+    ("d1 sees through aliases", `Quick, d1_sees_through_aliases);
     ("d2 flags toplevel state", `Quick, d2_flags_toplevel_state);
     ("d2 allows local state", `Quick, d2_allows_local_state);
     ("n1 flags poly compare", `Quick, n1_flags_poly_compare);
     ("n1 allows typed comparison", `Quick, n1_allows_typed_comparison);
     ("t1 flags partials", `Quick, t1_flags_partials);
     ("t1 allows opt variants", `Quick, t1_allows_opt_variants);
+    ("t1 sees through opens", `Quick, t1_sees_through_opens);
+    ("t1 ignores a shadowing module", `Quick, t1_ignores_shadowing_module);
     ("t2 flags handler partiality", `Quick, t2_flags_partiality_in_handlers);
     ("t2 scoped to message paths", `Quick, t2_scoped_to_message_paths);
     ("p1 flags hot-path printing", `Quick, p1_flags_printing_in_hot_paths);
@@ -350,7 +396,6 @@ let suite =
     ("allowlist rejects garbage", `Quick, allowlist_rejects_garbage);
     ("diagnostics carry positions", `Quick, diagnostics_carry_positions);
     ("diagnostics are sorted", `Quick, diagnostics_are_sorted);
-    ("parse errors are findings", `Quick, parse_errors_are_findings);
     ("json output shape", `Quick, json_output_shape);
     ("failure semantics", `Quick, failure_semantics);
     ("rule registry well-formed", `Quick, rule_registry_well_formed);

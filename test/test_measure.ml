@@ -20,7 +20,11 @@ let scripted ?(noisy = false) schedule =
         Hashtbl.replace attempts key (n + 1);
         schedule n c)
   in
-  { base with Objective.noisy }
+  {
+    base with
+    Objective.randomness =
+      (if noisy then Objective.Keyed else Objective.Deterministic);
+  }
 
 let transient_then n value =
   scripted (fun attempt _ ->
@@ -235,7 +239,7 @@ let test_session_degraded_flag () =
       (Objective.create ~space ~direction:Objective.Higher_is_better (fun _ ->
            raise (Objective.Measurement_failed Objective.Persistent)))
       with
-      Objective.noisy = false;
+      Objective.randomness = Objective.Deterministic;
     }
   in
   let options =

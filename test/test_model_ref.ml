@@ -476,7 +476,8 @@ let scripted ~noisy readings =
         | Fail k -> raise (Objective.Measurement_failed k))
   in
   { (Objective.create ~space:fault_space ~direction:Objective.Higher_is_better eval) with
-    Objective.noisy }
+    Objective.randomness =
+      (if noisy then Objective.Stream else Objective.Deterministic) }
 
 let gen_reading =
   QCheck2.Gen.(

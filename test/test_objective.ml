@@ -295,6 +295,104 @@ let test_batch_noise_stays_sequential () =
   check_bits "1 domain" expected (run (Some 1));
   check_bits "4 domains" expected (run (Some 4))
 
+(* Random stacks of every combinator, batched three ways: the
+   sequential fold, a dispatcher that runs its tasks last to first
+   (then re-raises the first exception by index, as the pool does),
+   and a 4-domain pool.  Every batch must give the same bits.  A stack
+   that raises leaves its fault counters wherever the schedule stopped,
+   so the comparison ends at the first raised batch. *)
+type layer = Noise of int | Faults of int | Robust | Cache | Snap | Negate
+
+let show_layer = function
+  | Noise s -> Printf.sprintf "noise %d" s
+  | Faults s -> Printf.sprintf "faults %d" s
+  | Robust -> "robust"
+  | Cache -> "cached"
+  | Snap -> "snap"
+  | Negate -> "negate"
+
+let build layers =
+  let base =
+    Objective.create ~space ~direction:Objective.Higher_is_better (fun c ->
+        (c.(0) *. 3.0) +. 1.0)
+  in
+  List.fold_left
+    (fun obj layer ->
+      match layer with
+      | Noise seed -> Objective.with_noise (Rng.create seed) ~level:0.2 obj
+      | Faults seed ->
+          Objective.with_faults ~rates:(Objective.fault_profile 0.3) ~seed obj
+      | Robust -> fst (Measure.robust obj)
+      | Cache -> Objective.cached ~freeze_noise:true obj
+      | Snap -> Objective.with_snap obj
+      | Negate -> Objective.negate obj)
+    base layers
+
+let reverse_dispatcher =
+  {
+    Objective.run =
+      (fun f xs ->
+        let n = Array.length xs in
+        let out = Array.make n (Ok 0.0) in
+        for i = n - 1 downto 0 do
+          out.(i) <- (match f xs.(i) with v -> Ok v | exception e -> Error e)
+        done;
+        Array.map (function Ok v -> v | Error e -> raise e) out);
+  }
+
+let outcomes batch_of layers batches =
+  let obj = build layers in
+  let rec go = function
+    | [] -> []
+    | b :: rest -> (
+        match batch_of obj b with
+        | values -> Ok (Array.to_list (bits values)) :: go rest
+        | exception e -> [ Error (Printexc.to_string e) ])
+  in
+  go batches
+
+let gen_layer =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun s -> Noise s) (int_bound 99);
+        map (fun s -> Faults s) (int_bound 99);
+        oneofl [ Robust; Cache; Snap; Negate ];
+      ])
+
+(* Few distinct values, some off the grid, so batches repeat
+   configurations and snapping merges others. *)
+let gen_batch =
+  QCheck.Gen.(
+    map Array.of_list
+      (list_size (1 -- 8)
+         (map (fun v -> [| v |]) (oneofl [ 1.0; 2.0; 4.0; 4.4; 7.0 ]))))
+
+let qcheck_stacks_batch_like_the_fold =
+  QCheck.Test.make ~count:150 ~name:"stacked batches match the fold"
+    (QCheck.make
+       ~print:(fun (layers, batches) ->
+         Printf.sprintf "[%s] over %d batches"
+           (String.concat "; " (List.map show_layer layers))
+           (List.length batches))
+       QCheck.Gen.(
+         pair (list_size (1 -- 5) gen_layer) (list_size (1 -- 4) gen_batch)))
+    (fun (layers, batches) ->
+      let expected =
+        outcomes (fun obj b -> Objective.eval_batch obj b) layers batches
+      in
+      let reversed =
+        outcomes
+          (fun obj b -> Objective.run_batch obj reverse_dispatcher b)
+          layers batches
+      in
+      let pooled =
+        Pool.with_pool ~domains:4 (fun pool ->
+            outcomes (fun obj b -> Objective.eval_batch ~pool obj b) layers
+              batches)
+      in
+      expected = reversed && expected = pooled)
+
 let suite =
   [
     Alcotest.test_case "better" `Quick test_better;
@@ -321,4 +419,5 @@ let suite =
     Alcotest.test_case "group_by_key" `Quick test_group_by_key;
     Alcotest.test_case "batched noise stays sequential" `Quick
       test_batch_noise_stays_sequential;
+    QCheck_alcotest.to_alcotest qcheck_stacks_batch_like_the_fold;
   ]

@@ -351,7 +351,7 @@ let prop_mad_rejects_single_outlier =
                incr attempts;
                if n = position then honest *. mult else honest))
           with
-          Objective.noisy = true;
+          Objective.randomness = Objective.Stream;
         }
       in
       match Measure.measure obj [| 0.0; 0.0 |] with

@@ -9,7 +9,6 @@ module Param = Harmony_param.Param
 module Space = Harmony_param.Space
 module Telemetry = Harmony_telemetry.Telemetry
 module Export = Harmony_telemetry.Export
-module Summary = Harmony_telemetry.Summary
 module Tjson = Harmony_telemetry.Tjson
 
 (* ------------------------------------------------------------------ *)
@@ -242,31 +241,62 @@ let test_jsonl_roundtrip () =
         | Ok _ -> Alcotest.fail ("non-object line: " ^ line)
         | Error msg -> Alcotest.fail ("unparseable line: " ^ msg))
     (String.split_on_char '\n' text);
-  match Summary.of_jsonl text with
-  | Error msg -> Alcotest.fail ("summary rejected the export: " ^ msg)
-  | Ok s ->
-      Alcotest.(check int) "events" 5 s.Summary.events;
-      Alcotest.(check int) "no unmatched spans" 0 s.Summary.unmatched;
-      Alcotest.(check (list string))
-        "span aggregates by name" [ "inner"; "outer" ]
-        (List.map (fun sp -> sp.Summary.span_name) s.Summary.spans);
-      Alcotest.(check (list (pair string int)))
-        "instants" [ ("tick", 1) ] s.Summary.instants;
-      Alcotest.(check (list (pair string int)))
-        "counters survive" [ ("evals", 7) ] s.Summary.counters;
-      (match s.Summary.histograms with
-      | [ ("latency", h) ] ->
-          Alcotest.(check int) "histogram count" 2 h.Summary.hist_count;
-          Alcotest.(check (float 1e-9)) "histogram sum" 50.5 h.Summary.hist_sum
+  match Trace_core.of_string text with
+  | Error msg | Ok { Trace_core.malformed = Some msg; _ } ->
+      Alcotest.fail ("the trace loader rejected the export: " ^ msg)
+  | Ok t -> (
+      let events =
+        List.concat_map (fun seg -> seg.Trace_core.events) t.Trace_core.segments
+      in
+      Alcotest.(check int) "events" 5 (List.length events);
+      Alcotest.(check int) "nothing dropped" 0 t.Trace_core.dropped;
+      (* The stats rendering: no unmatched spans, span aggregates by
+         name, then the instants, counters, gauges and histograms. *)
+      let stats = String.split_on_char '\n' (Trace_core.render_stats t) in
+      Alcotest.(check bool)
+        "no unmatched spans" false
+        (List.exists (String.starts_with ~prefix:"unmatched") stats);
+      Alcotest.(check (list (list string)))
+        "rows by section"
+        [
+          [ "inner"; "1" ]; [ "outer"; "1" ]; [ "tick"; "1" ]; [ "evals"; "7" ];
+          [ "depth"; "4.000" ]; [ "latency"; "2" ];
+        ]
+        (List.filter_map
+           (fun l ->
+             if String.starts_with ~prefix:"  " l then
+               match List.filter (( <> ) "") (String.split_on_char ' ' l) with
+               | name :: v :: _ -> Some [ name; v ]
+               | _ -> None
+             else None)
+           stats);
+      match List.concat_map (fun seg -> seg.Trace_core.histograms) t.Trace_core.segments with
+      | [ h ] ->
+          Alcotest.(check string) "histogram name" "latency" h.Trace_core.h_name;
+          Alcotest.(check int) "histogram count" 2 h.Trace_core.h_count;
+          Alcotest.(check (float 1e-9)) "histogram sum" 50.5 h.Trace_core.h_sum
       | _ -> Alcotest.fail "expected the latency histogram")
 
 let test_summary_rejects_garbage () =
-  match Summary.of_jsonl "{\"type\":\"instant\",\"name\":\"a\",\"ts\":0}\nnot json\n" with
-  | Error msg ->
-      Alcotest.(check bool)
-        "error names the line" true
-        (String.length msg >= 6 && String.sub msg 0 6 = "line 2")
-  | Ok _ -> Alcotest.fail "garbage accepted"
+  let loaded text =
+    match Trace_core.of_string text with
+    | Ok t -> t.Trace_core.malformed
+    | Error msg -> Some msg
+  in
+  List.iter
+    (fun (what, text, line) ->
+      match loaded text with
+      | Some msg ->
+          Alcotest.(check bool)
+            (what ^ ": error names the line") true
+            (String.starts_with ~prefix:line msg)
+      | None -> Alcotest.fail (what ^ " accepted"))
+    [
+      ("unparsable JSON", "{\"type\":\"instant\",\"name\":\"a\",\"ts\":0}\nnot json\n", "line 2");
+      ("missing name", "{\"type\":\"begin\",\"ts\":0}\n", "line 1: missing type or name");
+      ("missing type", "\n{\"name\":\"a\"}\n", "line 2: missing type or name");
+      ("unknown type", "{\"type\":\"weird\",\"name\":\"a\"}\n", "line 1: unknown record type");
+    ]
 
 let test_chrome_valid () =
   let t = populated () in

@@ -162,6 +162,11 @@ let test_malformed_lines_counted () =
   in
   let t = load text in
   Alcotest.(check int) "two unparsable lines skipped" 2 t.Trace_core.dropped;
+  Alcotest.(check bool)
+    "the first is named" true
+    (match t.Trace_core.malformed with
+    | Some first -> String.starts_with ~prefix:"line 1: " first
+    | None -> false);
   Alcotest.(check int) "span still reconstructed" 1
     (List.length (Trace_core.handles t))
 

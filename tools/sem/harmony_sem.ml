@@ -1,18 +1,23 @@
-(* harmony_sem — typedtree-based semantic analysis (races, lock order,
-   float ordering, handler totality).  See DESIGN.md §14.
+(* harmony_sem — the project's static analyzer over the typedtree:
+   ambient nondeterminism, module-level mutable state, raising
+   partials, hot-path printing, races, lock order, polymorphic
+   comparison and handler totality.  See DESIGN.md §8.
 
      harmony_sem [--root DIR] [--format text|json|sarif]
-                 [--rules S1,S2,...] [--allowlist FILE]
+                 [--rules D1,S3,...] [--allowlist FILE]
                  [--baseline FILE] [--check-baseline] [--write-baseline]
                  [--output FILE] [--list-rules] [SRC_DIR...]
 
    Reads the .cmt artifacts under --root (default _build/default) for
-   sources living in the given directories (default: lib).  Exit
-   status 0 when no unwaived finding remains (or, under
+   sources living in the given directories (default: lib bin bench
+   tools/trace); `dune build @check` produces them for executables
+   too.  Exit status 0 when no unwaived finding remains (or, under
    --check-baseline, no finding beyond the committed baseline), 1 on
    findings, 2 on usage errors. *)
 
-let usage = "harmony_sem [options] SRC_DIR...  (default: lib)"
+let default_dirs = [ "lib"; "bin"; "bench"; "tools/trace" ]
+
+let usage = "harmony_sem [options] SRC_DIR...  (default: lib bin bench tools/trace)"
 
 let fail_usage fmt =
   Printf.ksprintf
@@ -76,11 +81,11 @@ let () =
         | Error msg -> fail_usage "%s" msg)
   in
   if not (Sys.file_exists !root && Sys.is_directory !root) then
-    fail_usage "build root %s not found (run dune build first)" !root;
-  let dirs = match List.rev !dirs with [] -> [ "lib" ] | ds -> ds in
+    fail_usage "build root %s not found (run dune build @check first)" !root;
+  let dirs = match List.rev !dirs with [] -> default_dirs | ds -> ds in
   let units, load_diags = Sem_cmt.load_units ~root:!root ~dirs in
   if units = [] then
-    fail_usage "no cmt files for %s under %s (run dune build first)"
+    fail_usage "no cmt files for %s under %s (run dune build @check first)"
       (String.concat " " dirs) !root;
   let result = Sem_driver.analyze ~rules ~allowlist units in
   let result =
@@ -107,8 +112,8 @@ let () =
   in
   let render ppf =
     match !format with
-    | "text" -> Lint_driver.render_text ppf result
-    | "json" -> Lint_driver.render_json ppf result
+    | "text" -> Sem_driver.render_text ppf result
+    | "json" -> Sem_driver.render_json ppf result
     | "sarif" -> Sem_driver.render_sarif ppf ~rules result
     | other -> fail_usage "unknown format %s" other
   in
@@ -122,7 +127,7 @@ let () =
       close_out oc);
   let failed =
     match baseline with
-    | None -> result.kept <> []
+    | None -> Sem_driver.failed result
     | Some baseline ->
         let regs =
           Sem_baseline.regressions ~baseline

@@ -1,7 +1,6 @@
 (* Suppression machinery: inline [(* lint: allow RULE ... *)] comments
-   and a repo-level allowlist file.  Shared by the parsetree linter
-   (harmony_lint) and the typedtree analyzer (harmony_sem), so both
-   tools waive findings with identical semantics.
+   and a repo-level allowlist file, applied to every rule of
+   harmony_sem alike.
 
    Unified same-line / previous-line semantics:
 
@@ -16,7 +15,7 @@
      so a multi-rule justification block reads naturally:
 
        (* lint: allow T1 — head is guarded by the match above *)
-       (* lint: allow N1 — comparator is resolved at int type *)
+       (* lint: allow S3 — comparator is resolved at int type *)
        let x = List.hd (List.sort compare items)
 
    Earlier versions waived line n *and* line n+1 unconditionally,

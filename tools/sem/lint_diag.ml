@@ -1,4 +1,4 @@
-(* Diagnostics emitted by the lint rules: a rule id, a severity, a
+(* Diagnostics emitted by the analyzer's rules: a rule id, a severity, a
    source position, and a human-readable message.  Kept deliberately
    flat so both the text and JSON renderers are trivial. *)
 

@@ -1,6 +1,5 @@
-(* SARIF 2.1.0 emitter shared by harmony_lint and harmony_sem, so CI
-   consumes one format from both tools.  Emits the minimal useful
-   subset: a single run with a tool.driver rule catalogue and one
+(* SARIF 2.1.0 emitter for harmony_sem's report.  Emits the minimal
+   useful subset: a single run with a tool.driver rule catalogue and one
    result per kept diagnostic.  SARIF columns are 1-based while
    Lint_diag stores the compiler's 0-based columns, hence the +1. *)
 

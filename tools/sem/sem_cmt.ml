@@ -19,7 +19,7 @@ let rec find_cmts dir acc =
       Array.fold_left
         (fun acc entry ->
           let p = Filename.concat dir entry in
-          if Sys.is_directory p then find_cmts p acc
+          if Sys.file_exists p && Sys.is_directory p then find_cmts p acc
           else if Filename.check_suffix entry ".cmt" then p :: acc
           else acc)
         acc entries
@@ -33,8 +33,10 @@ let in_dirs ~dirs source =
          String.starts_with ~prefix:d source)
        dirs
 
-(* Load every implementation cmt under [root] whose source file lives
-   in one of [dirs].  Alias-module stubs (sources ending in .ml-gen)
+(* Load every implementation cmt whose source file lives in one of
+   [dirs] (every one under [root] when [dirs] is empty); dune keeps a
+   directory's cmt files under the same directory of the build root,
+   so only those subtrees are walked.  Alias-module stubs (sources ending in .ml-gen)
    and interface cmts are skipped; an unreadable cmt becomes a "cmt"
    diagnostic rather than an abort, so one stale artifact cannot hide
    the rest of the report. *)
@@ -71,7 +73,13 @@ let load_units ~root ~dirs =
                 }
                 :: !units
           | _ -> ()))
-    (List.sort String.compare (find_cmts root []));
+    (List.sort String.compare
+       (match dirs with
+       | [] -> find_cmts root []
+       | dirs ->
+           List.fold_left
+             (fun acc d -> find_cmts (Filename.concat root d) acc)
+             [] dirs));
   let units =
     List.sort (fun a b -> String.compare a.path b.path) !units
   in

@@ -1,11 +1,10 @@
-(* Orchestration: run the semantic rules over loaded units, then
-   filter the diagnostics through the same inline-waiver and allowlist
-   machinery as harmony_lint, reusing its renderers via
-   [Lint_driver.result]. *)
+(* Orchestration: run the rules over loaded units, filter the
+   diagnostics through the inline waivers and the repo allowlist, and
+   render the report. *)
 
-type result = Lint_driver.result = {
-  kept : Lint_diag.t list;
-  suppressed : Lint_diag.t list;
+type result = {
+  kept : Lint_diag.t list;  (* findings that count *)
+  suppressed : Lint_diag.t list;  (* waived inline or via allowlist *)
 }
 
 let read_file path =
@@ -54,6 +53,9 @@ let analyze ?rules ?(allowlist = Lint_allow.empty_allowlist)
   in
   { kept; suppressed }
 
+(* ------------------------------------------------------------------ *)
+(* Rendering                                                           *)
+
 let rule_metas rules =
   List.map
     (fun (r : Sem_rules.rule) ->
@@ -63,3 +65,30 @@ let rule_metas rules =
 let render_sarif ppf ?(rules = Sem_rules.all) result =
   Lint_sarif.render ppf ~tool_name:"harmony_sem" ~rules:(rule_metas rules)
     result.kept
+
+let render_text ppf result =
+  List.iter (fun d -> Format.fprintf ppf "%a@." Lint_diag.pp_text d) result.kept;
+  let errors, warnings =
+    List.partition (fun d -> d.Lint_diag.severity = Lint_diag.Error) result.kept
+  in
+  Format.fprintf ppf "%d error%s, %d warning%s, %d waived@."
+    (List.length errors)
+    (if List.length errors = 1 then "" else "s")
+    (List.length warnings)
+    (if List.length warnings = 1 then "" else "s")
+    (List.length result.suppressed)
+
+let render_json ppf result =
+  let fields =
+    List.map Lint_diag.to_json result.kept |> String.concat ",\n  "
+  in
+  Format.fprintf ppf "{@.\"findings\": [@.  %s@.],@." fields;
+  Format.fprintf ppf "\"errors\": %d, \"warnings\": %d, \"waived\": %d@.}@."
+    (List.length
+       (List.filter (fun d -> d.Lint_diag.severity = Lint_diag.Error) result.kept))
+    (List.length
+       (List.filter (fun d -> d.Lint_diag.severity = Lint_diag.Warning) result.kept))
+    (List.length result.suppressed)
+
+(* Exit status without a baseline: any unwaived finding fails. *)
+let failed result = result.kept <> []

@@ -1,5 +1,13 @@
-(* The four semantic rule families (DESIGN.md §14).
+(* The rule registry (DESIGN.md §8).  Every rule reads the typedtree,
+   so names are matched on resolved paths: [open], [let open] and the
+   unit's own module aliases cannot hide a call, and a local module
+   that shadows a stdlib one is not mistaken for it.
 
+   D1  no ambient nondeterminism (Random.*, Sys.time, Unix clocks) in
+       lib/.
+   D2  no module-level mutable state in lib/.
+   T1  no raising stdlib partials (List.hd, Option.get, ...) in lib/.
+   P1  no printing in hot evaluation paths.
    S1  race detector: mutable state captured by closures submitted to
        the domain pool must be lock-protected on every access path.
        Sanctioned: per-task disjoint array slots (index mentions a
@@ -8,13 +16,13 @@
        contract, enforced at the submission site).
    S2  lock-order checker: the static lock-acquisition graph must be
        acyclic and the telemetry lock a leaf.
-   S3  type-aware float ordering: no polymorphic compare/=/min/max at
-       an *inferred* float type, through aliases and let-bindings —
-       the semantic upgrade of the syntactic N1.
+   S3  polymorphic comparison: no stdlib compare at any type, and no
+       =/<>/==/!=/min/max at an *inferred* float type, through aliases
+       and let-bindings.
    S4  handler totality: protocol-handler modules contain no partial
-       match, assert false, failwith/exit, or raise of a freshly built
-       exception (re-raise of a caught exception and invalid_arg are
-       allowed, matching T2). *)
+       match, assert false, failwith/exit, Obj.magic, or raise of a
+       freshly built exception (re-raise of a caught exception and
+       invalid_arg are allowed). *)
 
 open Typedtree
 
@@ -24,6 +32,60 @@ type rule = {
   summary : string;
   doc : string;
 }
+
+let d1 =
+  {
+    id = "D1";
+    severity = Lint_diag.Error;
+    summary = "no ambient nondeterminism (Random.*, Sys.time, Unix.gettimeofday) in lib/";
+    doc =
+      "Tuner output must be byte-identical at --jobs 1 vs --jobs N. Ambient \
+       randomness and wall clocks break that replayability; draw from \
+       Harmony_numerics.Rng and the simulated clock instead.";
+  }
+
+let d2 =
+  {
+    id = "D2";
+    severity = Lint_diag.Error;
+    summary = "no module-toplevel mutable state in lib/";
+    doc =
+      "Pool tasks run on multiple domains; a module-level ref or table is \
+       shared by all of them, and update order then depends on scheduling. \
+       Thread state through values (records owned by a caller) instead.";
+  }
+
+let t1 =
+  {
+    id = "T1";
+    severity = Lint_diag.Error;
+    summary = "no raising stdlib partials (List.hd, Option.get, Hashtbl.find, ...) in lib/";
+    doc =
+      "An online tuner must degrade, not die: a Not_found escaping mid-search \
+       loses the whole session. Use the _opt variants and handle None \
+       explicitly (worst-case penalty, rejection, or invalid_arg at the API \
+       boundary).";
+  }
+
+let p1 =
+  {
+    id = "P1";
+    severity = Lint_diag.Error;
+    summary = "no Printf/Format printing in hot evaluation paths";
+    doc =
+      "The evaluation inner loop (objective, measurement, simplex, \
+       controller, tuner, pool, the DES engine, and the web-service \
+       models it drives) runs thousands of times per session and \
+       concurrently across domains; stdout/stderr writes there serialize \
+       domains and interleave nondeterministically. Use the logs facade at \
+       the edges; pp functions over an explicit formatter stay fine. The \
+       instrumented paths (telemetry, persistence, server, session, \
+       sensitivity, analyzer) are held to the same bar: the telemetry \
+       registry and the persist sinks are the only sanctioned output \
+       paths there — a handle records, an exporter renders, and whoever \
+       owns stdout prints. The trace analyzer's core returns renderings; \
+       only its CLI prints.";
+  }
 
 let s1 =
   {
@@ -55,12 +117,18 @@ let s3 =
   {
     id = "S3";
     severity = Lint_diag.Error;
-    summary = "no polymorphic compare/min/max/= at inferred float type";
+    summary = "no polymorphic compare, and no =/<>/min/max at inferred float type";
     doc =
-      "compare, =, <>, ==, !=, min and max are flagged whenever their \
-       instantiated argument type is float or a float alias (type ms = \
-       float), however the value was laundered through let-bindings or \
-       helper arguments. Use Float.compare or epsilon logic.";
+      "Fault injection emits NaN sentinels, and polymorphic comparison \
+       silently mis-handles NaN (nan = nan is false; min nan x is \
+       order-dependent), corrupting the simplex ordering. The stdlib's \
+       compare is flagged at every type; =, <>, ==, !=, min and max \
+       whenever their instantiated argument type is float or a float \
+       alias (type ms = float), however the value was laundered through \
+       let-bindings or helper arguments. Use Float.compare, Float.equal, \
+       Float.min/max, or a typed comparator. Ordering operators (<, <=) \
+       compile to IEEE comparisons and are left to code review plus the \
+       Measure layer's explicit NaN handling.";
   }
 
 let s4 =
@@ -69,16 +137,44 @@ let s4 =
     severity = Lint_diag.Error;
     summary = "protocol handlers are total on the typedtree";
     doc =
-      "In server.ml/service.ml/session.ml: every match and function \
-       must be exhaustive (typedtree Partial flag), and assert false, \
-       failwith, exit and raising a freshly constructed exception are \
-       banned (invalid_arg and re-raising a caught exception stay \
-       allowed, as in T2).";
+      "In lib/service/ and lib/core/server.ml and session.ml: every match \
+       and function must be exhaustive (typedtree Partial flag), and \
+       assert false, failwith, exit, Obj.magic and raising a freshly \
+       constructed exception are banned (invalid_arg and re-raising a \
+       caught exception stay allowed). Reply with Rejected (or thread a \
+       result) instead.";
   }
 
-let all = [ s1; s2; s3; s4 ]
+let all = [ s1; s2; s3; s4; d1; d2; t1; p1 ]
 
 let find id = List.find_opt (fun r -> r.id = id) all
+
+(* ------------------------------------------------------------------ *)
+(* Scopes.  Paths are the repo-relative source paths the cmt files
+   record (and the fixtures pass). *)
+
+let under dir path = String.starts_with ~prefix:(dir ^ "/") path
+
+let in_core names path =
+  under "lib/core" path && List.mem (Filename.basename path) names
+
+let p1_applies path =
+  List.exists
+    (fun dir -> under dir path)
+    [
+      "lib/objective"; "lib/parallel"; "lib/telemetry"; "lib/persist";
+      "lib/des"; "lib/webservice"; "lib/service";
+    ]
+  || in_core
+       [
+         "simplex.ml"; "controller.ml"; "tuner.ml"; "server.ml"; "session.ml";
+         "sensitivity.ml"; "analyzer.ml";
+       ]
+       path
+  || String.equal path "tools/trace/trace_core.ml"
+
+let s4_applies path =
+  under "lib/service" path || in_core [ "server.ml"; "session.ml" ] path
 
 (* ------------------------------------------------------------------ *)
 (* Shared traversal helpers *)
@@ -527,17 +623,181 @@ let run_s2 ~(summary : Sem_summary.t) (units : (string * string * structure) lis
   !diags
 
 (* ------------------------------------------------------------------ *)
-(* S3: type-aware float ordering *)
+(* Module aliases and resolved-path tables (D1, T1, P1) *)
 
-let poly_cmp_ops = [ "compare"; "="; "<>"; "=="; "!="; "min"; "max" ]
+(* The unit's module aliases — [module R = Random] at any structure
+   level and [let module R = Random in] — keyed by the alias's unique
+   ident name, for [Sem_util.resolve]. *)
+let module_aliases (str : structure) =
+  let aliases = Hashtbl.create 8 in
+  let rec target (me : module_expr) =
+    match me.mod_desc with
+    | Tmod_ident (p, _) -> Some p
+    | Tmod_constraint (me, _, _, _) -> target me
+    | _ -> None
+  in
+  let add id me =
+    match (id, target me) with
+    | Some id, Some p -> Hashtbl.replace aliases (Ident.unique_name id) p
+    | _ -> ()
+  in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      module_binding =
+        (fun sub mb ->
+          add mb.mb_id mb.mb_expr;
+          Tast_iterator.default_iterator.module_binding sub mb);
+      expr =
+        (fun sub e ->
+          (match e.exp_desc with
+          | Texp_letmodule (id, _, _, me, _) -> add id me
+          | _ -> ());
+          Tast_iterator.default_iterator.expr sub e);
+    }
+  in
+  it.structure it str;
+  aliases
 
-let run_s3 ~(summary : Sem_summary.t) ~modname (str : structure) =
+(* Every reference to a value whose resolved path [table] maps to a
+   message is a finding of [rule]. *)
+let run_table rule table ~aliases (str : structure) =
   let diags = ref [] in
   iter_exprs str (fun e ->
       match e.exp_desc with
       | Texp_ident (p, _, _) -> (
-          match Sem_util.norm_path p with
-          | [ op ] when List.mem op poly_cmp_ops -> (
+          match Option.bind (Sem_util.resolve ~aliases p) table with
+          | Some message ->
+              diags :=
+                Lint_diag.make ~rule:rule.id ~severity:rule.severity
+                  ~loc:e.exp_loc message
+                :: !diags
+          | None -> ())
+      | _ -> ());
+  !diags
+
+let d1_table path =
+  let hint =
+    match path with
+    | [ "Random"; "State"; "make_self_init" ] ->
+        Some "seed explicitly via Harmony_numerics.Rng"
+    | [ "Random"; _ ] ->
+        (* The whole ambient-state surface of [Random]: int, float,
+           bool, bits, init, self_init, get_state, ...
+           [Random.State.*] is the sanctioned, explicitly-seeded API. *)
+        Some "use Harmony_numerics.Rng (explicit seeded state)"
+    | [ "Sys"; "time" ]
+    | [ "Unix"; ("gettimeofday" | "time" | "localtime" | "gmtime") ] ->
+        Some "use the simulated clock (Harmony_des.Sim / Measure's clock)"
+    | _ -> None
+  in
+  Option.map
+    (Printf.sprintf "ambient nondeterminism `%s`; %s" (Sem_util.dotted path))
+    hint
+
+let t1_table path =
+  let instead =
+    match path with
+    | [ "List"; ("hd" | "tl" | "nth" | "find" | "assoc" | "assq") ]
+    | [ "Queue"; ("pop" | "take" | "peek" | "top") ]
+    | [ "Stack"; ("pop" | "top") ] ->
+        Some (Sem_util.dotted path ^ "_opt")
+    | [ "Option"; "get" ] -> Some "pattern-match on the option"
+    | [ "Hashtbl"; "find" ] -> Some "Hashtbl.find_opt"
+    | _ -> None
+  in
+  Option.map
+    (Printf.sprintf "raising partial `%s`; use %s" (Sem_util.dotted path))
+    instead
+
+let p1_table path =
+  match path with
+  | [ "Printf"; ("printf" | "eprintf") ]
+  | [ "Format"; ("printf" | "eprintf" | "print_string" | "print_newline") ]
+  | [ "Format"; ("std_formatter" | "err_formatter") ]
+  | [ ( "print_string" | "print_endline" | "print_newline" | "print_char"
+      | "print_int" | "print_float" | "print_bytes" ) ]
+  | [ ( "prerr_string" | "prerr_endline" | "prerr_newline" | "prerr_char"
+      | "prerr_int" | "prerr_float" | "prerr_bytes" ) ] ->
+      Some
+        (Printf.sprintf
+           "printing side effect `%s` in a hot evaluation path; use logs (or \
+            return data and print at the edge)"
+           (Sem_util.dotted path))
+  | _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* D2: module-toplevel mutable state *)
+
+let d2_table path =
+  let what =
+    match path with
+    | [ "ref" ] -> Some "ref cell"
+    | [ "Hashtbl"; "create" ] -> Some "hash table"
+    | [ "Buffer"; "create" ] -> Some "buffer"
+    | [ "Queue"; "create" ] -> Some "queue"
+    | [ "Stack"; "create" ] -> Some "stack"
+    | [ "Atomic"; "make" ] -> Some "atomic cell"
+    | [ "Mutex"; "create" ] -> Some "mutex"
+    | [ "Array"; ("make" | "create_float") ] -> Some "mutable array"
+    | [ "Bytes"; ("create" | "make") ] -> Some "mutable bytes"
+    | _ -> None
+  in
+  Option.map
+    (fun what ->
+      Printf.sprintf
+        "module-toplevel mutable state (%s via `%s`); shared across Pool \
+         domains — pass state explicitly instead"
+        what (Sem_util.dotted path))
+    what
+
+(* [Tstr_value] at every structure level — nested and local modules
+   included — is exactly the scope where a binding outlives any one
+   task; function-local [let]s are expressions and never reach it. *)
+let run_d2 ~aliases (str : structure) =
+  let diags = ref [] in
+  let check (vb : value_binding) =
+    match vb.vb_expr.exp_desc with
+    | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _) -> (
+        match Option.bind (Sem_util.resolve ~aliases p) d2_table with
+        | Some message ->
+            diags :=
+              Lint_diag.make ~rule:"D2" ~severity:d2.severity ~loc:vb.vb_loc
+                message
+              :: !diags
+        | None -> ())
+    | _ -> ()
+  in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      structure_item =
+        (fun sub item ->
+          (match item.str_desc with
+          | Tstr_value (_, vbs) -> List.iter check vbs
+          | _ -> ());
+          Tast_iterator.default_iterator.structure_item sub item);
+    }
+  in
+  it.structure it str;
+  !diags
+
+(* ------------------------------------------------------------------ *)
+(* S3: polymorphic comparison *)
+
+let poly_cmp_ops = [ "compare"; "="; "<>"; "=="; "!="; "min"; "max" ]
+
+let run_s3 ~(summary : Sem_summary.t) ~aliases ~modname (str : structure) =
+  let diags = ref [] in
+  let flag ~loc message =
+    diags :=
+      Lint_diag.make ~rule:"S3" ~severity:s3.severity ~loc message :: !diags
+  in
+  iter_exprs str (fun e ->
+      match e.exp_desc with
+      | Texp_ident (p, _, _) -> (
+          match Sem_util.resolve ~aliases p with
+          | Some [ op ] when List.mem op poly_cmp_ops -> (
               match Sem_util.arrow_args e.exp_type with
               | a :: _ when Sem_summary.is_float summary ~modname a ->
                   let shown =
@@ -547,14 +807,15 @@ let run_s3 ~(summary : Sem_summary.t) ~modname (str : structure) =
                           (Sem_util.dotted (Sem_util.norm_path tp))
                     | _ -> "float"
                   in
-                  diags :=
-                    Lint_diag.make ~rule:"S3" ~severity:s3.severity
-                      ~loc:e.exp_loc
-                      (Printf.sprintf
-                         "polymorphic %s used at %s; NaN breaks ordering — \
-                          use Float.compare or explicit epsilon logic"
-                         op shown)
-                    :: !diags
+                  flag ~loc:e.exp_loc
+                    (Printf.sprintf
+                       "polymorphic %s used at %s; NaN breaks ordering — use \
+                        Float.compare or explicit epsilon logic"
+                       op shown)
+              | _ when String.equal op "compare" ->
+                  flag ~loc:e.exp_loc
+                    "polymorphic `compare`; use Float.compare / Int.compare / \
+                     String.compare or an explicit comparator"
               | _ -> ())
           | _ -> ())
       | _ -> ());
@@ -563,11 +824,7 @@ let run_s3 ~(summary : Sem_summary.t) ~modname (str : structure) =
 (* ------------------------------------------------------------------ *)
 (* S4: handler totality *)
 
-let s4_files = [ "server.ml"; "service.ml"; "session.ml"; "admission.ml" ]
-
-let s4_applies path = List.mem (Filename.basename path) s4_files
-
-let run_s4 (str : structure) =
+let run_s4 ~aliases (str : structure) =
   let diags = ref [] in
   let flag ~loc fmt =
     Format.kasprintf
@@ -593,14 +850,18 @@ let run_s4 (str : structure) =
             "assert false in a protocol handler module (return an error \
              reply instead)"
       | Texp_ident (p, _, _) -> (
-          match Sem_util.norm_path p with
-          | [ ("failwith" | "exit") as f ] ->
+          match Sem_util.resolve ~aliases p with
+          | Some [ ("failwith" | "exit") as f ] ->
               flag ~loc:e.exp_loc
                 "%s in a protocol handler module (handlers must not abort)" f
+          | Some [ "Obj"; "magic" ] ->
+              flag ~loc:e.exp_loc "Obj.magic defeats every static guarantee"
           | _ -> ())
-      | Texp_apply (f, args) -> (
-          match (Sem_util.expr_key f, List.filter_map snd args) with
-          | Some ("raise" | "raise_notrace"), [ arg ] -> (
+      | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) -> (
+          match
+            (Sem_util.resolve ~aliases p, List.filter_map snd args)
+          with
+          | Some [ ("raise" | "raise_notrace") ], [ arg ] -> (
               match arg.exp_desc with
               | Texp_construct (_, cd, _)
                 when cd.cstr_name <> "Invalid_argument" ->
@@ -632,9 +893,19 @@ let run ?(rules = all) ~(summary : Sem_summary.t) units =
   let per_unit =
     List.concat_map
       (fun (modname, path, str) ->
-        (if want "S1" then run_s1 ~modname ~path str else [])
-        @ (if want "S3" then run_s3 ~summary ~modname str else [])
-        @ (if want "S4" && s4_applies path then run_s4 str else []))
+        let aliases = module_aliases str in
+        let by_table rule table applies =
+          if want rule.id && applies then run_table rule table ~aliases str
+          else []
+        in
+        let in_lib = under "lib" path in
+        by_table d1 d1_table in_lib
+        @ (if want "D2" && in_lib then run_d2 ~aliases str else [])
+        @ by_table t1 t1_table in_lib
+        @ by_table p1 p1_table (p1_applies path)
+        @ (if want "S1" then run_s1 ~modname ~path str else [])
+        @ (if want "S3" then run_s3 ~summary ~aliases ~modname str else [])
+        @ if want "S4" && s4_applies path then run_s4 ~aliases str else [])
       units
   in
   let global = if want "S2" then run_s2 ~summary units else [] in

@@ -119,10 +119,6 @@ let callee_keys p =
   let l = Sem_util.norm_path p in
   List.sort_uniq String.compare [ Sem_util.dotted l; Sem_util.last2 l ]
 
-let lookup_fn t p =
-  List.find_map (fun k -> Hashtbl.find_opt t.fns k |> Option.map (fun i -> (k, i)))
-    (callee_keys p)
-
 (* Transitive closure of acquires through calls.  The graph is tiny
    (one node per top-level function), so a plain iterate-to-fixpoint
    is fine. *)
@@ -157,5 +153,3 @@ let may_acquire_keys t keys =
   match List.find_map (fun k -> Hashtbl.find_opt t.may_acquire k) keys with
   | Some locks -> locks
   | None -> []
-
-let may_acquire t p = may_acquire_keys t (callee_keys p)

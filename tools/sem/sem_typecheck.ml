@@ -11,6 +11,9 @@ let initialized = ref false
 
 let init () =
   if not !initialized then begin
+    (* Fixtures may name Unix (D1 bans its clocks), which ships in its
+       own directory next to the stdlib. *)
+    Clflags.include_dirs := "+unix" :: !Clflags.include_dirs;
     Compmisc.init_path ();
     ignore (Warnings.parse_options false "-a");
     ignore (Warnings.parse_options true "-a");

@@ -1,6 +1,6 @@
-(* Shared helpers for the typedtree analyses: path normalization,
-   type-expression destructors, and location plumbing.  Everything
-   here is pure and total. *)
+(* Shared helpers for the typedtree analyses: path normalization and
+   resolution, and type-expression destructors.  Everything here is
+   pure and total. *)
 
 open Types
 
@@ -31,6 +31,29 @@ let norm_path p =
   match l with "Stdlib" :: (_ :: _ as rest) -> rest | l -> l
 
 let dotted l = String.concat "." l
+
+(* A value path as the stdlib spells it, when its head is a
+   compilation unit: [Stdlib.List.hd], [Stdlib__List.hd] and
+   [Unix.time] read [List.hd] and [Unix.time].  The unit's own module
+   aliases are expanded first: with [module R = Random] in [aliases]
+   (unique ident name -> aliased path), [R.int] reads [Random.int].
+   [open] and [let open] need no expansion — the typechecker already
+   resolved the names they bring into scope.  [None] for a path rooted
+   in a local module or value: a local [List] that shadows the
+   stdlib's is not the stdlib's. *)
+let resolve ~aliases p =
+  let rec go = function
+    | Path.Pident id when Ident.global id -> Some [ Ident.name id ]
+    | Path.Pident id ->
+        Option.bind (Hashtbl.find_opt aliases (Ident.unique_name id)) go
+    | Path.Pdot (p, s) -> Option.map (fun l -> l @ [ s ]) (go p)
+    | Path.Papply _ | Path.Pextra_ty _ -> None
+  in
+  match go p with
+  | Some ("Stdlib" :: (_ :: _ as rest)) -> Some rest
+  | Some (m :: rest) when String.starts_with ~prefix:"Stdlib__" m ->
+      Some (normalize_modname m :: rest)
+  | l -> l
 
 (* The last two components as ["Mod.name"] (or just ["name"] for a
    bare ident) — the matching currency for operation tables, which
@@ -69,14 +92,3 @@ let expr_path (e : Typedtree.expression) =
   match e.exp_desc with Texp_ident (p, _, _) -> Some p | _ -> None
 
 let expr_key e = Option.map key_of_path (expr_path e)
-
-let diag ~rule ~severity ~(file : string) ~(loc : Location.t) fmt =
-  Format.kasprintf
-    (fun message ->
-      let d = Lint_diag.make ~rule ~severity ~loc message in
-      (* cmt locations carry the repo-relative source path already,
-         but fall back to the unit's path for ghost locations. *)
-      if d.Lint_diag.file = "_none_" || d.Lint_diag.file = "" then
-        { d with Lint_diag.file }
-      else d)
-    fmt

@@ -40,9 +40,12 @@ let load path =
           Printf.eprintf "harmony_trace: %s: %s\n" path e;
           exit 2
       | Ok t ->
-          if t.Trace_core.dropped > 0 then
-            Printf.eprintf "harmony_trace: %s: skipped %d unparsable lines\n"
-              path t.Trace_core.dropped;
+          Option.iter
+            (fun first ->
+              Printf.eprintf
+                "harmony_trace: %s: skipped %d malformed records (first: %s)\n"
+                path t.Trace_core.dropped first)
+            t.Trace_core.malformed;
           t)
 
 let attribute args =

@@ -56,7 +56,8 @@ type segment = {
 
 type t = {
   segments : segment list;
-  dropped : int;  (* unparsable lines skipped by the loader *)
+  dropped : int;  (* malformed records skipped by the loader *)
+  malformed : string option;  (* the first of them, "line N: reason" *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -91,6 +92,7 @@ type builder = {
   mutable bhists : histogram list;
   mutable bsegs : segment list;  (* reversed *)
   mutable bdropped : int;
+  mutable bmalformed : string option;
 }
 
 let new_builder () =
@@ -103,6 +105,7 @@ let new_builder () =
     bhists = [];
     bsegs = [];
     bdropped = 0;
+    bmalformed = None;
   }
 
 let segment_empty b =
@@ -175,39 +178,52 @@ let note_shard b j =
           b.bname <- Printf.sprintf "shard%d" s);
       b.bshard <- Some s
 
-let add_line b line =
+(* Skip malformed record [what n], remembering the first one's reason. *)
+let skip b what n reason =
+  b.bdropped <- b.bdropped + 1;
+  if Option.is_none b.bmalformed then
+    b.bmalformed <- Some (Printf.sprintf "%s %d: %s" what n reason)
+
+(* Every record names its type and carries a name. *)
+let add_line b lineno line =
   let line = String.trim line in
   if String.equal line "" then ()
   else
     match Tjson.parse line with
-    | Error _ -> b.bdropped <- b.bdropped + 1
+    | Error msg -> skip b "line" lineno msg
     | Ok j -> (
-        match str_field "type" j with
-        | "segment" ->
-            flush_segment b;
-            b.bname <- str_field "name" j;
-            b.bshard <- None
-        | "begin" ->
-            note_shard b j;
-            b.bevents <- event_of_json Begin j :: b.bevents
-        | "end" ->
-            note_shard b j;
-            b.bevents <- event_of_json End j :: b.bevents
-        | "instant" ->
-            note_shard b j;
-            b.bevents <- event_of_json Instant j :: b.bevents
-        | "counter" ->
-            b.bcounters <- (str_field "name" j, num_field "value" j) :: b.bcounters
-        | "gauge" ->
-            b.bgauges <- (str_field "name" j, num_field "value" j) :: b.bgauges
-        | "histogram" -> b.bhists <- histogram_of_json j :: b.bhists
-        | _ -> b.bdropped <- b.bdropped + 1)
+        let field key = Option.bind (Tjson.member key j) Tjson.to_str in
+        match (field "type", field "name") with
+        | None, _ | _, None -> skip b "line" lineno "missing type or name"
+        | Some kind, Some name -> (
+            match kind with
+            | "segment" ->
+                flush_segment b;
+                b.bname <- name;
+                b.bshard <- None
+            | "begin" ->
+                note_shard b j;
+                b.bevents <- event_of_json Begin j :: b.bevents
+            | "end" ->
+                note_shard b j;
+                b.bevents <- event_of_json End j :: b.bevents
+            | "instant" ->
+                note_shard b j;
+                b.bevents <- event_of_json Instant j :: b.bevents
+            | "counter" ->
+                b.bcounters <- (name, num_field "value" j) :: b.bcounters
+            | "gauge" -> b.bgauges <- (name, num_field "value" j) :: b.bgauges
+            | "histogram" -> b.bhists <- histogram_of_json j :: b.bhists
+            | _ -> skip b "line" lineno (Printf.sprintf "unknown record type %S" kind)))
+
+let finish b =
+  flush_segment b;
+  { segments = List.rev b.bsegs; dropped = b.bdropped; malformed = b.bmalformed }
 
 let of_jsonl text =
   let b = new_builder () in
-  List.iter (add_line b) (String.split_on_char '\n' text);
-  flush_segment b;
-  { segments = List.rev b.bsegs; dropped = b.bdropped }
+  List.iteri (fun i line -> add_line b (i + 1) line) (String.split_on_char '\n' text);
+  finish b
 
 (* Chrome trace_event JSON: one object with a traceEvents list; B/E/i
    phases map onto begin/end/instant, trailing C events onto gauges. *)
@@ -216,8 +232,8 @@ let of_chrome text =
   | Error e -> Error e
   | Ok j ->
       let b = new_builder () in
-      List.iter
-        (fun ev ->
+      List.iteri
+        (fun i ev ->
           match str_field "ph" ev with
           | "B" -> b.bevents <- event_of_json Begin ev :: b.bevents
           | "E" -> b.bevents <- event_of_json End ev :: b.bevents
@@ -229,10 +245,9 @@ let of_chrome text =
                 | None -> 0.0
               in
               b.bgauges <- (str_field "name" ev, v) :: b.bgauges
-          | _ -> b.bdropped <- b.bdropped + 1)
+          | ph -> skip b "event" (i + 1) (Printf.sprintf "unknown phase %S" ph))
         (list_field "traceEvents" j);
-      flush_segment b;
-      Ok { segments = List.rev b.bsegs; dropped = b.bdropped }
+      Ok (finish b)
 
 let of_string text =
   (* A Chrome trace is a single JSON object; JSONL never starts with a
@@ -742,6 +757,75 @@ let render_top t =
                    (match hist_quantile h 0.99 with None -> "-" | Some b -> fg b)))
             seg.histograms)
     t.segments;
+  Buffer.contents buf
+
+(* The whole-trace summary: one span stack over every event in record
+   order (segments included), per-name aggregates sorted by name, and
+   the metrics in record order, stably sorted by name. *)
+type span_acc = {
+  mutable s_count : int;
+  mutable s_total : float;
+  mutable s_max : float;
+}
+
+let render_stats t =
+  let events = List.concat_map (fun seg -> seg.events) t.segments in
+  let spans : (string, span_acc) Hashtbl.t = Hashtbl.create 16 in
+  let instants : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let unmatched = ref 0 in
+  let stack = ref [] in
+  List.iter
+    (fun e ->
+      match e.kind with
+      | Begin -> stack := (e.name, e.ts) :: !stack
+      | End -> (
+          match !stack with
+          | (name, start) :: rest when String.equal name e.name ->
+              stack := rest;
+              let d = e.ts -. start in
+              let a =
+                match Hashtbl.find_opt spans name with
+                | Some a -> a
+                | None ->
+                    let a = { s_count = 0; s_total = 0.0; s_max = 0.0 } in
+                    Hashtbl.replace spans name a;
+                    a
+              in
+              a.s_count <- a.s_count + 1;
+              a.s_total <- a.s_total +. d;
+              a.s_max <- Float.max a.s_max d
+          | _ :: _ | [] -> incr unmatched)
+      | Instant ->
+          Hashtbl.replace instants e.name
+            (1 + Option.value ~default:0 (Hashtbl.find_opt instants e.name)))
+    events;
+  let by_name l = List.stable_sort (fun (a, _) (b, _) -> String.compare a b) l in
+  let sorted tbl = by_name (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
+  let metrics f = by_name (List.concat_map f t.segments) in
+  let buf = Buffer.create 1024 in
+  let section title rows row =
+    if rows <> [] then begin
+      Printf.bprintf buf "\n%s:\n" title;
+      List.iter row rows
+    end
+  in
+  Printf.bprintf buf "events: %d\n" (List.length events);
+  let unmatched = !unmatched + List.length !stack in
+  if unmatched > 0 then Printf.bprintf buf "unmatched spans: %d\n" unmatched;
+  section "spans (count / total / mean / max)" (sorted spans) (fun (name, a) ->
+      Printf.bprintf buf "  %-28s %6d  %10.3f %10.3f %10.3f\n" name a.s_count
+        a.s_total
+        (a.s_total /. float_of_int a.s_count)
+        a.s_max);
+  section "instants" (sorted instants) (fun (name, n) ->
+      Printf.bprintf buf "  %-28s %6d\n" name n);
+  section "counters" (metrics (fun seg -> seg.counters)) (fun (name, v) ->
+      Printf.bprintf buf "  %-28s %6d\n" name (int_of_float v));
+  section "gauges" (metrics (fun seg -> seg.gauges)) (fun (name, v) ->
+      Printf.bprintf buf "  %-28s %10.3f\n" name v);
+  section "histograms (count / sum)"
+    (metrics (fun seg -> List.map (fun h -> (h.h_name, h)) seg.histograms))
+    (fun (name, h) -> Printf.bprintf buf "  %-28s %6d %10.3f\n" name h.h_count h.h_sum);
   Buffer.contents buf
 
 let render_diff ta a tb b =

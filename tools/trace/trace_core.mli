@@ -38,7 +38,12 @@ type segment = {
 
 type t = {
   segments : segment list;
-  dropped : int;  (** unparsable lines skipped by the loader *)
+  dropped : int;
+      (** malformed records skipped by the loader: unparsable JSON, a
+          missing type or name, an unknown type *)
+  malformed : string option;
+      (** the first of them, as ["line N: reason"] (["event N: ..."]
+          in a Chrome trace) *)
 }
 
 (** Parse a trace from raw text.  A single JSON object with a
@@ -138,6 +143,14 @@ val render_self : t -> string
 (** Metrics snapshot: counters, gauges and histogram quantiles per
     segment. *)
 val render_top : t -> string
+
+(** The whole-trace summary [harmony_cli stats] prints: event count,
+    per-name span count / total / mean / max, instant counts, and the
+    counters, gauges and histograms (count / sum), each sorted by
+    name.  Spans pair up on one stack over the events in record
+    order, across segments; an end that does not close the innermost
+    open span, and a span still open at the end, count as unmatched. *)
+val render_stats : t -> string
 
 val render_diff : t -> attribution -> t -> attribution -> string
 
