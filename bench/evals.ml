@@ -5,7 +5,8 @@
    tuning-shaped stream, bytes allocated per message and write
    amplification of a journaled service, minor words per data-analyzer
    seed pick, and minor words per message that shard telemetry adds to
-   an in-memory service.  The numbers back the before/after tables
+   an in-memory service; and the exact fsyncs per message of the
+   journaled service.  The numbers back the before/after tables
    in EXPERIMENTS.md and guard the allocation discipline in CI:
 
      dune exec bench/evals.exe                      print the table
@@ -18,7 +19,8 @@
                                                     telemetry words/message
                                                     regressed >2x over
                                                     the recorded
-                                                    baseline
+                                                    baseline, or fsyncs/
+                                                    message rose at all
      dune exec bench/evals.exe -- --write-baseline FILE
 
    A Chrome trace with every measured figure lands in BENCH_6.json
@@ -169,13 +171,17 @@ let des_batch_figures ?pool () =
    call carries every live client's next message (register, a report
    per assignment, deregister after [done]); a client that leaves is
    replaced by a new one.  Returns bytes allocated per message,
-   messages per second and the log's write amplification: (journal
-   bytes + snapshot bytes) / journal bytes.  Bytes allocated come from
+   messages per second, the log's write amplification: (journal
+   bytes + snapshot bytes) / journal bytes, and journal fsyncs per
+   message.  Group commit makes the last one exact: two per shard per
+   call (the recvs before applying, the replies after), 8 / 64 here;
+   a snapshot's own fsyncs are not the journal sink's.  Bytes allocated come from
    [Gc.allocated_bytes], which unlike minor words also counts what is
    allocated straight in the major heap, such as a snapshot-sized
-   string.  Journal bytes are counted by a sink wrapper on every shard,
-   and each shard's snapshot is sized at every journal reset, i.e. once
-   per compaction; all three figures cover the timed calls only. *)
+   string.  Journal bytes and fsyncs are counted by a sink wrapper on
+   every shard, and each shard's snapshot is sized at every journal
+   reset, i.e. once per compaction; all four figures cover the timed
+   calls only. *)
 let wal_spec =
   "{ harmonyBundle P0 { int {1 16 1} }}\n\
    { harmonyBundle P1 { int {1 20-$P0 1} }}\n\
@@ -241,19 +247,23 @@ let wal_figures () =
   let journal = Filename.concat dir "service.journal" in
   let service = Service.create ~options:service_options ~shards () in
   let counting = ref false in
-  let journal_bytes = ref 0 and snapshot_bytes = ref 0 in
+  let journal_bytes = ref 0 and snapshot_bytes = ref 0 and fsyncs = ref 0 in
   let meter ~shard (sink : Persist.sink) =
     let snapshot = Service.shard_journal ~journal ~shard ^ ".snapshot" in
     let write s =
       sink.Persist.write s;
       if !counting then journal_bytes := !journal_bytes + String.length s
     in
+    let sync () =
+      sink.Persist.sync ();
+      if !counting then incr fsyncs
+    in
     let reset () =
       sink.Persist.reset ();
       if !counting then
         snapshot_bytes := !snapshot_bytes + (Unix.stat snapshot).Unix.st_size
     in
-    { sink with Persist.write; reset }
+    { sink with Persist.write; sync; reset }
   in
   Service.attach_journals ~wrap:meter service ~journal ();
   let call = closed_loop service ~live in
@@ -283,7 +293,10 @@ let wal_figures () =
     float_of_int (!journal_bytes + !snapshot_bytes)
     /. float_of_int (max 1 !journal_bytes)
   in
-  (bytes /. messages, messages /. Float.max 1e-9 elapsed, amplification)
+  ( bytes /. messages,
+    messages /. Float.max 1e-9 elapsed,
+    amplification,
+    float_of_int !fsyncs /. messages )
 
 (* Minor words per message that shard telemetry adds to an in-memory
    service: 4 shards, 64 live clients, admission at its defaults, the
@@ -381,7 +394,7 @@ let json_number ~key text =
       float_of_string_opt (Buffer.contents b)
 
 let baseline_json ~mva ~faults ~des ~batch ~des_batch ~wal_bytes
-    ~wal_amplification ~analyzer ~service_telemetry =
+    ~wal_amplification ~wal_fsyncs ~analyzer ~service_telemetry =
   Printf.sprintf
     "{\n\
     \  \"mva_words_per_eval\": %.1f,\n\
@@ -393,18 +406,34 @@ let baseline_json ~mva ~faults ~des ~batch ~des_batch ~wal_bytes
     \  \"des_batch_evals_per_sec\": %.0f,\n\
     \  \"wal_bytes_per_msg\": %.0f,\n\
     \  \"wal_write_amplification\": %.2f,\n\
+    \  \"wal_fsyncs_per_msg\": %.3f,\n\
     \  \"analyzer_words_per_prepare\": %.0f,\n\
     \  \"service_telemetry_words_per_msg\": %.1f\n\
      }\n"
     mva.words_per_eval mva.evals_per_sec faults.words_per_eval des.words_per_eval
     des.evals_per_sec batch.evals_per_sec des_batch.evals_per_sec wal_bytes
-    wal_amplification analyzer.words_per_eval service_telemetry
+    wal_amplification wal_fsyncs analyzer.words_per_eval service_telemetry
 
 let check ~baseline_file ~mva ~faults ~des ~wal_bytes ~wal_amplification
-    ~analyzer ~service_telemetry =
+    ~wal_fsyncs ~analyzer ~service_telemetry =
   let text = In_channel.with_open_text baseline_file In_channel.input_all in
+  (* An exact count, gated exactly: any fsync beyond the group-commit
+     count is a regression. *)
+  let fsync_verdict =
+    match json_number ~key:"wal_fsyncs_per_msg" text with
+    | None -> [ "wal: baseline key wal_fsyncs_per_msg missing" ]
+    | Some recorded when wal_fsyncs > recorded +. 1e-9 ->
+        [
+          Printf.sprintf
+            "wal: %.4f fsyncs/message exceeds the recorded group-commit count \
+             %.4f"
+            wal_fsyncs recorded;
+        ]
+    | Some _ -> []
+  in
   let verdicts =
-    List.filter_map
+    fsync_verdict
+    @ List.filter_map
       (fun (label, key, unit, measured) ->
         match json_number ~key text with
         | None ->
@@ -483,7 +512,9 @@ let () =
         ( timed "batch-pool" (fun () -> batch_figures ~pool ()),
           timed "des-batch" (fun () -> des_batch_figures ~pool ()) ))
   in
-  let wal_bytes, wal_per_sec, wal_amplification = timed "wal" wal_figures in
+  let wal_bytes, wal_per_sec, wal_amplification, wal_fsyncs =
+    timed "wal" wal_figures
+  in
   let analyzer = timed "analyzer" analyzer_figures in
   let service_telemetry =
     timed "service-telemetry" service_telemetry_figures
@@ -520,6 +551,10 @@ let () =
     wal_amplification;
   Printf.printf "%-18s (bytes/message, messages/sec, write amplification: \
                  journaled service, 4 shards x 64 clients)\n" "";
+  Printf.printf "%-18s %12.4f\n" "wal-fsyncs" wal_fsyncs;
+  Printf.printf "%-18s (journal fsyncs/message, same run: exact; group \
+                 commit is 2 per shard per call)\n" "";
+  Telemetry.gauge telemetry "evals.wal.fsyncs_per_msg" wal_fsyncs;
   Telemetry.gauge telemetry "evals.wal.bytes_per_msg" wal_bytes;
   Telemetry.gauge telemetry "evals.wal.per_sec" wal_per_sec;
   Telemetry.gauge telemetry "evals.wal.write_amplification" wal_amplification;
@@ -541,10 +576,11 @@ let () =
       Out_channel.with_open_text file (fun oc ->
           Out_channel.output_string oc
             (baseline_json ~mva ~faults ~des ~batch:batch_pool ~des_batch
-               ~wal_bytes ~wal_amplification ~analyzer ~service_telemetry));
+               ~wal_bytes ~wal_amplification ~wal_fsyncs ~analyzer
+               ~service_telemetry));
       Printf.printf "baseline written to %s\n" file);
   match !check_file with
   | None -> ()
   | Some file ->
       check ~baseline_file:file ~mva ~faults ~des ~wal_bytes
-        ~wal_amplification ~analyzer ~service_telemetry
+        ~wal_amplification ~wal_fsyncs ~analyzer ~service_telemetry

@@ -2,6 +2,7 @@ open Harmony_param
 open Harmony_objective
 module Telemetry = Harmony_telemetry.Telemetry
 module Export = Harmony_telemetry.Export
+module Text = Harmony_persist.Text
 
 type direction = Minimize | Maximize
 
@@ -256,26 +257,55 @@ let parse_message text =
       | [ "register"; "max" ] -> Ok (Register { spec = ""; direction = Maximize })
       | _ -> Error ("unknown command: " ^ text))
 
+(* Replies and messages are rendered for every message a service
+   handles, and twice more for each one it journals, so they are built
+   directly into one buffer: no [Printf] and no intermediate strings
+   (DESIGN.md §12).  The bytes are those of the [Printf] formats
+   [assign %s=%d ...] and [done %s=%d ... perf=%g]. *)
+
+(* ["n1=v1 n2=v2 ..."] *)
+let assignment_length assignment =
+  List.fold_left
+    (fun len (name, v) -> len + 1 + String.length name + 1 + Text.int_length v)
+    (-1) assignment
+
+let blit_assignment b pos assignment =
+  let pair pos (name, v) =
+    Text.blit_int b (Text.blit_string b (Text.blit_string b pos name) "=") v
+  in
+  match assignment with
+  | [] -> pos
+  | first :: rest ->
+      List.fold_left
+        (fun pos p -> pair (Text.blit_string b pos " ") p)
+        (pair pos first) rest
+
+let render_assignment ~prefix ?(suffix = "") assignment =
+  let b =
+    Bytes.create
+      (String.length prefix
+      + max 0 (assignment_length assignment)
+      + String.length suffix)
+  in
+  let pos = blit_assignment b (Text.blit_string b 0 prefix) assignment in
+  ignore (Text.blit_string b pos suffix : int);
+  Bytes.unsafe_to_string b
+
 let reply_to_string = function
-  | Assign assignment ->
-      "assign "
-      ^ String.concat " "
-          (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) assignment)
+  | Assign assignment -> render_assignment ~prefix:"assign " assignment
   | Done { best; performance } ->
-      Printf.sprintf "done %s perf=%g"
-        (String.concat " " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) best))
-        performance
+      render_assignment ~prefix:"done " best
+        ~suffix:(" perf=" ^ Text.float_g performance)
   | Rejected msg -> "error " ^ msg
   | Stats text -> "stats\n" ^ String.trim text
 
 let message_to_string = function
-  | Register { spec; direction } ->
-      let dir = match direction with Minimize -> "min" | Maximize -> "max" in
-      "register " ^ dir ^ "\n" ^ spec
+  | Register { spec; direction = Minimize } -> "register min\n" ^ spec
+  | Register { spec; direction = Maximize } -> "register max\n" ^ spec
   | Query -> "query"
   (* %.17g round-trips every float through [parse_message] exactly, so
      replaying a journaled report feeds the controller the same bits. *)
-  | Report performance -> Printf.sprintf "report %.17g" performance
+  | Report performance -> "report " ^ Text.float_17g performance
   | Report_failed -> "report failed"
   | Metrics -> "metrics"
 

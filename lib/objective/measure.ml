@@ -319,7 +319,10 @@ let robust ?(telemetry = Telemetry.off) ?(policy = default_policy)
   let faults_c = Telemetry.counter reg c_faults in
   let give_ups = Telemetry.counter reg c_give_ups in
   let backoff = Telemetry.histogram reg ~bounds:backoff_bounds h_backoff in
-  let eval c =
+  (* One logical measurement and its counts.  [gauge] sets the backoff
+     gauge, a string-keyed registry write plus a clock read: the direct
+     path sets it every time, a batch only once after its join. *)
+  let measure_counted ~gauge c =
     let result, attempts, retries, faults, slept =
       measure_one ~policy ~clock obj c
     in
@@ -329,19 +332,22 @@ let robust ?(telemetry = Telemetry.off) ?(policy = default_policy)
         Telemetry.add retries_c retries;
         Telemetry.add faults_c faults;
         Telemetry.observe_into backoff slept;
-        Telemetry.gauge reg g_backoff (Clock.now clock -. handle.clock_start);
+        if gauge then
+          Telemetry.gauge reg g_backoff (Clock.now clock -. handle.clock_start);
         match result with
         | Ok _ -> ()
         | Error _ -> Telemetry.add give_ups 1);
     match result with Ok v -> v | Error _ -> penalty
   in
+  let eval c = measure_counted ~gauge:true c in
+  let eval_in_batch c = measure_counted ~gauge:false c in
   (* Batched measurements group by configuration (the per-config
      attempt sequence is the ordered resource); counter increments
-     commute, and the backoff gauge is re-set once after the batch so
-     its final value is the deterministic total, not whichever task
-     happened to write last. *)
+     commute, and the backoff gauge is set once after the batch so its
+     value is the deterministic total, not whichever task happened to
+     write last, and no measurement pays for a value nobody reads. *)
   let batch disp configs =
-    let results = Objective.batch_by_key obj eval disp configs in
+    let results = Objective.batch_by_key obj eval_in_batch disp configs in
     Mutex.protect lock (fun () ->
         Telemetry.gauge reg g_backoff (Clock.now clock -. handle.clock_start));
     results

@@ -12,11 +12,14 @@ let crc_table =
       done;
       !c)
 
+(* A plain loop, not [String.iter]: no closure and no boxed ref per
+   call.  The table index is masked to a byte. *)
 let crc32 s =
   let c = ref mask in
-  String.iter
-    (fun ch -> c := crc_table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
-    s;
+  for i = 0 to String.length s - 1 do
+    let byte = Char.code (String.unsafe_get s i) in
+    c := Array.unsafe_get crc_table ((!c lxor byte) land 0xFF) lxor (!c lsr 8)
+  done;
   !c lxor mask land mask
 
 let header_size = 8

@@ -10,12 +10,21 @@ let open_file ?(wrap = Fun.id) path =
   let sink = wrap (Persist.file_sink ~trim_to:scan.Frame.valid_bytes path) in
   (scan, { sink; records = List.length scan.Frame.records })
 
-let append t payload =
-  let frame = Frame.encode payload in
-  t.sink.Persist.write frame;
+let commit t bytes frames =
+  t.sink.Persist.write bytes;
   t.sink.Persist.sync ();
-  t.records <- t.records + 1;
-  frame
+  t.records <- t.records + List.length frames;
+  frames
+
+(* Every payload is framed before anything is written (an oversize one
+   raises first), and the group's frames go down in one write, so a
+   crash mid-write tears only a suffix of the group, which the next
+   scan drops. *)
+let append t payloads =
+  match List.map Frame.encode payloads with
+  | [] -> []
+  | [ frame ] as frames -> commit t frame frames
+  | _ :: _ :: _ as frames -> commit t (String.concat "" frames) frames
 
 let records t = t.records
 

@@ -1,8 +1,9 @@
 (** Append-only write-ahead journal of framed records.
 
-    One record per {!append}, length+CRC framed ({!Frame}), fsync'd
-    before the call returns: once [append] comes back, that record
-    survives a crash.  Opening an existing journal decodes the
+    Records are length+CRC framed ({!Frame}) and appended in groups:
+    one {!append} writes a whole group with one write and one fsync
+    before it returns, so once [append] comes back every record of the
+    group survives a crash.  Opening an existing journal decodes the
     longest valid prefix and truncates the file to it, so a torn tail
     from a previous crash can never sit in front of new appends. *)
 
@@ -20,9 +21,14 @@ val open_file :
 val of_sink : Persist.sink -> t
 (** Journal over an arbitrary sink (in-memory tests). *)
 
-val append : t -> string -> string
-(** Frame, write, fsync; returns the frame, so a caller that keeps the
-    record encodes it only once.  Durable when it returns.
+val append : t -> string list -> string list
+(** Frame each payload, write the frames in order with one write, then
+    fsync once; returns the frames, in order, so a caller that keeps
+    the records encodes each only once.  Durable when it returns.  An
+    empty group writes nothing and does not fsync.  A crash mid-write
+    leaves a prefix of the group, possibly with a torn last record.
+    @raise Invalid_argument when a payload exceeds
+    {!Frame.max_payload} (nothing is written).
     @raise Persist.Crashed from a fault sink; I/O errors propagate —
     a journal that cannot persist must not pretend it did. *)
 

@@ -49,11 +49,13 @@ let oversize payload =
          "message too large: its journal record would exceed %d bytes"
          Frame.max_payload)
 
-let append t ~seq payload =
-  let frame = Journal.append t.journal payload in
+let append t ~seq payloads =
+  let frames = Journal.append t.journal payloads in
   t.seq <- seq;
-  t.journal_bytes <- t.journal_bytes + String.length frame;
-  frame
+  t.journal_bytes <-
+    List.fold_left (fun n frame -> n + String.length frame) t.journal_bytes
+      frames;
+  frames
 
 let keep t ~owner frame =
   let o =

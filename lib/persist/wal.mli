@@ -11,7 +11,8 @@
     matter for replay, each tagged with the owner whose history it
     belongs to.
 
-    Each record is framed once, when it is journaled ({!append}), and
+    Records are journaled in groups, one write and one fsync per group
+    ({!append}).  Each record is framed once, when it is journaled, and
     that frame is what the caller {!keep}s.  {!retire} forgets an
     owner's whole history in O(1) (its frames are skipped, then swept
     at the next compaction).  Compaction writes the header and the
@@ -84,10 +85,12 @@ val oversize : string -> string option
     exceed {!Frame.max_payload}.  The caller must answer such a
     message without applying or journaling it. *)
 
-val append : t -> seq:int -> string -> string
-(** Frame [payload], write it and fsync; [seq] becomes the log's seq.
-    Returns the frame, for {!keep}.  Durable when it returns.
-    @raise Invalid_argument when {!oversize} holds.
+val append : t -> seq:int -> string list -> string list
+(** Frame a group of payloads, write them with one write and fsync
+    once ({!Journal.append}); [seq], the highest seq the group's
+    records carry, becomes the log's seq.  Returns the frames in
+    order, for {!keep}.  Durable when it returns.
+    @raise Invalid_argument when {!oversize} holds for a payload.
     @raise Persist.Crashed from a fault sink; I/O errors propagate. *)
 
 val keep : t -> owner:string -> string -> unit

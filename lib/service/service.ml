@@ -1,6 +1,7 @@
 open Harmony
 module Frame = Harmony_persist.Frame
 module Wal = Harmony_persist.Wal
+module Text = Harmony_persist.Text
 module Pool = Harmony_parallel.Pool
 module Telemetry = Harmony_telemetry.Telemetry
 module Export = Harmony_telemetry.Export
@@ -211,16 +212,18 @@ let parse_message text =
               | Ok payload -> Ok (Client { client; payload })
               | Error e -> Error e))
 
+(* One allocation for the client prefix ([Server]'s text is built in
+   one too): these run for every journaled record and reply. *)
 let message_to_string = function
   | Client { client; payload } ->
-      client ^ " " ^ Server.message_to_string payload
+      Text.concat3 client " " (Server.message_to_string payload)
   | Deregister { client } -> client ^ " done"
   | Service_metrics -> "service-metrics"
   | Dump_flight -> "dump-flight"
 
 let reply_to_string = function
   | Client_reply { client; reply } ->
-      client ^ " " ^ Server.reply_to_string reply
+      Text.concat3 client " " (Server.reply_to_string reply)
   | Deregistered { client } -> client ^ " bye"
   | Service_stats text -> "stats\n" ^ String.trim text
   | Flight_dump text -> "flight\n" ^ String.trim text
@@ -286,10 +289,19 @@ let apply ?ctx t shard = function
 module Event = struct
   type t = event = Recv of message | Reply of string | Shed of message
 
+  (* ["<seq> <tag> <text>"], built in one buffer. *)
+  let record ~seq tag text =
+    let b =
+      Bytes.create (Text.int_length seq + String.length tag + String.length text)
+    in
+    let pos = Text.blit_string b (Text.blit_int b 0 seq) tag in
+    ignore (Text.blit_string b pos text : int);
+    Bytes.unsafe_to_string b
+
   let encode ~seq = function
-    | Recv m -> Printf.sprintf "%d recv %s" seq (message_to_string m)
-    | Reply text -> Printf.sprintf "%d reply %s" seq text
-    | Shed m -> Printf.sprintf "%d shed %s" seq (message_to_string m)
+    | Recv m -> record ~seq " recv " (message_to_string m)
+    | Reply text -> record ~seq " reply " text
+    | Shed m -> record ~seq " shed " (message_to_string m)
 
   let decode record =
     match String.index_opt record ' ' with
@@ -376,12 +388,6 @@ let keep_handled w message reply ~recv ~rep =
       keep ()
   | Service_error _ | Service_stats _ | Flight_dump _ -> keep ()
 
-let journal_append shard w ~seq record =
-  let frame = Wal.append w ~seq record in
-  Telemetry.add shard.appends 1;
-  Telemetry.add shard.fsyncs 1;
-  frame
-
 let compact_if_due shard w =
   if Wal.compact_if_due w then Telemetry.add shard.compactions 1
 
@@ -396,42 +402,143 @@ let shed_reply message text =
 (* ------------------------------------------------------------------ *)
 (* Handling                                                            *)
 
-let handle_in_shard ?ctx t shard message =
-  Telemetry.add shard.messages 1;
-  (* Each WAL write is its own correlated span.  It sits {e outside}
-     the server.handle span on purpose: the message must be durable
-     before any session state changes, so journal time is trace-level
-     self time (harmony_trace self), not handle latency. *)
-  let journal_span w ~seq record =
-    (match ctx with
-    | Some c ->
-        Telemetry.span_begin shard.tel
-          ~ctx:(Telemetry.Ctx.child c "service.journal.append")
-          "service.journal.append"
-    | None -> Telemetry.span_begin shard.tel "service.journal.append");
-    let frame = journal_append shard w ~seq record in
-    Telemetry.span_end shard.tel "service.journal.append";
-    frame
+(* One group write: one write and one fsync for all of [records], as
+   one correlated span under [ctx] (the context of the message whose
+   record comes first).  The span sits {e outside} every server.handle
+   span on purpose: the group must be durable before any session state
+   changes, so journal time is trace-level self time (harmony_trace
+   self), not handle latency. *)
+let write_group ?ctx shard w ~seq records =
+  match records with
+  | [] -> []
+  | _ :: _ ->
+      (match ctx with
+      | Some c ->
+          Telemetry.span_begin shard.tel
+            ~ctx:(Telemetry.Ctx.child c "service.journal.append")
+            "service.journal.append"
+      | None -> Telemetry.span_begin shard.tel "service.journal.append");
+      let frames = Wal.append w ~seq records in
+      Telemetry.span_end shard.tel "service.journal.append";
+      Telemetry.add shard.appends (List.length frames);
+      Telemetry.add shard.fsyncs 1;
+      frames
+
+(* A message the admission layer shed on a journaled shard, waiting for
+   the shard's next group: its trace context and its reply text. *)
+type shed = {
+  shed_ctx : Telemetry.Ctx.t option;
+  shed_message : message;
+  shed_text : string;
+}
+
+(* What a group does with each of its messages. *)
+type step =
+  | Apply  (* not journaled (a read-only probe): applied in its turn *)
+  | Answer of string  (* too large to journal: answered, not applied *)
+  | Journal of int  (* journaled under this seq *)
+
+(* Group commit: a journaled shard's share of one call, [sheds] and
+   [messages] each in arrival order.  Before anything is applied, the
+   sheds' [shed]+[reply] pairs and then every journaled message's
+   [recv] go down in one write and one fsync, numbered in that order
+   (admission decided the sheds before any message of the call ran, so
+   they take the lower seqs).  The messages are then applied in arrival
+   order and their [reply] records go down in a second write and fsync.
+   Last, every frame is kept in message order, so a snapshot still
+   pairs each recv with its reply, and the log compacts at most once.
+   A crash between the writes loses replies the clients never saw;
+   every durable recv is replayed. *)
+let handle_group t shard w ~sheds ~ctxs messages =
+  Telemetry.add shard.messages (Array.length messages);
+  let seq = ref (Wal.seq w) in
+  let first = ref [] and first_ctx = ref None in
+  let push ctx record =
+    (match !first with [] -> first_ctx := ctx | _ :: _ -> ());
+    first := record :: !first
   in
+  let shed_owners =
+    List.filter_map
+      (fun s ->
+        let record = Event.encode ~seq:(!seq + 1) (Shed s.shed_message) in
+        match Wal.oversize record with
+        | Some _ -> None
+        | None ->
+            incr seq;
+            push s.shed_ctx record;
+            push s.shed_ctx (Event.encode ~seq:!seq (Reply s.shed_text));
+            Some (log_client s.shed_message))
+      sheds
+  in
+  let steps =
+    Array.mapi
+      (fun k message ->
+        if not (journaled message) then Apply
+        else
+          let record = Event.encode ~seq:(!seq + 1) (Recv message) in
+          match Wal.oversize record with
+          | Some reason -> Answer reason
+          | None ->
+              incr seq;
+              push ctxs.(k) record;
+              Journal !seq)
+      messages
+  in
+  let last = !seq in
+  let first_frames =
+    write_group ?ctx:!first_ctx shard w ~seq:last (List.rev !first)
+  in
+  let replies =
+    Array.mapi
+      (fun k message ->
+        match steps.(k) with
+        | Answer reason -> shed_reply message reason
+        | Apply | Journal _ -> apply ?ctx:ctxs.(k) t shard message)
+      messages
+  in
+  (* Built back to front, so [second_ctx] ends as the first journaled
+     message's. *)
+  let second = ref [] and second_ctx = ref None in
+  for k = Array.length messages - 1 downto 0 do
+    match steps.(k) with
+    | Journal s ->
+        second_ctx := ctxs.(k);
+        second :=
+          Event.encode ~seq:s (Reply (reply_to_string replies.(k))) :: !second
+    | Apply | Answer _ -> ()
+  done;
+  let reply_frames = write_group ?ctx:!second_ctx shard w ~seq:last !second in
+  let recv_frames =
+    List.fold_left
+      (fun frames owner ->
+        match frames with
+        | shed :: rep :: rest ->
+            Wal.keep w ~owner shed;
+            Wal.keep w ~owner rep;
+            rest
+        | [] | [ _ ] -> frames)
+      first_frames shed_owners
+  in
+  let rec keep k recvs reps =
+    if k < Array.length messages then
+      match (steps.(k), recvs, reps) with
+      | Journal _, recv :: recvs, rep :: reps ->
+          keep_handled w messages.(k) replies.(k) ~recv ~rep;
+          keep (k + 1) recvs reps
+      | (Journal _ | Apply | Answer _), _, _ -> keep (k + 1) recvs reps
+  in
+  keep 0 recv_frames reply_frames;
+  compact_if_due shard w;
+  replies
+
+(* One message through its shard: a one-message group when journaled,
+   so [handle] writes a recv, applies, then writes its reply. *)
+let handle_in_shard ?ctx t shard message =
   match shard.wal with
-  | Some w when journaled message -> (
-      let seq = Wal.seq w + 1 in
-      let recv = Event.encode ~seq (Recv message) in
-      match Wal.oversize recv with
-      | Some reason -> shed_reply message reason
-      | None ->
-          (* WAL discipline: the message is durable before any session
-             state changes; a crash loses at most the reply. *)
-          let recv = journal_span w ~seq recv in
-          let reply = apply ?ctx t shard message in
-          let rep =
-            journal_span w ~seq
-              (Event.encode ~seq (Reply (reply_to_string reply)))
-          in
-          keep_handled w message reply ~recv ~rep;
-          compact_if_due shard w;
-          reply)
-  | Some _ | None -> apply ?ctx t shard message
+  | Some w -> (handle_group t shard w ~sheds:[] ~ctxs:[| ctx |] [| message |]).(0)
+  | None ->
+      Telemetry.add shard.messages 1;
+      apply ?ctx t shard message
 
 (* Priority classes for the admission layer: a session's lifecycle
    messages must always land (a completed tuning run that cannot
@@ -448,25 +555,12 @@ let priority_of_message = function
 
 (* An admission rejection of a state-changing message is journaled
    (shed + literal reply, same seq) so recovery replays the full reply
-   stream — rejections included — byte-for-byte.  Runs only from the
-   submitting domain, before the batch dispatches, so it never races
-   the shard tasks' own appends.  A message too large to journal is
-   not journaled shed either. *)
-let record_shed shard message reply_text =
-  match shard.wal with
-  | Some w when journaled message -> (
-      let seq = Wal.seq w + 1 in
-      let shed = Event.encode ~seq (Shed message) in
-      match Wal.oversize shed with
-      | Some _ -> ()
-      | None ->
-          let owner = log_client message in
-          Wal.keep w ~owner (journal_append shard w ~seq shed);
-          Wal.keep w ~owner
-            (journal_append shard w ~seq
-               (Event.encode ~seq (Reply reply_text)));
-          compact_if_due shard w)
-  | Some _ | None -> ()
+   stream — rejections included — byte-for-byte.  The batch path hands
+   it to the shard's group; {!handle_env} writes it as a group of its
+   own.  A message too large to journal is not journaled shed either
+   (the group skips it). *)
+let shed_of ?ctx message reply =
+  { shed_ctx = ctx; shed_message = message; shed_text = reply_to_string reply }
 
 (* Cancellation sheds work that was already admitted but not yet run.
    It is never journaled (the message was never acknowledged, so a
@@ -617,8 +711,15 @@ let handle_env t env =
             reply
         | Some text ->
             let reply = shed_reply env.message text in
-            record_shed t.shards_.(s) env.message
-              (reply_to_string reply);
+            let shard = t.shards_.(s) in
+            (match shard.wal with
+            | Some w when journaled env.message ->
+                ignore
+                  (handle_group t shard w
+                     ~sheds:[ shed_of ?ctx env.message reply ]
+                     ~ctxs:[||] [||]
+                    : reply array)
+            | Some _ | None -> ());
             reply)
   in
   slo_tick t;
@@ -713,6 +814,7 @@ let handle_batch_env ?pool ?(cancel = Pool.Cancel.none) t envelopes =
      are derived here too — on the submitting domain, in arrival order
      — so the ids the shard tasks stamp are domain-count-invariant. *)
   let per_shard = Array.make nshards [] in
+  let sheds = Array.make nshards [] in
   let admitted = Array.make nshards 0 in
   let ctxs = Array.make n None in
   Array.iteri
@@ -738,29 +840,51 @@ let handle_batch_env ?pool ?(cancel = Pool.Cancel.none) t envelopes =
               per_shard.(s) <- i :: per_shard.(s)
           | Some text ->
               let reply = shed_reply env.message text in
-              record_shed t.shards_.(s) env.message
-                (reply_to_string reply);
+              (match t.shards_.(s).wal with
+              | Some _ when journaled env.message ->
+                  sheds.(s) <- shed_of ?ctx env.message reply :: sheds.(s)
+              | Some _ | None -> ());
               replies.(i) <- Some reply))
     msgs;
   let run (shard_ix, ixs) =
     let shard = t.shards_.(shard_ix) in
-    List.map
-      (fun i ->
-        (* Task-boundary cancellation check: a cancelled round sheds
-           the not-yet-run suffix of each shard batch with total,
-           retryable replies instead of occupying the domain. *)
+    match (shard.wal, sheds.(shard_ix), ixs) with
+    | Some _, [], [] -> []
+    | Some w, shed_list, _ ->
+        (* One cancellation check per group, before its first write: a
+           group is shed whole, writing nothing (its sheds included:
+           they were answered, never applied), or journaled and applied
+           whole, so no durable recv belongs to a message whose client
+           was told "cancelled". *)
         if Pool.Cancel.cancelled cancel then
-          (i, cancelled_reply shard msgs.(i).message)
-        else (i, handle_in_shard ?ctx:ctxs.(i) t shard msgs.(i).message))
-      ixs
+          List.map (fun i -> (i, cancelled_reply shard msgs.(i).message)) ixs
+        else
+          let ixs_a = Array.of_list ixs in
+          let replies =
+            handle_group t shard w ~sheds:(List.rev shed_list)
+              ~ctxs:(Array.map (fun i -> ctxs.(i)) ixs_a)
+              (Array.map (fun i -> msgs.(i).message) ixs_a)
+          in
+          List.mapi (fun k i -> (i, replies.(k))) ixs
+    | None, _, _ ->
+        List.map
+          (fun i ->
+            (* Task-boundary cancellation check: a cancelled round sheds
+               the not-yet-run suffix of each shard batch with total,
+               retryable replies instead of occupying the domain. *)
+            if Pool.Cancel.cancelled cancel then
+              (i, cancelled_reply shard msgs.(i).message)
+            else (i, handle_in_shard ?ctx:ctxs.(i) t shard msgs.(i).message))
+          ixs
   in
   let inputs = Array.init nshards (fun s -> (s, List.rev per_shard.(s))) in
   let outputs =
     match pool with
     | Some pool -> Pool.try_map_array ~cancel pool run inputs
     | None ->
-        (* Sequential path: [run] itself honors the token per message,
-           so only real exceptions land in [Error]. *)
+        (* Sequential path: [run] itself honors the token (per group
+           on a journaled shard, per message otherwise), so only real
+           exceptions land in [Error]. *)
         Array.map
           (fun input -> try Ok (run input) with e -> Error e)
           inputs
@@ -837,53 +961,59 @@ let detach_journals t =
 (* Recovery                                                            *)
 
 (* Re-apply one shard's recorded messages to its fresh sessions,
-   rebuilding the live set from re-encoded events.  The recorded
-   replies are cross-checks deterministic replay must regenerate
-   byte-for-byte; the first divergence (or a non-monotone seq) drops
-   everything after it.  A [Shed] record is not re-applied (the message
-   never touched state — the admission layer rejected it) and its
-   paired reply is kept literally: that is what makes journaled
-   rejections replay byte-for-byte without the admission state being
-   replayable.  [literal] holds the pending shed's (seq, client). *)
+   rebuilding the live set from re-encoded events, frames kept in the
+   order the live run kept them.  The recorded replies are cross-checks
+   deterministic replay must regenerate byte-for-byte.  A group writes
+   its recvs before its replies, so [waiting] holds the applied recvs
+   whose reply record has not been read yet, oldest first, as (seq,
+   regenerated reply text), and each reply record is checked against
+   the head: an interleaved journal (one-message groups, and every
+   journal written before group commit) is the depth-1 case.  The first
+   divergence (a reply that is not the head's, by seq or by text, or a
+   non-monotone seq) drops everything after it.  A [Shed] record is not
+   re-applied (the message never touched state — the admission layer
+   rejected it) and its paired reply is kept literally: that is what
+   makes journaled rejections replay byte-for-byte without the
+   admission state being replayable.  [literal] holds the pending
+   shed's (seq, client). *)
 let replay_shard t shard w events =
   let frame seq ev = Frame.encode (Event.encode ~seq ev) in
-  let rec go events last_reply literal applied dropped seq =
+  let waiting = Queue.create () in
+  let rec go events literal applied seq =
+    let diverged rest = (applied, 1 + List.length rest, seq) in
     match events with
-    | [] -> (applied, dropped, seq)
+    | [] -> (applied, 0, seq)
     | (s, Recv m) :: rest ->
-        if s <= seq then (applied, dropped + 1 + List.length rest, seq)
+        if s <= seq then diverged rest
         else
           let reply = apply t shard m in
+          let text = reply_to_string reply in
           keep_handled w m reply ~recv:(frame s (Recv m))
-            ~rep:(frame s (Reply (reply_to_string reply)));
-          go rest (Some reply) None (applied + 1) dropped s
+            ~rep:(frame s (Reply text));
+          Queue.add (s, text) waiting;
+          go rest None (applied + 1) s
     | (s, Shed m) :: rest ->
-        if s <= seq then (applied, dropped + 1 + List.length rest, seq)
+        if s <= seq then diverged rest
         else begin
           let owner = log_client m in
           Wal.keep w ~owner (frame s (Shed m));
-          go rest last_reply (Some (s, owner)) (applied + 1) dropped s
+          go rest (Some (s, owner)) (applied + 1) s
         end
     | (s, Reply text) :: rest -> (
         match literal with
         | Some (ls, owner) ->
             if s = ls then begin
               Wal.keep w ~owner (frame s (Reply text));
-              go rest last_reply None applied dropped seq
+              go rest None applied seq
             end
-            else (applied, dropped + 1 + List.length rest, seq)
-        | None ->
-            let consistent =
-              s = seq
-              &&
-              match last_reply with
-              | Some r -> String.equal (reply_to_string r) text
-              | None -> false
-            in
-            if consistent then go rest last_reply None applied dropped seq
-            else (applied, dropped + 1 + List.length rest, seq))
+            else diverged rest
+        | None -> (
+            match Queue.take_opt waiting with
+            | Some (ws, expected) when ws = s && String.equal expected text ->
+                go rest None applied seq
+            | Some _ | None -> diverged rest))
   in
-  go events None None 0 0 0
+  go events None 0 0
 
 type shard_recovery = { shard : int; replayed : int; dropped : int }
 

@@ -210,8 +210,13 @@ val handle_batch :
     via the pool (or sequentially without a [pool]), and the replies
     are reassembled in input order.  For client-addressed messages the
     result is byte-identical to calling {!handle} on each message in
-    order, at any domain count.  A [Service_metrics] inside a batch is
-    answered {e at its arrival index against the pre-batch snapshot}:
+    order, at any domain count.  On a journaled shard the shard's share
+    of the batch is one group commit: its shed pairs and received
+    messages are written with one write and one fsync before any is
+    applied, its replies with one more after (DESIGN.md §10), where
+    {!handle} pays two fsyncs per message.  A [Service_metrics] inside
+    a batch is answered {e at its arrival index against the pre-batch
+    snapshot}:
     the registry as of batch start, computed before any of the batch's
     messages apply, so the probe's position within the batch cannot
     change its reply and the batched stream matches a sequential run
@@ -219,7 +224,9 @@ val handle_batch :
     task boundaries: once fired, not-yet-run messages answer with
     total, retryable [cancelled: retry-after=0] rejections (never
     journaled — an unacknowledged message is a lost message, which the
-    WAL contract already covers). *)
+    WAL contract already covers).  A journaled shard checks it once,
+    before its group's first write, so its share is cancelled whole
+    with nothing written, or journaled and applied whole. *)
 
 val handle_batch_env :
   ?pool:Harmony_parallel.Pool.t ->
@@ -288,7 +295,9 @@ val reply_to_string : reply -> string
     journaled messages: a message's reply record carries its seq, so
     recovery pairs them back up, and a stale journal tail (a crash
     between snapshot rename and journal reset) is detected by seq
-    alone.  Replies to received messages are cross-checks that
+    alone.  A group writes its [Recv]s before its [Reply]s, so replay
+    pairs each reply with the oldest received message still waiting
+    for one.  Replies to received messages are cross-checks that
     deterministic replay must regenerate byte-for-byte.  A [Shed]
     message was never applied; on replay its paired reply is taken
     literally instead of regenerated, which is what makes journaled

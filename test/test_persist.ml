@@ -217,25 +217,30 @@ let test_journal_append_reopen () =
       Sys.remove path;
       let scan, j = Journal.open_file path in
       Alcotest.(check (list string)) "fresh" [] scan.Frame.records;
-      Alcotest.(check string) "append returns the frame it wrote"
-        (Frame.encode "one") (Journal.append j "one");
-      ignore (Journal.append j "two");
+      Alcotest.(check (list string)) "append returns the frames it wrote"
+        [ Frame.encode "one" ] (Journal.append j [ "one" ]);
+      ignore (Journal.append j [ "two" ]);
       Alcotest.(check int) "records counted" 2 (Journal.records j);
+      Alcotest.(check (list string)) "an empty group writes nothing" []
+        (Journal.append j []);
       Journal.close j;
       let scan, j = Journal.open_file path in
       Alcotest.(check (list string)) "reopen sees both" [ "one"; "two" ]
         scan.Frame.records;
-      ignore (Journal.append j "three");
+      Alcotest.(check (list string)) "a group's frames, in order"
+        [ Frame.encode "three"; Frame.encode "four" ]
+        (Journal.append j [ "three"; "four" ]);
+      Alcotest.(check int) "a group counts each record" 4 (Journal.records j);
       Journal.close j;
       Alcotest.(check (list string)) "append after reopen"
-        [ "one"; "two"; "three" ]
+        [ "one"; "two"; "three"; "four" ]
         (Journal.read path).Frame.records)
 
 let test_journal_truncates_torn_tail () =
   with_temp_file (fun path ->
       Sys.remove path;
       let _, j = Journal.open_file path in
-      ignore (Journal.append j "good");
+      ignore (Journal.append j [ "good" ]);
       Journal.close j;
       (* Simulate a crash mid-append: garbage half-record at the end. *)
       let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
@@ -244,7 +249,7 @@ let test_journal_truncates_torn_tail () =
       let scan, j = Journal.open_file path in
       Alcotest.(check (list string)) "valid prefix" [ "good" ] scan.Frame.records;
       Alcotest.(check bool) "tail reported torn" true scan.Frame.torn;
-      ignore (Journal.append j "next");
+      ignore (Journal.append j [ "next" ]);
       Journal.close j;
       let scan = Journal.read path in
       (* The torn bytes were truncated away before the new append. *)
@@ -256,10 +261,10 @@ let test_journal_reset () =
   with_temp_file (fun path ->
       Sys.remove path;
       let _, j = Journal.open_file path in
-      ignore (Journal.append j "a");
+      ignore (Journal.append j [ "a" ]);
       Journal.reset j;
       Alcotest.(check int) "count cleared" 0 (Journal.records j);
-      ignore (Journal.append j "b");
+      ignore (Journal.append j [ "b" ]);
       Journal.close j;
       Alcotest.(check (list string)) "only post-reset records" [ "b" ]
         (Journal.read path).Frame.records)

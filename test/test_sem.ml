@@ -568,6 +568,55 @@ let sarif_shared_with_lint () =
             ^ Option.value ~default:"nothing" other))
 
 (* ------------------------------------------------------------------ *)
+(* T1 hints *)
+
+(* Each partial's hint, pinned; and every function a hint names
+   typechecks, so the hint never sends a reader to a function the
+   stdlib does not have. *)
+let t1_hints_name_real_functions () =
+  let cases =
+    [
+      ("List.hd xs", "a match on the list");
+      ("List.tl xs", "a match on the list");
+      ("List.nth xs 0", "List.nth_opt");
+      ("List.find (fun _ -> true) xs", "List.find_opt");
+      ("List.assoc 0 ys", "List.assoc_opt");
+      ("List.assq 0 ys", "List.assq_opt");
+      ("Queue.pop q", "Queue.take_opt");
+      ("Queue.take q", "Queue.take_opt");
+      ("Queue.peek q", "Queue.peek_opt");
+      ("Queue.top q", "Queue.peek_opt");
+      ("Stack.pop s", "Stack.pop_opt");
+      ("Stack.top s", "Stack.top_opt");
+      ("Option.get o", "pattern-match on the option");
+      ("Hashtbl.find h 0", "Hashtbl.find_opt");
+    ]
+  in
+  let args =
+    "(xs : int list) (ys : (int * int) list) (q : int Queue.t) (s : int \
+     Stack.t) (o : int option) (h : (int, int) Hashtbl.t)"
+  in
+  List.iter
+    (fun (call, hint) ->
+      let src = Printf.sprintf "let f %s = %s" args call in
+      match kept ~path:"lib/core/x.ml" src with
+      | [ d ] ->
+          Alcotest.(check string) (call ^ ": rule") "T1" d.Lint_diag.rule;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: hint %S in %S" call hint d.Lint_diag.message)
+            true
+            (String.ends_with ~suffix:("; use " ^ hint) d.Lint_diag.message);
+          if String.contains hint '.' then
+            ignore
+              (unit_of ~path:"lib/core/y.ml"
+                 (Printf.sprintf "let g = %s" hint))
+      | ds ->
+          Alcotest.fail
+            (Printf.sprintf "%s: expected one T1 finding, got %d" call
+               (List.length ds)))
+    cases
+
+(* ------------------------------------------------------------------ *)
 (* Rule registry *)
 
 let rule_registry_well_formed () =
@@ -614,5 +663,6 @@ let suite =
     ("baseline rejects garbage", `Quick, baseline_rejects_garbage);
     ("sarif report shape", `Quick, sarif_report_is_valid_and_complete);
     ("sarif shared with lint", `Quick, sarif_shared_with_lint);
+    ("t1 hints name real functions", `Quick, t1_hints_name_real_functions);
     ("rule registry well-formed", `Quick, rule_registry_well_formed);
   ]

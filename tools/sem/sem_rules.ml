@@ -695,12 +695,17 @@ let d1_table path =
     (Printf.sprintf "ambient nondeterminism `%s`; %s" (Sem_util.dotted path))
     hint
 
+(* Each hint names a function the stdlib has: [List.hd_opt],
+   [Queue.pop_opt] and [Queue.top_opt] do not exist ([Queue.pop] and
+   [Queue.top] are [take] and [peek]). *)
 let t1_table path =
   let instead =
     match path with
-    | [ "List"; ("hd" | "tl" | "nth" | "find" | "assoc" | "assq") ]
-    | [ "Queue"; ("pop" | "take" | "peek" | "top") ]
-    | [ "Stack"; ("pop" | "top") ] ->
+    | [ "List"; ("hd" | "tl") ] -> Some "a match on the list"
+    | [ "Queue"; ("pop" | "take") ] -> Some "Queue.take_opt"
+    | [ "Queue"; ("peek" | "top") ] -> Some "Queue.peek_opt"
+    | [ "List"; ("nth" | "find" | "assoc" | "assq") ] | [ "Stack"; ("pop" | "top") ]
+      ->
         Some (Sem_util.dotted path ^ "_opt")
     | [ "Option"; "get" ] -> Some "pattern-match on the option"
     | [ "Hashtbl"; "find" ] -> Some "Hashtbl.find_opt"
