@@ -1,75 +1,68 @@
 open Harmony_param
 open Harmony_objective
 
-type _ Effect.t += Measure : Space.config -> float Effect.t
-
-type state =
-  | Waiting of {
-      config : Space.config;
-      resume : (float, unit) Effect.Deep.continuation;
-    }
-  | Finished of Simplex.outcome
-  | Running  (** transient, only observable on re-entrant misuse *)
-
+(* The search asks for batches; a client measures one configuration
+   per report, so a batch is handed out entry by entry and told back
+   once its last reading is in.  No fiber is parked between reports:
+   the session is this record and the search's. *)
 type t = {
-  space : Space.t;
+  search : Simplex.Search.t;
   direction : Objective.direction;
-  mutable state : state;
+  mutable readings : float array;  (* of the asked batch, up to [next] *)
+  mutable next : int;  (* the asked configuration out for measurement *)
+  mutable broken : bool;
+      (* the search raised while told a batch; it is not to be used again *)
   mutable measurements : int;
   mutable best : (Space.config * float) option;
 }
 
 let create ?telemetry ?(options = Simplex.default_options) ~space ~direction ()
     =
-  let t =
-    { space; direction; state = Running; measurements = 0; best = None }
-  in
-  (* Run the batch kernel with an objective whose every evaluation
-     suspends via an effect; the continuation is parked in [t.state]
-     until the client reports the measurement. *)
-  let computation () =
-    let objective =
-      Objective.create ~space ~direction (fun config ->
-          Effect.perform (Measure (Array.copy config)))
-    in
-    let outcome = Simplex.optimize ?telemetry ~options objective in
-    t.state <- Finished outcome
-  in
-  let effc : type a. a Effect.t -> ((a, unit) Effect.Deep.continuation -> unit) option
-      = function
-    | Measure config ->
-        Some
-          (fun resume -> t.state <- Waiting { config; resume })
-    | _ -> None
-  in
-  Effect.Deep.match_with computation ()
-    { retc = Fun.id; exnc = raise; effc };
-  t
+  let search = Simplex.Search.start ?telemetry ~options ~space ~direction () in
+  {
+    search;
+    direction;
+    readings = Array.make (Array.length (Simplex.Search.asked search)) 0.0;
+    next = 0;
+    broken = false;
+    measurements = 0;
+    best = None;
+  }
 
 let pending t =
-  match t.state with
-  | Waiting { config; _ } -> `Measure (Array.copy config)
-  | Finished outcome -> `Done outcome
-  | Running -> invalid_arg "Controller.pending: controller is mid-step"
+  if t.broken then invalid_arg "Controller.pending: controller is mid-step";
+  match Simplex.Search.outcome t.search with
+  | Some outcome -> `Done outcome
+  | None -> `Measure (Array.copy (Simplex.Search.asked t.search).(t.next))
+
+let improves t (performance : float) best =
+  match t.direction with
+  | Objective.Higher_is_better -> performance > best
+  | Objective.Lower_is_better -> performance < best
 
 let report t performance =
-  match t.state with
-  | Finished _ -> invalid_arg "Controller.report: search already finished"
-  | Running -> invalid_arg "Controller.report: no measurement outstanding"
-  | Waiting { config; resume } ->
+  if t.broken then invalid_arg "Controller.report: no measurement outstanding";
+  match Simplex.Search.outcome t.search with
+  | Some _ -> invalid_arg "Controller.report: search already finished"
+  | None ->
+      let asked = Simplex.Search.asked t.search in
       t.measurements <- t.measurements + 1;
       (match t.best with
-      | Some (_, best_perf)
-        when not
-               (match t.direction with
-               | Objective.Higher_is_better -> performance > best_perf
-               | Objective.Lower_is_better -> performance < best_perf) ->
-          ()
-      | Some _ | None -> t.best <- Some (Array.copy config, performance));
-      t.state <- Running;
-      (* Resuming runs the kernel until its next evaluation (which
-         re-parks the state) or completion (which finishes it). *)
-      Effect.Deep.continue resume performance
+      | Some (_, best) when not (improves t performance best) -> ()
+      | Some _ | None -> t.best <- Some (Array.copy asked.(t.next), performance));
+      t.readings.(t.next) <- performance;
+      t.next <- t.next + 1;
+      if t.next = Array.length asked then begin
+        (* Telling runs the search to its next batch or its end; if it
+           raises (a degenerate initial simplex) the controller stays
+           broken. *)
+        t.broken <- true;
+        Simplex.Search.tell t.search t.readings;
+        t.broken <- false;
+        t.next <- 0;
+        let len = Array.length (Simplex.Search.asked t.search) in
+        if Array.length t.readings <> len then t.readings <- Array.make len 0.0
+      end
 
 let measurements t = t.measurements
 let best_so_far t = t.best

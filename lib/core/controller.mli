@@ -3,10 +3,14 @@
     Active Harmony is a {e runtime} tuning system: the application
     reports one performance measurement at a time and the adaptation
     controller replies with the next configuration to try (Section 2).
-    This module inverts the {!Simplex} kernel into exactly that
-    request/report protocol — the same search, one measurement per
-    exchange — using OCaml 5 effect handlers, so the online behaviour
-    is identical to {!Simplex.optimize} by construction.
+    This module serves the {!Simplex.Search} state machine through
+    exactly that request/report protocol: it hands out each batch the
+    search asks for one configuration per exchange and tells the
+    readings back once the batch is complete.  {!Simplex.optimize}
+    drives the same machine, so the online behaviour is identical to
+    it by construction.  A controller is a plain record: no effect
+    handler, continuation or fiber stack waits between reports for the
+    minor collector to scan.
 
     {[
       let c = Controller.create ~space ~direction:Higher_is_better () in
@@ -36,11 +40,11 @@ val create :
     configuration to measure (unless the initial simplex is fully
     trusted).
 
-    [telemetry] is threaded into the inverted {!Simplex.optimize}
-    kernel, so a live handle sees the search's init/step/restart spans
-    as the client's reports drive it.  Because the kernel suspends
-    mid-span between messages, a span opened while handling one
-    message may close while handling a later one — the {e metrics}
+    [telemetry] is threaded into the search, so a live handle sees its
+    init/step/restart spans as the client's reports drive it.  Because
+    a search step can wait for a measurement between messages, a span
+    opened while handling one message may close while handling a
+    later one — the {e metrics}
     derived from these events (logical-clock durations, step counters)
     are exact and deterministic, but strict stack nesting of the raw
     trace is not guaranteed across messages.  Default: {!Telemetry.off}. *)
@@ -53,7 +57,9 @@ val report : t -> float -> unit
 (** Supply the measurement for the configuration last returned by
     {!pending}.
     @raise Invalid_argument if the search already finished or no
-    measurement is outstanding. *)
+    measurement is outstanding, or from the search itself when this
+    report completes a degenerate initial simplex; after that,
+    {!pending} and {!report} raise too. *)
 
 val measurements : t -> int
 (** Measurements reported so far. *)

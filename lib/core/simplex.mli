@@ -64,10 +64,11 @@ val optimize :
     space, so the objective is only ever called on valid grid
     configurations.
 
-    Every measurement goes through {!Objective.eval_batch}: the phases
-    that produce whole configuration sets — the initial simplex, the
-    shrink step, each oriented restart — issue one batch, and with a
-    [pool] those configurations are measured in parallel.  The
+    [optimize] drives a {!Search}, measuring each batch it asks for
+    with {!Objective.eval_batch}: the phases that produce whole
+    configuration sets — the initial simplex, the shrink step, each
+    oriented restart — ask for one batch, and with a [pool] those
+    configurations are measured in parallel.  The
     evaluation sequence, budget accounting, and result are
     byte-identical with and without a pool at any domain count.
 
@@ -79,3 +80,42 @@ val optimize :
     restart, and [simplex.steps]/[simplex.restarts] counters.
     Telemetry observes and never steers: the search path is identical
     with the handle off. *)
+
+(** The search as an ask/tell state machine held in one plain record:
+    it asks for a batch of configurations, the caller measures them
+    and tells the values back, and the search runs on to its next
+    batch or its end.  {!optimize} measures each batch with
+    {!Objective.eval_batch}; the online {!Controller} hands a batch out
+    one configuration per client report.  Both see the same search:
+    the same batches in the same order, and the same telemetry events
+    between them, so a [simplex.step] span may open in one {!tell} and
+    close in a later one. *)
+module Search : sig
+  type t
+
+  val start :
+    ?telemetry:Harmony_telemetry.Telemetry.t ->
+    ?options:options ->
+    space:Space.t ->
+    direction:Objective.direction ->
+    unit ->
+    t
+  (** Start a search and run it to its first batch.
+      @raise Invalid_argument as {!optimize} does: on a budget below
+      n+2 evaluations, or on a degenerate initial simplex that needed
+      no measurement. *)
+
+  val asked : t -> Space.config array
+  (** The batch to measure next, in order; empty once the search has
+      finished.  The search keeps these arrays: do not mutate them. *)
+
+  val tell : t -> float array -> unit
+  (** The measurements of {!asked}, in its order.  Runs the search to
+      its next batch or its end.
+      @raise Invalid_argument when the lengths differ, when the search
+      has finished, or when the measured initial simplex is
+      degenerate; a search that raised is not to be used again. *)
+
+  val outcome : t -> outcome option
+  (** [Some] once the search has finished. *)
+end

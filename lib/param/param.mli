@@ -57,4 +57,15 @@ val normalize : t -> float -> float
 val denormalize : t -> float -> float
 (** Inverse of {!normalize} followed by {!snap}. *)
 
+val snap_in_place : t array -> float array -> unit
+(** [snap_in_place ps c] sets every [c.(i)] to [snap ps.(i) c.(i)],
+    boxing no float (a search step snaps every proposal).
+    @raise Invalid_argument when the lengths differ. *)
+
+val normalize_into : t array -> float array -> floatarray -> int -> unit
+(** [normalize_into ps c dst pos] writes [normalize ps.(i) c.(i)] to
+    [dst] at [pos + i] for every [i], boxing no float.
+    @raise Invalid_argument when [ps] and [c] differ in length (and
+    as {!Float.Array.set} when [dst] is too short). *)
+
 val pp : Format.formatter -> t -> unit

@@ -38,7 +38,9 @@ let check_arity name t c =
 
 let snap t c =
   check_arity "Space.snap" t c;
-  Array.mapi (fun i v -> Param.snap t.params.(i) v) c
+  let c = Array.copy c in
+  Param.snap_in_place t.params c;
+  c
 
 let is_valid t c =
   Array.length c = dims t
