@@ -43,7 +43,7 @@ let bench_part id f =
 
 let jobs =
   match Sys.getenv_opt "HARMONY_JOBS" with
-  | Some s -> (try max 1 (int_of_string s) with _ -> Pool.default_domains ())
+  | Some s -> (try Int.max 1 (int_of_string s) with _ -> Pool.default_domains ())
   | None -> Pool.default_domains ()
 
 (* ------------------------------------------------------------------ *)

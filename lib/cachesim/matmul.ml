@@ -30,7 +30,9 @@ let run ?hierarchy ~m ~n ~k ~mb ~nb ~kb () =
   let h = match hierarchy with Some h -> h | None -> default_hierarchy () in
   Cache.reset h.l1;
   Cache.reset h.l2;
-  let mb = max 1 (min mb m) and nb = max 1 (min nb n) and kb = max 1 (min kb k) in
+  let mb = Int.max 1 (Int.min mb m)
+  and nb = Int.max 1 (Int.min nb n)
+  and kb = Int.max 1 (Int.min kb k) in
   (* Array base addresses, padded apart. *)
   let a_base = 0 in
   let b_base = a_base + (m * k * element_bytes) in
@@ -52,13 +54,13 @@ let run ?hierarchy ~m ~n ~k ~mb ~nb ~kb () =
      inner loops touch C[i][j], A[i][p], B[p][j]. *)
   let i0 = ref 0 in
   while !i0 < m do
-    let imax = min m (!i0 + mb) in
+    let imax = Int.min m (!i0 + mb) in
     let p0 = ref 0 in
     while !p0 < k do
-      let pmax = min k (!p0 + kb) in
+      let pmax = Int.min k (!p0 + kb) in
       let j0 = ref 0 in
       while !j0 < n do
-        let jmax = min n (!j0 + nb) in
+        let jmax = Int.min n (!j0 + nb) in
         for i = !i0 to imax - 1 do
           for p = !p0 to pmax - 1 do
             a i p;
@@ -93,7 +95,7 @@ let space ~max_block =
     ]
 
 let objective ?hierarchy ~m ~n ~k () =
-  let max_block = max 4 (max m (max n k)) in
+  let max_block = Int.max 4 (Int.max m (Int.max n k)) in
   let h = match hierarchy with Some h -> h | None -> default_hierarchy () in
   Objective.create ~space:(space ~max_block)
     ~direction:Objective.Lower_is_better (fun conf ->

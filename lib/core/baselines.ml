@@ -69,7 +69,7 @@ let simulated_annealing rng ?(max_evaluations = 400) ?initial_temperature obj =
     | None -> Float.max 1e-9 (0.1 *. Float.abs !current_value)
   in
   (* Geometric cooling reaching t0/100 at the end of the budget. *)
-  let steps = max 1 (max_evaluations - 1) in
+  let steps = Int.max 1 (max_evaluations - 1) in
   let alpha = exp (log 0.01 /. float_of_int steps) in
   let temperature = ref t0 in
   while Recorder.count recorder < max_evaluations do

@@ -7,7 +7,7 @@ type vertex_choice = Nearest | Latest
 let select ~k ~choice ~space ~points ~target =
   let arr = Array.of_list points in
   let m = Array.length arr in
-  let k = min k m in
+  let k = Int.min k m in
   match choice with
   | Latest -> Array.sub arr (m - k) k
   | Nearest ->
@@ -23,7 +23,7 @@ let select ~k ~choice ~space ~points ~target =
 let estimate ?k ?(choice = Nearest) ~space ~points ~target () =
   if points = [] then invalid_arg "Estimator.estimate: no historical points";
   let dims = Space.dims space in
-  let k = match k with Some k -> max 1 k | None -> dims + 1 in
+  let k = match k with Some k -> Int.max 1 k | None -> dims + 1 in
   let chosen = select ~k ~choice ~space ~points ~target in
   let coords = Array.map (fun (c, _) -> Space.normalize space c) chosen in
   let values = Array.map snd chosen in

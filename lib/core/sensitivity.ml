@@ -122,7 +122,7 @@ let ranked report =
 
 let top_n report n =
   let scores = ranked report in
-  let n = max 0 (min n (Array.length scores)) in
+  let n = Int.max 0 (Int.min n (Array.length scores)) in
   List.sort Int.compare (List.init n (fun i -> scores.(i).index))
 
 let evaluations report =

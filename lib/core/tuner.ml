@@ -229,7 +229,7 @@ module Metrics = struct
         Array.fold_left (fun acc p -> if bad_threshold p then acc + 1 else acc) 0 perfs
       in
       (* The initial oscillation stage: everything before convergence. *)
-      let window = Array.sub perfs 0 (max 1 convergence_iteration) in
+      let window = Array.sub perfs 0 (Int.max 1 convergence_iteration) in
       {
         performance = final_best;
         convergence_iteration;

@@ -68,7 +68,7 @@ let cell_center ~lo ~hi ~cells v =
   else begin
     let width = (hi -. lo) /. float_of_int cells in
     let idx = int_of_float (floor ((v -. lo) /. width)) in
-    let idx = max 0 (min (cells - 1) idx) in
+    let idx = Int.max 0 (Int.min (cells - 1) idx) in
     lo +. ((float_of_int idx +. 0.5) *. width)
   end
 
@@ -140,7 +140,7 @@ let generate ~space ?(workload_dims = 3) ?(irrelevant = []) ?(cells_per_param = 
     (* A handful of weak pairwise terms among relevant parameters. *)
     let pairs = ref [] in
     let rel = Array.of_list relevant in
-    let count = min 4 (Array.length rel / 2) in
+    let count = Int.min 4 (Array.length rel / 2) in
     for _ = 1 to count do
       let i = Rng.choice rng rel and j = Rng.choice rng rel in
       if i <> j then

@@ -52,7 +52,7 @@ let rec sift_down h i =
   end
 
 let grow h =
-  let cap = Stdlib.max 16 (2 * Float.Array.length h.keys) in
+  let cap = Int.max 16 (2 * Float.Array.length h.keys) in
   let keys = Float.Array.make cap 0.0 in
   Float.Array.blit h.keys 0 keys 0 h.len;
   let seqs = Array.make cap 0 in

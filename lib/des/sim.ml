@@ -37,7 +37,7 @@ let alloc_slot t handler =
   end
   else begin
     if t.used = Array.length t.handlers then begin
-      let cap = Stdlib.max 16 (2 * Array.length t.handlers) in
+      let cap = Int.max 16 (2 * Array.length t.handlers) in
       let handlers = Array.make cap nop in
       Array.blit t.handlers 0 handlers 0 t.used;
       t.handlers <- handlers
@@ -52,7 +52,7 @@ let release_slot t s =
   (* Drop the closure so the GC can reclaim what it captured. *)
   t.handlers.(s) <- nop;
   if t.free_len = Array.length t.free then begin
-    let cap = Stdlib.max 16 (2 * Array.length t.free) in
+    let cap = Int.max 16 (2 * Array.length t.free) in
     let free = Array.make cap 0 in
     Array.blit t.free 0 free 0 t.free_len;
     t.free <- free

@@ -62,7 +62,7 @@ let run ?(max_evaluations = 150) ?(seed = 23) () =
           workload = served.Tpcw.label;
           original_unstable = ou;
           improved_unstable = iu;
-          reduction = 1.0 -. (float_of_int iu /. float_of_int (max 1 ou));
+          reduction = 1.0 -. (float_of_int iu /. float_of_int (Int.max 1 ou));
           original_bad = mo.Tuner.Metrics.bad_iterations;
           improved_bad = mi.Tuner.Metrics.bad_iterations;
         })

@@ -20,7 +20,7 @@ let print ppf t =
   let width j =
     List.fold_left
       (fun acc row ->
-        max acc (String.length (Option.value ~default:"" (List.nth_opt row j))))
+        Int.max acc (String.length (Option.value ~default:"" (List.nth_opt row j))))
       0 all_rows
   in
   let widths = List.init ncols width in

@@ -50,7 +50,8 @@ let run ?(max_evaluations = 150) () =
     let orig = find "original" and impr = find "improved" in
     ( label,
       1.0
-      -. (float_of_int impr.convergence_time /. float_of_int (max 1 orig.convergence_time))
+      -. float_of_int impr.convergence_time
+         /. float_of_int (Int.max 1 orig.convergence_time)
     )
   in
   { rows; convergence_reduction = [ reduction "shopping"; reduction "ordering" ] }

@@ -88,7 +88,8 @@ let run ?(max_evaluations = 150) ?(seed = 11) () =
     let cold = find false and warm = find true in
     ( label,
       1.0
-      -. (float_of_int warm.convergence_time /. float_of_int (max 1 cold.convergence_time))
+      -. float_of_int warm.convergence_time
+         /. float_of_int (Int.max 1 cold.convergence_time)
     )
   in
   { rows; convergence_reduction = [ reduction "shopping"; reduction "ordering" ] }

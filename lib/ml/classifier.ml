@@ -15,7 +15,7 @@ let validate_training { features; labels } =
     labels;
   dim
 
-let num_classes { labels; _ } = 1 + Array.fold_left max 0 labels
+let num_classes { labels; _ } = 1 + Array.fold_left Int.max 0 labels
 
 let accuracy t { features; labels } =
   let n = Array.length features in

@@ -94,7 +94,7 @@ let rec classify t x =
 
 let rec depth = function
   | Leaf _ -> 0
-  | Node { left; right; _ } -> 1 + max (depth left) (depth right)
+  | Node { left; right; _ } -> 1 + Int.max (depth left) (depth right)
 
 let rec leaves = function
   | Leaf _ -> 1

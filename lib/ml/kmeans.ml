@@ -104,7 +104,7 @@ let fit rng ~k ?(max_iter = 100) points =
 let classifier rng ~k training =
   let _dim = Classifier.validate_training training in
   let { Classifier.features; labels } = training in
-  let k = min k (Array.length features) in
+  let k = Int.min k (Array.length features) in
   let { centroids; assignment; _ } = fit rng ~k features in
   let classes = Classifier.num_classes training in
   (* Majority label per cluster; empty clusters inherit label 0. *)

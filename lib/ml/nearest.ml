@@ -42,7 +42,7 @@ let knn ~k training =
       (fun (da, ia) (db, ib) ->
         match Float.compare da db with 0 -> Int.compare ia ib | c -> c)
       dist;
-    let k = min k n in
+    let k = Int.min k n in
     let classes = Classifier.num_classes training in
     let votes = Array.make classes 0 in
     for j = 0 to k - 1 do

@@ -36,7 +36,7 @@ let percentile_sorted b p =
   let n = Array.length b in
   let rank = p /. 100.0 *. float_of_int (n - 1) in
   let lo = int_of_float (floor rank) in
-  let hi = Stdlib.min (lo + 1) (n - 1) in
+  let hi = Int.min (lo + 1) (n - 1) in
   let frac = rank -. float_of_int lo in
   b.(lo) +. (frac *. (b.(hi) -. b.(lo)))
 
@@ -87,7 +87,7 @@ let percentile_sorted_floatarray ?len a p =
     invalid_arg "Stats.percentile_sorted_floatarray: p out of range";
   let rank = p /. 100.0 *. float_of_int (n - 1) in
   let lo = int_of_float (floor rank) in
-  let hi = Stdlib.min (lo + 1) (n - 1) in
+  let hi = Int.min (lo + 1) (n - 1) in
   let frac = rank -. float_of_int lo in
   let vlo = Float.Array.get a lo and vhi = Float.Array.get a hi in
   vlo +. (frac *. (vhi -. vlo))
@@ -113,7 +113,7 @@ let histogram ~buckets ~lo ~hi a =
   let width = (hi -. lo) /. float_of_int buckets in
   let bucket_of x =
     let i = int_of_float ((x -. lo) /. width) in
-    Stdlib.max 0 (Stdlib.min (buckets - 1) i)
+    Int.max 0 (Int.min (buckets - 1) i)
   in
   Array.iter (fun x -> counts.(bucket_of x) <- counts.(bucket_of x) + 1) a;
   counts

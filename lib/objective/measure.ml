@@ -10,7 +10,11 @@ module Clock = struct
   let create ?(now = 0.0) () =
     { cell = Float.Array.make 1 now; lock = Mutex.create () }
 
-  let now t = Mutex.protect t.lock (fun () -> Float.Array.get t.cell 0)
+  let now t =
+    Mutex.lock t.lock;
+    let v = Float.Array.get t.cell 0 in
+    Mutex.unlock t.lock;
+    v
 
   let sleep t d =
     if d > 0.0 then
@@ -319,9 +323,13 @@ let robust ?(telemetry = Telemetry.off) ?(policy = default_policy)
   let faults_c = Telemetry.counter reg c_faults in
   let give_ups = Telemetry.counter reg c_give_ups in
   let backoff = Telemetry.histogram reg ~bounds:backoff_bounds h_backoff in
+  let backoff_total = Telemetry.gauge_handle reg g_backoff in
+  let set_backoff_total () =
+    Telemetry.set backoff_total (Clock.now clock -. handle.clock_start)
+  in
   (* One logical measurement and its counts.  [gauge] sets the backoff
-     gauge, a string-keyed registry write plus a clock read: the direct
-     path sets it every time, a batch only once after its join. *)
+     gauge, a clock read and a slot write: the direct path sets it
+     every time, a batch only once after its join. *)
   let measure_counted ~gauge c =
     let result, attempts, retries, faults, slept =
       measure_one ~policy ~clock obj c
@@ -332,8 +340,7 @@ let robust ?(telemetry = Telemetry.off) ?(policy = default_policy)
         Telemetry.add retries_c retries;
         Telemetry.add faults_c faults;
         Telemetry.observe_into backoff slept;
-        if gauge then
-          Telemetry.gauge reg g_backoff (Clock.now clock -. handle.clock_start);
+        if gauge then set_backoff_total ();
         match result with
         | Ok _ -> ()
         | Error _ -> Telemetry.add give_ups 1);
@@ -348,8 +355,7 @@ let robust ?(telemetry = Telemetry.off) ?(policy = default_policy)
      write last, and no measurement pays for a value nobody reads. *)
   let batch disp configs =
     let results = Objective.batch_by_key obj eval_in_batch disp configs in
-    Mutex.protect lock (fun () ->
-        Telemetry.gauge reg g_backoff (Clock.now clock -. handle.clock_start));
+    Mutex.protect lock set_backoff_total;
     results
   in
   let get () =

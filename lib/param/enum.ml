@@ -21,7 +21,7 @@ let param ~name ?default labels =
 let label_of labels v =
   check_labels labels;
   let n = List.length labels in
-  let i = max 0 (min (n - 1) (int_of_float (Float.round v))) in
+  let i = Int.max 0 (Int.min (n - 1) (int_of_float (Float.round v))) in
   match List.nth_opt labels i with
   | Some label -> label
   | None -> invalid_arg "Enum.label_of: index out of range"

@@ -115,7 +115,7 @@ let compact_if_due t =
    records must not reuse those seqs while a stale journal can still sit
    beside the snapshot this writes. *)
 let checkpoint t ~seq =
-  t.seq <- max t.seq seq;
+  t.seq <- Int.max t.seq seq;
   compact t
 
 (* Snapshot events, then the journal's, stale journal records (seq <=
@@ -152,7 +152,7 @@ let decode_log ~magic ~decode path (journal : Frame.scan) =
             incr dropped;
             None
         | Some ((seq, _) as ev) ->
-            highest := max !highest seq;
+            highest := Int.max !highest seq;
             Some ev
         | None -> None)
       journal.Frame.records

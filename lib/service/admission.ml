@@ -144,7 +144,7 @@ let bucket_for t client =
   | Some b ->
       let periods = (t.clock - b.last) / t.config.refill_every in
       if periods > 0 then begin
-        b.tokens <- min t.config.burst (b.tokens + (periods * t.config.rate));
+        b.tokens <- Int.min t.config.burst (b.tokens + (periods * t.config.rate));
         b.last <- b.last + (periods * t.config.refill_every)
       end;
       b
@@ -183,7 +183,7 @@ let check t ~shard ~client ~priority ?enqueued_at ?deadline ?ctx () =
            until the current window can roll over and the shard gets a
            chance to recover. *)
         let retry_after =
-          max 1 (s.window_start + t.config.degrade_window - t.clock)
+          Int.max 1 (s.window_start + t.config.degrade_window - t.clock)
         in
         reject s ~reason:Degraded_shed ~retry_after
       end
@@ -196,7 +196,7 @@ let check t ~shard ~client ~priority ?enqueued_at ?deadline ?ctx () =
               b.tokens <- b.tokens - 1;
               None
             end
-            else Some (max 1 (b.last + t.config.refill_every - t.clock))
+            else Some (Int.max 1 (b.last + t.config.refill_every - t.clock))
         in
         match bucket_verdict with
         | Some retry_after ->
@@ -219,7 +219,7 @@ let check t ~shard ~client ~priority ?enqueued_at ?deadline ?ctx () =
               Telemetry.add s.admitted 1;
               (match enqueued_at with
               | Some at ->
-                  let delay = max 0 (t.clock - at) in
+                  let delay = Int.max 0 (t.clock - at) in
                   Telemetry.observe_into ?ctx s.queue_delay
                     (float_of_int delay)
               | None -> ());
@@ -233,7 +233,7 @@ let check_service t =
        sheds are not: periodic probes must not keep the mode latched. *)
     let retry_after =
       if t.config.degrade_window > 0 then
-        max 1 (s.window_start + t.config.degrade_window - t.clock)
+        Int.max 1 (s.window_start + t.config.degrade_window - t.clock)
       else 1
     in
     reject s ~reason:Degraded_shed ~retry_after

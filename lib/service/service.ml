@@ -57,6 +57,7 @@ type slo_monitor = {
   slo_spec : Slo.spec;
   handle_mon : Slo.t;
   delay_mon : Slo.t;
+  state_gauge : Telemetry.gauge;  (* service.slo.state, on shard 0 *)
 }
 
 type t = {
@@ -143,6 +144,7 @@ let create ?options ?max_report_failures ?telemetry ?admission ?slo ~shards ()
           slo_spec = spec;
           handle_mon = Slo.create spec.Slo.burn;
           delay_mon = Slo.create spec.Slo.burn;
+          state_gauge = Telemetry.gauge_handle shards_.(0).tel "service.slo.state";
         })
       slo
   in
@@ -658,8 +660,7 @@ let slo_tick t =
       let combined =
         Slo.worst (Slo.state m.handle_mon) (Slo.state m.delay_mon)
       in
-      Telemetry.gauge tel0 "service.slo.state"
-        (float_of_int (Slo.state_rank combined));
+      Telemetry.set m.state_gauge (float_of_int (Slo.state_rank combined));
       let transition objective before after =
         if Slo.state_rank after <> Slo.state_rank before then begin
           Telemetry.instant tel0 "service.slo.transition"

@@ -173,7 +173,7 @@ let create cfg =
       }
 
 let window_burn t window =
-  let n = min t.next window in
+  let n = Int.min t.next window in
   let total = ref 0 and viol = ref 0 in
   for j = 1 to n do
     let i = (t.next - j) mod t.cfg.slow_window in
@@ -203,8 +203,8 @@ let step_state cfg ~fast ~slow = function
   | Page -> if fast < cfg.page_burn /. 2.0 then Warn else Page
 
 let feed t ~total ~violations =
-  let dt = max 0 (total - t.last_total) in
-  let dv = max 0 (violations - t.last_viol) in
+  let dt = Int.max 0 (total - t.last_total) in
+  let dv = Int.max 0 (violations - t.last_viol) in
   t.last_total <- total;
   t.last_viol <- violations;
   let i = t.next mod t.cfg.slow_window in

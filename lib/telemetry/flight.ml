@@ -72,7 +72,7 @@ let record_locked t ~kind ~name ~ts ~traced ~trace =
    [min total capacity] events). *)
 let entries t =
   Mutex.protect t.lock (fun () ->
-      let n = min t.total t.capacity in
+      let n = Int.min t.total t.capacity in
       let first = t.total - n in
       List.init n (fun j ->
           let i = (first + j) mod t.capacity in

@@ -129,9 +129,9 @@ let db_service_ms t i = db_service_of t (Tpcw.demand i)
 
 let proxy_servers _ = 16
 let proxy_queue_limit t = t.config.Wsconfig.http_accept_count
-let app_servers t = min t.config.Wsconfig.ajp_max_processors app_cpu_contexts
+let app_servers t = Int.min t.config.Wsconfig.ajp_max_processors app_cpu_contexts
 let app_queue_limit t = t.config.Wsconfig.ajp_accept_count
-let db_servers t = min t.config.Wsconfig.mysql_max_connections db_parallelism
+let db_servers t = Int.min t.config.Wsconfig.mysql_max_connections db_parallelism
 let db_queue_limit _ = 512
 
 (* The four mix-weighted means in one pass over the mix.  Each

@@ -45,7 +45,7 @@ module Arena = struct
 
   let create ?(capacity = 4096) () =
     {
-      response_times = Float.Array.create (Stdlib.max 16 capacity);
+      response_times = Float.Array.create (Int.max 16 capacity);
       count = 0;
       totals = Float.Array.make 1 0.0;
     }

@@ -360,6 +360,20 @@ let s3_allows_typed_comparisons () =
   check_rules "Float.min at an alias is fine" [] ~path:"lib/x/a.ml"
     "type ms = float\nlet f (a : ms) b = Float.min a b"
 
+let s3_flags_int_min_max () =
+  check_rules "max at int" [ "S3" ] ~path:"lib/x/a.ml"
+    "let f (a : int) b = max a b";
+  check_rules "min passed as a fold at int" [ "S3" ] ~path:"lib/x/a.ml"
+    "let f xs = List.fold_left min max_int (0 :: xs)";
+  check_rules "Stdlib.min inferred at int" [ "S3"; "S3" ] ~path:"lib/x/a.ml"
+    "let f n = Stdlib.min (n + 1) 3\nlet g n = Stdlib.max 0 (n - 1)"
+
+let s3_allows_int_min_max () =
+  check_rules "Int.min and Int.max are the fix" [] ~path:"lib/x/a.ml"
+    "let f (a : int) b = Int.max 0 (Int.min a b)";
+  check_rules "min at string is not the int case" [] ~path:"lib/x/a.ml"
+    {|let f (a : string) = min a "z"|}
+
 (* ------------------------------------------------------------------ *)
 (* S4 — handler totality *)
 
@@ -649,6 +663,8 @@ let suite =
     ("s3 flags let laundering", `Quick, s3_flags_let_laundering);
     ("s3 flags helper-arg laundering", `Quick, s3_flags_helper_arg_laundering);
     ("s3 allows typed comparisons", `Quick, s3_allows_typed_comparisons);
+    ("s3 flags min/max at int", `Quick, s3_flags_int_min_max);
+    ("s3 allows Int.min/max", `Quick, s3_allows_int_min_max);
     ("s4 flags partial match", `Quick, s4_flags_partial_match);
     ("s4 flags aborts", `Quick, s4_flags_aborts);
     ("s4 carve-outs", `Quick, s4_carve_outs);

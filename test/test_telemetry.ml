@@ -85,6 +85,25 @@ let test_off_is_noop () =
 (* ------------------------------------------------------------------ *)
 (* Metrics registry *)
 
+let test_gauge_handle () =
+  let t = Telemetry.create () in
+  let g = Telemetry.gauge_handle t "g" in
+  Alcotest.(check bool) "resolving exports nothing" true
+    (Telemetry.gauges t = [] && Telemetry.gauge_value t "g" = None);
+  Telemetry.set g 2.5;
+  Alcotest.(check bool) "set through the handle" true
+    (Telemetry.gauge_value t "g" = Some 2.5);
+  Telemetry.gauge t "g" 4.0;
+  Telemetry.gauge_max t "g" 1.0;
+  Alcotest.(check bool) "the name writes the same slot" true
+    (Telemetry.gauges t = [ ("g", 4.0) ]);
+  Telemetry.set g 0.5;
+  Alcotest.(check bool) "and the handle sees it" true
+    (Telemetry.gauge_value t "g" = Some 0.5);
+  Telemetry.set (Telemetry.gauge_handle Telemetry.off "g") 1.0;
+  Alcotest.(check bool) "off's handle is inert" true
+    (Telemetry.gauge_value Telemetry.off "g" = None)
+
 let test_registry () =
   let t = Telemetry.create () in
   Telemetry.incr t "b.counter";
@@ -658,6 +677,7 @@ let suite =
     ("injected clock", `Quick, test_injected_clock);
     ("off handle is a no-op", `Quick, test_off_is_noop);
     ("metrics registry", `Quick, test_registry);
+    ("gauge handle", `Quick, test_gauge_handle);
     ("declare_histogram pins bounds", `Quick, test_declare_histogram);
     ("record_events:false keeps metrics only", `Quick, test_record_events_off);
     ("quantile is a conservative upper bound", `Quick, test_quantile);

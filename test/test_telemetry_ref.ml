@@ -423,6 +423,8 @@ type op =
   | Declare of int * string * float array option
   | Gauge of int * string * float
   | Gauge_max of int * string * float
+  | Resolve_gauge of int * string
+  | Set of int * string * float
 
 let handles = 3
 
@@ -457,6 +459,8 @@ let gen_op =
       map3 (fun h n b -> Declare (h, n, b)) h name bounds;
       map3 (fun h n v -> Gauge (h, n, v)) h name value;
       map3 (fun h n v -> Gauge_max (h, n, v)) h name value;
+      map2 (fun h n -> Resolve_gauge (h, n)) h name;
+      map3 (fun h n v -> Set (h, n, v)) h name value;
     ]
 
 let op_to_string = function
@@ -477,6 +481,8 @@ let op_to_string = function
   | Declare (h, n, _) -> Printf.sprintf "declare %d %S" h n
   | Gauge (h, n, v) -> Printf.sprintf "gauge %d %S %h" h n v
   | Gauge_max (h, n, v) -> Printf.sprintf "gauge_max %d %S %h" h n v
+  | Resolve_gauge (h, n) -> Printf.sprintf "gauge_handle %d %S" h n
+  | Set (h, n, v) -> Printf.sprintf "set %d %S %h" h n v
 
 (* The reference side of one handle: the registry, plus the bounds of
    the resolve that created each still-unused histogram slot — what an
@@ -531,7 +537,12 @@ let run_script ops =
           Ref_registry.gauge refs.(h).reg n v
       | Gauge_max (h, n, v) ->
           Telemetry.gauge_max tel.(h) n v;
-          Ref_registry.gauge_max refs.(h).reg n v)
+          Ref_registry.gauge_max refs.(h).reg n v
+      | Resolve_gauge (h, n) ->
+          ignore (Telemetry.gauge_handle tel.(h) n : Telemetry.gauge)
+      | Set (h, n, v) ->
+          Telemetry.set (Telemetry.gauge_handle tel.(h) n) v;
+          Ref_registry.gauge refs.(h).reg n v)
     ops;
   ( Array.to_list tel @ [ Telemetry.merged (Array.to_list tel) ],
     Array.to_list (Array.map (fun r -> r.reg) refs)

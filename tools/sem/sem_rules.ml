@@ -16,9 +16,9 @@
        contract, enforced at the submission site).
    S2  lock-order checker: the static lock-acquisition graph must be
        acyclic and the telemetry lock a leaf.
-   S3  polymorphic comparison: no stdlib compare at any type, and no
+   S3  polymorphic comparison: no stdlib compare at any type, no
        =/<>/==/!=/min/max at an *inferred* float type, through aliases
-       and let-bindings.
+       and let-bindings, and no stdlib min/max at int.
    S4  handler totality: protocol-handler modules contain no partial
        match, assert false, failwith/exit, Obj.magic, or raise of a
        freshly built exception (re-raise of a caught exception and
@@ -117,7 +117,9 @@ let s3 =
   {
     id = "S3";
     severity = Lint_diag.Error;
-    summary = "no polymorphic compare, and no =/<>/min/max at inferred float type";
+    summary =
+      "no polymorphic compare, no =/<>/min/max at inferred float type, no \
+       min/max at int";
     doc =
       "Fault injection emits NaN sentinels, and polymorphic comparison \
        silently mis-handles NaN (nan = nan is false; min nan x is \
@@ -128,7 +130,10 @@ let s3 =
        let-bindings or helper arguments. Use Float.compare, Float.equal, \
        Float.min/max, or a typed comparator. Ordering operators (<, <=) \
        compile to IEEE comparisons and are left to code review plus the \
-       Measure layer's explicit NaN handling.";
+       Measure layer's explicit NaN handling. The stdlib's min and max \
+       are flagged at int too: they are polymorphic, so each call goes \
+       through caml_lessequal into compare_val, where Int.min and Int.max \
+       compile to one compare.";
   }
 
 let s4 =
@@ -817,6 +822,14 @@ let run_s3 ~(summary : Sem_summary.t) ~aliases ~modname (str : structure) =
                        "polymorphic %s used at %s; NaN breaks ordering — use \
                         Float.compare or explicit epsilon logic"
                        op shown)
+              | a :: _
+                when (String.equal op "min" || String.equal op "max")
+                     && Sem_util.is_int a ->
+                  flag ~loc:e.exp_loc
+                    (Printf.sprintf
+                       "polymorphic %s used at int (a compare_val call per \
+                        use); use Int.%s"
+                       op op)
               | _ when String.equal op "compare" ->
                   flag ~loc:e.exp_loc
                     "polymorphic `compare`; use Float.compare / Int.compare / \

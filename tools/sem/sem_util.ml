@@ -85,6 +85,11 @@ let rec arrow_args ty =
 
 let is_float_path p = Path.same p Predef.path_float
 
+let is_int ty =
+  match constr_path ty with
+  | Some p -> Path.same p Predef.path_int
+  | None -> false
+
 (* ------------------------------------------------------------------ *)
 (* Expressions *)
 

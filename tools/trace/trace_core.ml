@@ -461,7 +461,8 @@ let percentile_exact durations q =
     let sorted = Array.copy durations in
     Array.sort Float.compare sorted;
     let idx =
-      min (n - 1) (max 0 (int_of_float (Float.ceil (q *. float_of_int n)) - 1))
+      Int.min (n - 1)
+        (Int.max 0 (int_of_float (Float.ceil (q *. float_of_int n)) - 1))
     in
     sorted.(idx)
   end
@@ -517,7 +518,7 @@ let hist_quantile h q =
   if h.h_count = 0 then None
   else begin
     let target =
-      max 1 (int_of_float (Float.ceil (q *. float_of_int h.h_count)))
+      Int.max 1 (int_of_float (Float.ceil (q *. float_of_int h.h_count)))
     in
     let rec walk cum buckets =
       match buckets with
