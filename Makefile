@@ -9,8 +9,10 @@ build:
 
 # Project-specific static analysis over the typedtree (DESIGN.md §8):
 # determinism, NaN-safety, totality, race and lock-order invariants
-# over lib/, bin/, bench/ and the trace-analyzer core.  @check writes
-# the .cmt files harmony_sem reads (a plain build leaves the
+# over lib/, bin/, bench/, the trace-analyzer core and the examples,
+# and no exported lib/ value that no program uses (U1 counts uses in
+# every unit outside test/, perfbench/ included).  @check writes the
+# .cmt and .cmti files harmony_sem reads (a plain build leaves the
 # executables without them).  Exits non-zero on any unwaived finding
 # beyond the committed baseline.
 lint:
@@ -18,7 +20,7 @@ lint:
 	dune exec tools/sem/harmony_sem.exe -- \
 	  --allowlist tools/sem/allowlist \
 	  --baseline tools/sem/baseline --check-baseline \
-	  lib bin bench tools/trace
+	  lib bin bench tools/trace examples
 
 # Includes the parallel-engine determinism test (registry tables at 1
 # vs 4 domains must be byte-identical).

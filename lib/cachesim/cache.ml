@@ -64,7 +64,6 @@ let access t address =
     false
   end
 
-let accesses t = t.accesses
 let hits t = t.hits
 let misses t = t.accesses - t.hits
 
@@ -77,7 +76,3 @@ let reset t =
   t.clock <- 0;
   t.accesses <- 0;
   t.hits <- 0
-
-let size_bytes t = t.size_bytes
-let line_bytes t = t.line_bytes
-let associativity t = t.associativity

@@ -17,7 +17,6 @@ val access : t -> int -> bool
 (** [access t address] touches one byte address; [true] on hit.  On a
     miss the line is filled and the LRU line of its set evicted. *)
 
-val accesses : t -> int
 val hits : t -> int
 val misses : t -> int
 
@@ -26,7 +25,3 @@ val hit_rate : t -> float
 
 val reset : t -> unit
 (** Clear contents and counters. *)
-
-val size_bytes : t -> int
-val line_bytes : t -> int
-val associativity : t -> int

@@ -13,11 +13,6 @@ type hierarchy = {
   l2_miss_cycles : int;  (** extra cycles on an L2 miss (memory) *)
 }
 
-val default_hierarchy : unit -> hierarchy
-(** 8 KB 2-way L1 (64-byte lines, 10-cycle miss), 64 KB 4-way L2
-    (60-cycle miss): deliberately small so modest matrices exercise
-    blocking. *)
-
 type result = {
   cycles : float;
   l1_hit_rate : float;
@@ -31,9 +26,6 @@ val run :
 (** Simulate one blocked multiplication.  Block sizes are clamped into
     [1, dimension].  The hierarchy is reset first.
     @raise Invalid_argument on non-positive dimensions. *)
-
-val space : max_block:int -> Harmony_param.Space.t
-(** The 3-parameter (mb, nb, kb) tuning space, step 4, default 8. *)
 
 val objective :
   ?hierarchy:hierarchy -> m:int -> n:int -> k:int -> unit ->

@@ -12,7 +12,6 @@ type t = {
 
 let with_classifier classifier db = { db; classifier }
 let create db = with_classifier History.find_closest db
-let database t = t.db
 
 let characterize ~probe ~samples =
   if samples < 1 then invalid_arg "Analyzer.characterize: samples < 1";

@@ -17,12 +17,11 @@ type t
 
 val create : History.t -> t
 
+(* lint: allow U1 — tests inject a custom classifier through this *)
 val with_classifier : (History.t -> float array -> History.entry option) -> History.t -> t
 (** Plug in a different classification mechanism (k-means, decision
     tree, MLP — see {!Harmony_ml}); the default is the paper's
     least-squares nearest neighbour ({!History.find_closest}). *)
-
-val database : t -> History.t
 
 val characterize : probe:(unit -> float array) -> samples:int -> float array
 (** Average of [samples] probe observations — e.g. each observation is

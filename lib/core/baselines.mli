@@ -1,10 +1,9 @@
 (** Baseline search strategies.
 
-    Comparators for the simplex tuner: pure random sampling, full
-    enumeration (the exhaustive search behind Figure 4's performance
-    distributions), and Powell's direction-set method (Section 7's
-    closest related optimizer: repeated one-dimensional minimizations
-    with direction updates, no simplex). *)
+    Comparators for the simplex tuner: full enumeration (the
+    exhaustive search behind Figure 4's performance distributions) and
+    its Monte-Carlo approximation for spaces too large to
+    enumerate. *)
 
 open Harmony_param
 open Harmony_objective
@@ -16,39 +15,12 @@ type outcome = {
   evaluations : int;
 }
 
-val random_search :
-  Harmony_numerics.Rng.t -> ?max_evaluations:int -> Objective.t -> outcome
-(** Uniform sampling over the grid (default 400 evaluations). *)
-
 val exhaustive : ?limit:int -> Objective.t -> outcome
 (** Evaluate every grid configuration.
     @raise Invalid_argument when the space cardinality exceeds
     [limit] (default 1_000_000). *)
 
-val sweep : ?limit:int -> Objective.t -> float array
-(** All grid performances in enumeration order (same limit as
-    {!exhaustive}) — the raw material of performance-distribution
-    histograms. *)
-
 val random_sweep :
   Harmony_numerics.Rng.t -> samples:int -> Objective.t -> float array
-(** Monte-Carlo approximation of {!sweep} for spaces too large to
-    enumerate. *)
-
-val powell :
-  ?max_evaluations:int -> ?line_points:int -> Objective.t -> outcome
-(** Powell's method adapted to the grid: line searches sample
-    [line_points] (default 9) snapped points along each direction;
-    after each round the average displacement replaces the direction
-    of largest improvement. *)
-
-val simulated_annealing :
-  Harmony_numerics.Rng.t ->
-  ?max_evaluations:int ->
-  ?initial_temperature:float ->
-  Objective.t ->
-  outcome
-(** Grid simulated annealing: random single-coordinate neighbour
-    moves, Metropolis acceptance, geometric cooling to ~1% of the
-    initial temperature (default: 10% of the first measurement's
-    magnitude) over the budget (default 400). *)
+(** [samples] uniform grid draws: the performances {!exhaustive}
+    would see, approximated for spaces too large to enumerate. *)

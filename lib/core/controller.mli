@@ -61,6 +61,7 @@ val report : t -> float -> unit
     report completes a degenerate initial simplex; after that,
     {!pending} and {!report} raise too. *)
 
+(* lint: allow U1 — the simplex reference suite compares controllers through this *)
 val measurements : t -> int
 (** Measurements reported so far. *)
 

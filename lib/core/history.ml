@@ -73,9 +73,6 @@ let best_evaluations obj entry ~n =
   in
   List.filteri (fun i _ -> i < n) sorted
 
-let merged_evaluations t =
-  List.concat_map (fun e -> e.evaluations) (entries t)
-
 let compress rng t ~max_entries =
   if max_entries < 1 then invalid_arg "History.compress: max_entries < 1";
   let all = Array.of_list (entries t) in

@@ -42,9 +42,6 @@ val best_evaluations : Objective.t -> entry -> n:int -> (Space.config * float) l
 (** The entry's [n] best measurements under the objective's direction
     (distinct configurations, best first). *)
 
-val merged_evaluations : t -> (Space.config * float) list
-(** All measurements across all entries, oldest entry first. *)
-
 val compress : Harmony_numerics.Rng.t -> t -> max_entries:int -> t
 (** Bound the database size with the data analyzer's clustering
     mechanisms (Figure 2): k-means over the stored characteristics,

@@ -27,12 +27,6 @@ type score = {
 
 type report = { scores : score array (** in parameter order *) }
 
-val subsample : int -> int -> int array
-(** [subsample n count] picks [count] evenly spaced indices out of
-    [0 .. n-1], endpoints included ([count >= n] returns them all;
-    [count <= 1] returns index 0 alone — a one-point sweep, never a
-    division by zero). *)
-
 val analyze :
   ?telemetry:Harmony_telemetry.Telemetry.t ->
   ?pool:Harmony_parallel.Pool.t ->

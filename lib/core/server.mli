@@ -119,9 +119,11 @@ val handle :
     assignment is feasible under the registered restrictions (box
     proposals are projected with {!Rsl.repair}). *)
 
+(* lint: allow U1 — test hook: the server tests read the live specification through this *)
 val spec : t -> Rsl.t option
 (** The currently registered specification, if any. *)
 
+(* lint: allow U1 — test hook: the server tests read the fault counts through this *)
 val fault_counters : t -> int * int
 (** [(failed_reports, penalized)] for the current session:
     [Report_failed] messages received, and configurations written off

@@ -40,7 +40,6 @@ let create ~objective ?db ?db_path ?checkpoint_every ?on_salvage
 let save_database t =
   match t.db_path with None -> () | Some path -> History.save t.db path
 
-let objective t = t.objective
 let database t = t.db
 
 let prioritize ?max_points t =
@@ -53,7 +52,6 @@ let prioritize ?max_points t =
       t.report <- Some report;
       report
 
-let last_report t = t.report
 
 type tune_result = {
   outcome : Tuner.outcome;

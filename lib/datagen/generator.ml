@@ -51,10 +51,6 @@ let raw_response t c w =
     t.interactions;
   !acc
 
-let response t c ~workload =
-  check_workload t workload;
-  t.offset +. (t.scale *. raw_response t c workload)
-
 (* ------------------------------------------------------------------ *)
 (* Rule-cell quantization                                              *)
 
@@ -206,7 +202,6 @@ let synthetic_webservice ?(seed = 42) () =
   generate ~space ~workload_dims:3 ~irrelevant:[ 4; 9 ] ~seed ()
 
 let space t = t.space
-let workload_dims t = t.workload_dims
 let irrelevant t = t.irrelevant
 
 let mix ~browsing ~shopping ~ordering =

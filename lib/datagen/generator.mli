@@ -23,6 +23,7 @@ open Harmony_objective
 
 type t
 
+(* lint: allow U1 — the generator tests build small datasets through this *)
 val generate :
   space:Space.t ->
   ?workload_dims:int ->
@@ -46,9 +47,9 @@ val synthetic_webservice : ?seed:int -> unit -> t
     weights). *)
 
 val space : t -> Space.t
-val workload_dims : t -> int
 val irrelevant : t -> int list
 
+(* lint: allow U1 — only its tests call it; retiring them is queued in ROADMAP item 11 *)
 val mix : browsing:float -> shopping:float -> ordering:float -> float array
 (** Workload-characteristic vector; weights are normalized to sum
     to 1. *)
@@ -60,17 +61,14 @@ val ordering_mix : float array
     0.80/0.15/0.05, ordering 0.50/0.25/0.25 (browse/shop/order
     weight). *)
 
-val response : t -> Space.config -> workload:float array -> float
-(** Smooth ground truth (before rule quantization). *)
-
-val eval : t -> Space.config -> workload:float array -> float
-(** Rule-data semantics: the response at the containing cell's
-    centre. *)
-
 val objective : t -> workload:float array -> Objective.t
 (** Higher-is-better objective over the tunable space with the
-    workload fixed. *)
+    workload fixed, with rule-data semantics: a configuration
+    evaluates to the response at its containing cell's centre.
+    @raise Invalid_argument when the workload arity is not the
+    dataset's. *)
 
+(* lint: allow U1 — only its tests call it; retiring them is queued in ROADMAP item 11 *)
 val objective_of_rules :
   Rules.t -> space:Space.t -> ?workload:float array -> unit -> Objective.t
 (** Tune directly against an explicit rule set (e.g. one written in
@@ -80,6 +78,7 @@ val objective_of_rules :
     @raise Invalid_argument when the rule arity is not
     [Space.dims space + Array.length workload]. *)
 
+(* lint: allow U1 — only its tests call it; retiring them is queued in ROADMAP item 11 *)
 val to_rules : ?max_rules:int -> t -> Rules.t
 (** Materialize the explicit CNF rule set (one rule per cell) over the
     joint space.

@@ -24,15 +24,12 @@ val create : num_vars:int -> ranges:(float * float) array -> rule list -> t
 val num_vars : t -> int
 val rules : t -> rule array
 
-val satisfies : rule -> float array -> bool
-
-val first_satisfied : t -> float array -> rule option
-
 val conflict_free : t -> bool
 (** True when no two rules can fire on the same input (pairwise
     box-intersection test — sound and exact for conjunctions of
     interval conditions). *)
 
+(* lint: allow U1 — only its tests call it; retiring them is queued in ROADMAP item 11 *)
 val rule_distance : t -> rule -> float array -> float
 (** Euclidean distance (in range-normalized coordinates) from the
     input point to the rule's condition box; [0] when the rule is
@@ -63,6 +60,7 @@ val of_text : num_vars:int -> ranges:(float * float) array -> string -> t
     @raise Parse_error on malformed input; the usual
     [Invalid_argument]s of {!create} still apply. *)
 
+(* lint: allow U1 — only its tests call it; retiring them is queued in ROADMAP item 11 *)
 val to_text : t -> string
 (** Render back into the {!of_text} format (always with closed
     bounds). *)

@@ -14,7 +14,6 @@ type t = {
 let create () =
   { keys = Float.Array.create 0; seqs = [||]; vals = [||]; len = 0; next_seq = 0 }
 
-let size h = h.len
 let is_empty h = h.len = 0
 
 let less h i j =
@@ -88,16 +87,6 @@ let pop_payload h =
     sift_down h 0
   end;
   v
-
-let peek h =
-  if h.len = 0 then None else Some (Float.Array.get h.keys 0, h.vals.(0))
-
-let pop h =
-  if h.len = 0 then None
-  else begin
-    let key = Float.Array.get h.keys 0 in
-    Some (key, pop_payload h)
-  end
 
 let clear h =
   h.len <- 0;

@@ -12,15 +12,8 @@
 type t
 
 val create : unit -> t
-val size : t -> int
 val is_empty : t -> bool
 val push : t -> float -> int -> unit
-
-val peek : t -> (float * int) option
-(** Smallest key (earliest inserted among equals), without removing. *)
-
-val pop : t -> (float * int) option
-(** Remove and return the smallest key. *)
 
 val min_key : t -> float
 (** The smallest key, without removing or allocating.
@@ -30,5 +23,6 @@ val pop_payload : t -> int
 (** Remove the minimum and return its payload, without allocating.
     @raise Invalid_argument on an empty heap. *)
 
+(* lint: allow U1 — only its tests call it; retiring them is queued in ROADMAP item 11 *)
 val clear : t -> unit
 (** Empty the heap, keeping its storage for reuse. *)

@@ -5,8 +5,6 @@ type t = {
   queue_limit : int option;
   queue : waiting Queue.t;
   mutable busy : int;
-  mutable completed : int;
-  mutable rejected : int;
   mutable busy_integral : float;
   mutable last_change : float;
 }
@@ -21,17 +19,11 @@ let create ~capacity ?queue_limit () =
     queue_limit;
     queue = Queue.create ();
     busy = 0;
-    completed = 0;
-    rejected = 0;
     busy_integral = 0.0;
     last_change = 0.0;
   }
 
 let capacity t = t.capacity
-let busy t = t.busy
-let queued t = Queue.length t.queue
-let completed t = t.completed
-let rejected t = t.rejected
 
 let account t now =
   t.busy_integral <- t.busy_integral +. (float_of_int t.busy *. (now -. t.last_change));
@@ -47,7 +39,6 @@ let rec start sim t w =
 and finish sim t w =
   account t (Sim.now sim);
   t.busy <- t.busy - 1;
-  t.completed <- t.completed + 1;
   w.on_complete sim;
   (* The freed server picks up the next queued request, if any. *)
   if t.busy < t.capacity then
@@ -65,9 +56,5 @@ let submit sim t ~service_time ~on_complete ~on_reject =
       | None -> false
       | Some q -> Queue.length t.queue >= q
     in
-    if full then begin
-      t.rejected <- t.rejected + 1;
-      on_reject sim
-    end
-    else Queue.push w t.queue
+    if full then on_reject sim else Queue.push w t.queue
   end

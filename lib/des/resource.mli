@@ -14,8 +14,6 @@ val create : capacity:int -> ?queue_limit:int -> unit -> t
     [queue_limit >= 0]. *)
 
 val capacity : t -> int
-val busy : t -> int
-val queued : t -> int
 
 val submit :
   Sim.t ->
@@ -32,6 +30,3 @@ val submit :
 val utilization_time : t -> float
 (** Integral of (busy servers) over simulation time so far: divide by
     elapsed time and capacity for average utilization. *)
-
-val completed : t -> int
-val rejected : t -> int

@@ -68,8 +68,6 @@ let schedule t ~delay handler =
   if delay < 0.0 then invalid_arg "Sim.schedule: negative delay";
   Heap.push t.events (now t +. delay) (alloc_slot t handler)
 
-let pending t = Heap.size t.events
-
 let step t =
   if Heap.is_empty t.events then false
   else begin

@@ -29,10 +29,12 @@ val connectors_spec : total:int -> Harmony_param.Rsl.t
 (** The B/C/(D) specification for A = [total] processes, at least one
     process per task type. *)
 
+(* lint: allow U1 — paper artifact: the rsl tests count Figure 10's partitions through this *)
 val partition_spec : rows:int -> blocks:int -> Harmony_param.Rsl.t
 (** Row-partition specification: [blocks - 1] free sizes, each at
     least 1, leaving at least 1 row per remaining block. *)
 
+(* lint: allow U1 — paper artifact: the experiment tests assert on its rows *)
 val run : ?total:int -> ?rows:int -> ?blocks:int -> unit -> result
 (** Defaults: A=10 processes; 20 rows into 4 blocks. *)
 

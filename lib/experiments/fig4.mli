@@ -18,6 +18,7 @@ type result = {
   samples : int;
 }
 
+(* lint: allow U1 — paper artifact: the experiment tests assert on its rows *)
 val run : ?samples:int -> ?seed:int -> unit -> result
 (** Defaults: 20_000 samples, seed 7. *)
 

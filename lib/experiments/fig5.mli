@@ -15,6 +15,7 @@ type result = {
   irrelevant : string list;             (** ground truth: ["H"; "M"] *)
 }
 
+(* lint: allow U1 — paper artifact: the experiment tests assert on its rows *)
 val run : ?seed:int -> ?perturbations:float array -> unit -> result
 
 val table : ?seed:int -> unit -> Report.table

@@ -20,6 +20,7 @@ type result = {
   full_performance : float;
 }
 
+(* lint: allow U1 — paper artifact: the experiment tests assert on its rows *)
 val run : ?seed:int -> ?ns:int list -> ?perturbations:float list -> unit -> result
 
 val table : ?seed:int -> unit -> Report.table

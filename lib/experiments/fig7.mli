@@ -20,6 +20,7 @@ type result = {
   cold_performance : float;
 }
 
+(* lint: allow U1 — paper artifact: the experiment tests assert on its rows *)
 val run :
   ?pool:Harmony_parallel.Pool.t ->
   ?seed:int ->

@@ -19,11 +19,6 @@ let run () =
     ordering = sensitivities Tpcw.ordering;
   }
 
-let rank values names =
-  let idx = Array.init (Array.length values) Fun.id in
-  Array.sort (fun a b -> Float.compare values.(b) values.(a)) idx;
-  Array.to_list (Array.map (fun i -> names.(i)) idx)
-
 let table () =
   let r = run () in
   let rows =

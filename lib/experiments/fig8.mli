@@ -14,9 +14,7 @@ type result = {
   ordering : float array;
 }
 
+(* lint: allow U1 — paper artifact: the experiment tests assert on its rows *)
 val run : unit -> result
 
 val table : unit -> Report.table
-
-val rank : float array -> string array -> string list
-(** Parameter names by decreasing sensitivity (helper for checks). *)

@@ -19,6 +19,7 @@ type row = {
 
 type result = { rows : row list }
 
+(* lint: allow U1 — paper artifact: the experiment tests assert on its rows *)
 val run : ?max_evaluations:int -> ?seed:int -> unit -> result
 
 val table : ?max_evaluations:int -> ?seed:int -> unit -> Report.table

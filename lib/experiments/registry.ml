@@ -4,50 +4,29 @@
    supports — so the critical path is not one monolithic experiment. *)
 let all =
   [
-    ( "fig4",
-      "performance distribution: web service vs synthetic data",
-      fun _pool -> Fig4.table () );
-    ( "fig5",
-      "synthetic-data parameter sensitivity under perturbation",
-      fun _pool -> Fig5.table () );
-    ( "fig6",
-      "tuning the n most sensitive synthetic parameters",
-      fun _pool -> Fig6.table () );
-    ( "fig7",
-      "tuning with experiences at increasing workload distance",
-      fun pool -> Fig7.table ?pool () );
-    ("fig8", "web-service parameter sensitivity", fun _pool -> Fig8.table ());
-    ( "fig9",
-      "tuning the n most sensitive web-service parameters",
-      fun _pool -> Fig9.table () );
-    ( "table1",
-      "improved search refinement (original vs improved init)",
-      fun _pool -> Table1.table () );
-    ( "table2",
-      "tuning with and without prior histories",
-      fun _pool -> Table2.table () );
-    ( "fig10",
-      "search-space reduction by parameter restriction",
-      fun _pool -> Fig10.table () );
-    ( "restriction",
-      "tuning with vs without parameter restriction",
-      fun _pool -> Restriction.table () );
-    ( "headline",
-      "35-50% reduction of the initial unstable stage",
-      fun _pool -> Headline.table () );
+    ("fig4", fun _pool -> Fig4.table ());
+    ("fig5", fun _pool -> Fig5.table ());
+    ("fig6", fun _pool -> Fig6.table ());
+    ("fig7", fun pool -> Fig7.table ?pool ());
+    ("fig8", fun _pool -> Fig8.table ());
+    ("fig9", fun _pool -> Fig9.table ());
+    ("table1", fun _pool -> Table1.table ());
+    ("table2", fun _pool -> Table2.table ());
+    ("fig10", fun _pool -> Fig10.table ());
+    ("restriction", fun _pool -> Restriction.table ());
+    ("headline", fun _pool -> Headline.table ());
   ]
 
-let ids = List.map (fun (id, _, _) -> id) all
+let ids = List.map fst all
 
-let find id =
-  List.find_map (fun (id', _, f) -> if id = id' then Some f else None) all
+let find id = List.assoc_opt id all
 
 (* Each experiment constructs its own objectives and RNGs from fixed
    seeds, so the runners share no mutable state and can execute on any
    domain: the tables are identical however they are scheduled.  Only
    the printing is ordered — always in paper order. *)
 let tables ?pool () =
-  let run (id, _, f) = (id, f pool) in
+  let run (id, f) = (id, f pool) in
   match pool with
   | Some pool when Harmony_parallel.Pool.size pool > 1 ->
       Harmony_parallel.Pool.map pool run all

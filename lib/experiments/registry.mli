@@ -1,15 +1,13 @@
 (** Experiment registry: every table/figure of the paper, runnable by
     id from the CLI and the bench harness. *)
 
-val all :
-  (string * string * (Harmony_parallel.Pool.t option -> Report.table)) list
-(** (id, description, runner) for every experiment, in paper order.
-    Runners take the pool ([None] = sequential); experiments with
-    independent internal arms (fig7) fan them out through it. *)
-
 val ids : string list
+(** Every experiment, in paper order. *)
 
 val find : string -> (Harmony_parallel.Pool.t option -> Report.table) option
+(** The experiment's runner.  Runners take the pool ([None] =
+    sequential); experiments with independent internal arms (fig7)
+    fan them out through it. *)
 
 val tables : ?pool:Harmony_parallel.Pool.t -> unit -> (string * Report.table) list
 (** Run every experiment and return [(id, table)] in paper order.

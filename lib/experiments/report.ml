@@ -42,7 +42,6 @@ let print ppf t =
   List.iter (fun n -> Format.fprintf ppf "note: %s@." n) t.notes;
   Format.fprintf ppf "@."
 
-let to_string t = Format.asprintf "%a" print t
 let f1 x = Printf.sprintf "%.1f" x
 let f2 x = Printf.sprintf "%.2f" x
 let pct x = Printf.sprintf "%.1f%%" (100.0 *. x)

@@ -17,8 +17,6 @@ val print : Format.formatter -> table -> unit
 (** Render with aligned columns, a rule under the header, and notes
     underneath. *)
 
-val to_string : table -> string
-
 val f1 : float -> string
 (** One-decimal float. *)
 

@@ -23,6 +23,7 @@ type row = {
 
 type result = { rows : row list; optimum : float }
 
+(* lint: allow U1 — paper artifact: the experiment tests assert on its rows *)
 val run : ?total:int -> ?max_evaluations:int -> unit -> result
 (** Defaults: A = 24 processes, 150 evaluations. *)
 

@@ -22,6 +22,7 @@ type result = {
       (** per workload: 1 - improved/original convergence time *)
 }
 
+(* lint: allow U1 — paper artifact: the experiment tests assert on its rows *)
 val run : ?max_evaluations:int -> unit -> result
 (** Default budget: 150 evaluations per run (the scale of the
     paper's runs).  Convergence is measured against each run's own

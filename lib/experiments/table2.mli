@@ -25,6 +25,7 @@ type result = {
   convergence_reduction : (string * float) list;
 }
 
+(* lint: allow U1 — paper artifact: the experiment tests assert on its rows *)
 val run : ?max_evaluations:int -> ?seed:int -> unit -> result
 
 val table : ?max_evaluations:int -> ?seed:int -> unit -> Report.table

@@ -16,12 +16,3 @@ let validate_training { features; labels } =
   dim
 
 let num_classes { labels; _ } = 1 + Array.fold_left Int.max 0 labels
-
-let accuracy t { features; labels } =
-  let n = Array.length features in
-  if n = 0 then invalid_arg "Classifier.accuracy: empty set";
-  let correct = ref 0 in
-  Array.iteri
-    (fun i f -> if t.classify f = labels.(i) then incr correct)
-    features;
-  float_of_int !correct /. float_of_int n

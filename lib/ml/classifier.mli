@@ -22,6 +22,3 @@ val validate_training : training -> int
 
 val num_classes : training -> int
 (** [1 + max label]. *)
-
-val accuracy : t -> training -> float
-(** Fraction of the given examples the classifier labels correctly. *)

@@ -92,14 +92,6 @@ let rec classify t x =
   | Node { feature; threshold; left; right } ->
       if x.(feature) <= threshold then classify left x else classify right x
 
-let rec depth = function
-  | Leaf _ -> 0
-  | Node { left; right; _ } -> 1 + Int.max (depth left) (depth right)
-
-let rec leaves = function
-  | Leaf _ -> 1
-  | Node { left; right; _ } -> leaves left + leaves right
-
 let classifier ?max_depth ?min_samples training =
   let t = fit ?max_depth ?min_samples training in
   { Classifier.name = "decision-tree"; classify = classify t }

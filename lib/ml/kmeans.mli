@@ -19,9 +19,6 @@ val fit :
     default 100).  Requires [1 <= k <= Array.length points] and a
     rectangular non-empty matrix. *)
 
-val assign : float array array -> float array -> int
-(** Nearest centroid of a query point. *)
-
 val classifier : Harmony_numerics.Rng.t -> k:int -> Classifier.training -> Classifier.t
 (** Cluster the training features, give each cluster the majority
     label of its members, classify queries by nearest centroid. *)

@@ -7,6 +7,7 @@
 
 type t
 
+(* lint: allow U1 — the MLP tests read class probabilities through this *)
 val fit :
   Harmony_numerics.Rng.t ->
   ?hidden:int ->
@@ -18,10 +19,9 @@ val fit :
     Features are internally standardized (per-dimension mean/stddev
     from the training set). *)
 
+(* lint: allow U1 — the MLP tests read class probabilities through this *)
 val predict_probabilities : t -> float array -> float array
 (** Softmax class probabilities. *)
-
-val classify : t -> float array -> int
 
 val classifier :
   Harmony_numerics.Rng.t ->

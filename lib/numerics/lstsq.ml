@@ -100,7 +100,3 @@ let predict_hyperplane coeffs point =
     s := !s +. (coeffs.(j) *. point.(j))
   done;
   !s
-
-let residual_norm a x b =
-  let ax = Matrix.mul_vec a x in
-  Stats.euclidean_distance ax b

@@ -7,6 +7,7 @@
     solver: Householder QR for the over-determined case and a
     minimum-norm solution for the under-determined case. *)
 
+(* lint: allow U1 — the least-squares tests check the solver on raw systems through this *)
 val solve : Matrix.t -> float array -> float array
 (** [solve a b] returns [x] minimising [||a x - b||_2].
 
@@ -19,6 +20,7 @@ val solve : Matrix.t -> float array -> float array
 
     @raise Invalid_argument on dimension mismatch. *)
 
+(* lint: allow U1 — only its tests call it; retiring them is queued in ROADMAP item 11 *)
 val qr_solve : Matrix.t -> float array -> float array
 (** Least squares via Householder QR; requires [rows >= cols] and
     full column rank. *)
@@ -32,7 +34,3 @@ val fit_hyperplane : float array array -> float array -> float array
 val predict_hyperplane : float array -> float array -> float
 (** [predict_hyperplane coeffs point] evaluates a hyperplane returned
     by {!fit_hyperplane} at [point]. *)
-
-val residual_norm : Matrix.t -> float array -> float array -> float
-(** [residual_norm a x b] is [||a x - b||_2]; useful to validate a
-    fit. *)

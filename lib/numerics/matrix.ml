@@ -31,11 +31,8 @@ let of_rows arr =
     arr;
   init nrows ncols (fun i j -> arr.(i).(j))
 
-let to_rows m = Array.init m.nrows (fun i -> Array.init m.ncols (fun j -> get m i j))
 let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
 let copy m = { m with data = Array.copy m.data }
-let row m i = Array.init m.ncols (fun j -> get m i j)
-let col m j = Array.init m.nrows (fun i -> get m i j)
 let transpose m = init m.ncols m.nrows (fun i j -> get m j i)
 let map f m = { m with data = Array.map f m.data }
 
@@ -45,7 +42,6 @@ let zip_with name f a b =
   { a with data = Array.init (Array.length a.data) (fun k -> f a.data.(k) b.data.(k)) }
 
 let add a b = zip_with "Matrix.add" ( +. ) a b
-let sub a b = zip_with "Matrix.sub" ( -. ) a b
 let scale s m = map (fun x -> s *. x) m
 
 let mul a b =
@@ -122,16 +118,3 @@ let equal ?(eps = 1e-9) a b =
          a.data;
        !ok
      end
-
-let pp ppf m =
-  Format.fprintf ppf "@[<v>";
-  for i = 0 to m.nrows - 1 do
-    Format.fprintf ppf "@[<h>";
-    for j = 0 to m.ncols - 1 do
-      if j > 0 then Format.fprintf ppf " ";
-      Format.fprintf ppf "%g" (get m i j)
-    done;
-    Format.fprintf ppf "@]";
-    if i < m.nrows - 1 then Format.fprintf ppf "@,"
-  done;
-  Format.fprintf ppf "@]"

@@ -4,29 +4,22 @@
 
 type t
 
-val make : int -> int -> float -> t
-(** [make rows cols x] is a [rows * cols] matrix filled with [x].
-    Requires positive dimensions. *)
-
 val init : int -> int -> (int -> int -> float) -> t
-(** [init rows cols f] fills entry [(i, j)] with [f i j]. *)
+(** [init rows cols f] fills entry [(i, j)] with [f i j].  Requires
+    positive dimensions. *)
 
+(* lint: allow U1 — tests build their fixture matrices through this *)
 val of_rows : float array array -> t
 (** Copies a non-empty rectangular array of rows. *)
 
-val to_rows : t -> float array array
 val identity : int -> t
 val rows : t -> int
 val cols : t -> int
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 val copy : t -> t
-val row : t -> int -> float array
-val col : t -> int -> float array
 val transpose : t -> t
-val map : (float -> float) -> t -> t
 val add : t -> t -> t
-val sub : t -> t -> t
 val scale : float -> t -> t
 val mul : t -> t -> t
 (** Matrix product; dimensions must agree. *)
@@ -39,7 +32,6 @@ val solve : t -> float array -> float array
     with partial pivoting.
     @raise Failure if [a] is (numerically) singular. *)
 
+(* lint: allow U1 — tests compare matrices through this *)
 val equal : ?eps:float -> t -> t -> bool
 (** Entrywise comparison within [eps] (default [1e-9]). *)
-
-val pp : Format.formatter -> t -> unit

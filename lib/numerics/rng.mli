@@ -17,10 +17,12 @@ val seeded_float : int -> float
     one uniform float in [0, 1) per seed, for draws that must be pure
     functions of their key. *)
 
+(* lint: allow U1 — loadgen derives its independent client and chaos streams through this *)
 val split : t -> t
 (** [split t] derives a new generator whose stream is independent of
     the remainder of [t]'s stream. *)
 
+(* lint: allow U1 — only its tests call it; retiring them is queued in ROADMAP item 11 *)
 val copy : t -> t
 (** [copy t] duplicates the current state; both copies then produce
     the same sequence. *)
@@ -58,6 +60,7 @@ val choice : t -> 'a array -> 'a
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 
+(* lint: allow U1 — only its tests call it; retiring them is queued in ROADMAP item 11 *)
 val sample_without_replacement : t -> int -> int -> int array
 (** [sample_without_replacement t k n] draws [k] distinct indices from
     [0, n-1]. Requires [0 <= k <= n]. *)

@@ -104,8 +104,6 @@ let rescale ~lo ~hi a =
   if Float.equal span 0.0 then Array.map (fun _ -> lo) a
   else Array.map (fun x -> lo +. ((x -. amin) /. span *. (hi -. lo))) a
 
-let normalize a = rescale ~lo:0.0 ~hi:1.0 a
-
 let histogram ~buckets ~lo ~hi a =
   if buckets <= 0 then invalid_arg "Stats.histogram: buckets <= 0";
   if hi <= lo then invalid_arg "Stats.histogram: hi <= lo";

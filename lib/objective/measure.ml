@@ -230,34 +230,6 @@ let measure ?(policy = default_policy) ?(clock = Clock.create ()) obj c =
   let result, _, _, _, _ = measure_one ~policy ~clock obj c in
   result
 
-(* Batch counterpart of [measure]: one logical measurement per input
-   configuration, distinct configurations fanned across the pool,
-   repeated occurrences of one configuration measured in input order
-   on a single task (the per-configuration fault/attempt sequence is
-   what must stay ordered).  Results come back in input order and are
-   byte-identical to mapping [measure] sequentially. *)
-let measure_batch ?(policy = default_policy) ?(clock = Clock.create ()) ?pool obj
-    configs =
-  validate_policy policy;
-  let groups = Objective.group_by_key configs in
-  let results =
-    Array.make (Array.length configs)
-      (Error { attempts = 0; faults = 0; last_fault = Objective.Transient })
-  in
-  let measure_group idxs =
-    List.iter
-      (fun i ->
-        let result, _, _, _, _ = measure_one ~policy ~clock obj configs.(i) in
-        results.(i) <- result)
-      idxs
-  in
-  (match pool with
-  | Some pool ->
-      ignore
-        (Harmony_parallel.Pool.map_array pool measure_group groups : unit array)
-  | None -> Array.iter measure_group groups);
-  results
-
 module Telemetry = Harmony_telemetry.Telemetry
 
 (* Counter names under which [robust] records on the telemetry

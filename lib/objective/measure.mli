@@ -27,11 +27,11 @@ open Harmony_param
 module Clock : sig
   type t
 
+  (* lint: allow U1 — the simulated clock tests inject to read backoff time *)
   val create : ?now:float -> unit -> t
-  val now : t -> float
 
-  val sleep : t -> float -> unit
-  (** Advance the clock by [d] ms (no-op for [d <= 0]). *)
+  (* lint: allow U1 — the simulated clock tests inject to read backoff time *)
+  val now : t -> float
 end
 
 type policy = {
@@ -56,8 +56,10 @@ type failure = {
   last_fault : Objective.fault;   (** what finally made it give up *)
 }
 
+(* lint: allow U1 — the model golden generator prints failures through this *)
 val pp_failure : Format.formatter -> failure -> unit
 
+(* lint: allow U1 — hook the model reference suite compares reading vetting through *)
 val measure :
   ?policy:policy ->
   ?clock:Clock.t ->
@@ -70,21 +72,6 @@ val measure :
     up immediately — retrying a broken configuration is wasted
     budget).
     @raise Invalid_argument on a malformed policy. *)
-
-val measure_batch :
-  ?policy:policy ->
-  ?clock:Clock.t ->
-  ?pool:Harmony_parallel.Pool.t ->
-  Objective.t ->
-  Space.config array ->
-  (float, failure) result array
-(** Batch counterpart of {!measure}: one logical measurement per
-    configuration, results in input order, byte-identical to mapping
-    {!measure} sequentially.  Distinct configurations fan out across
-    the pool; repeated occurrences of one configuration are measured
-    in input order on a single task, so its fault/attempt sequence is
-    exactly the sequential one.  All backoff accumulates on the one
-    [clock] (a sum, independent of interleaving). *)
 
 type summary = {
   measurements : int;  (** logical measurements requested *)

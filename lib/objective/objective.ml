@@ -7,6 +7,9 @@ type fault = Transient | Persistent | Timeout | Outlier
 
 exception Measurement_failed of fault
 
+(* The timeout sentinel: a measurement backend that gives up waiting
+   returns [nan] instead of raising, and [Measure] treats any
+   non-finite reading as a [Timeout] fault. *)
 let timed_out = Float.nan
 
 let fault_to_string = function
@@ -123,19 +126,11 @@ let better t (a : float) (b : float) =
   | Higher_is_better -> a > b
   | Lower_is_better -> a < b
 
-let best_of t values =
-  if Array.length values = 0 then invalid_arg "Objective.best_of: empty array";
-  Array.fold_left
-    (fun acc v -> if better t v acc then v else acc)
-    values.(0) values
-
 let worst_of t values =
   if Array.length values = 0 then invalid_arg "Objective.worst_of: empty array";
   Array.fold_left
     (fun acc v -> if better t acc v then v else acc)
     values.(0) values
-
-let eval_default t = t.eval (Space.defaults t.space)
 
 let noisy t =
   match t.randomness with Deterministic -> false | Keyed | Stream -> true
@@ -156,22 +151,6 @@ let with_noise rng ~level t =
     randomness = Stream;
   }
 
-let with_snap t =
-  let snap c = Space.snap t.space c in
-  (* Snapping merges distinct configurations into one grid point, so
-     keyed draws below are no longer keyed by this layer's input: the
-     point's attempt counter advances in whatever order the merged
-     configurations arrive.  Above a snap they count as [Stream]. *)
-  let randomness =
-    match t.randomness with Keyed -> Stream | Deterministic | Stream -> t.randomness
-  in
-  {
-    t with
-    eval = (fun c -> t.eval (snap c));
-    batch = Some (fun disp configs -> run_batch t disp (Array.map snap configs));
-    randomness;
-  }
-
 (* ------------------------------------------------------------------ *)
 (* Fault injection                                                     *)
 
@@ -182,15 +161,6 @@ type fault_rates = {
   outlier : float;
   outlier_magnitude : float;
 }
-
-let no_faults =
-  {
-    transient = 0.0;
-    persistent = 0.0;
-    timeout = 0.0;
-    outlier = 0.0;
-    outlier_magnitude = 8.0;
-  }
 
 let fault_profile rate =
   if rate < 0.0 || rate > 1.0 then
@@ -392,19 +362,3 @@ let cached ?(telemetry = Telemetry.off) ?(freeze_noise = false) t =
         })
   in
   { t with eval; batch = Some batch; stats = Some get }
-
-let with_cache t = cached ~freeze_noise:true t
-
-let negate t =
-  let direction =
-    match t.direction with
-    | Higher_is_better -> Lower_is_better
-    | Lower_is_better -> Higher_is_better
-  in
-  {
-    t with
-    direction;
-    eval = (fun c -> -.t.eval c);
-    batch =
-      Some (fun disp configs -> Array.map Float.neg (run_batch t disp configs));
-  }

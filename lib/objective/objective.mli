@@ -15,8 +15,8 @@ type fault = Transient | Persistent | Timeout | Outlier
 (** What can go wrong with one physical measurement of a live system:
     a transient failure (clears on retry), a persistently broken
     configuration (every attempt fails — BestConfig's "invalid
-    configuration" case), a timed-out run (signalled by the
-    {!timed_out} sentinel value rather than an exception), or a
+    configuration" case), a timed-out run (signalled by a [nan]
+    reading rather than an exception), or a
     silently corrupted reading (an {!Outlier}, only detectable
     statistically). *)
 
@@ -24,11 +24,6 @@ exception Measurement_failed of fault
 (** Raised by faulty objectives ({!with_faults}, or any real
     measurement backend) when an evaluation fails outright.  The
     {!Measure} policy layer catches it; nothing else should. *)
-
-val timed_out : float
-(** The timeout sentinel ([nan]).  A measurement backend that gives up
-    waiting returns this instead of raising; [Measure] treats any
-    non-finite reading as a {!Timeout} fault. *)
 
 val fault_to_string : fault -> string
 
@@ -64,7 +59,7 @@ type randomness =
       (** the order in which distinct configurations are measured
           changes the draws: some layer draws from one shared stream
           ({!with_noise}), or a layer that merges configurations
-          ({!with_snap}) sits over keyed draws *)
+          (a grid snap) sits over keyed draws *)
 (** What randomness the stack up to a layer carries.  [{ t with ... }]
     layers inherit it, and nothing above a [Stream] clears it. *)
 
@@ -116,34 +111,21 @@ val run_batch : t -> dispatcher -> Space.config array -> float array
     deterministic fan-out / noisy sequential-fold fallback.  For
     combinator authors delegating to the layer below. *)
 
-val sequential_dispatcher : dispatcher
-
-val pool_dispatcher : Harmony_parallel.Pool.t -> dispatcher
-
-val group_by_key : Space.config array -> int list array
-(** Occurrence indices grouped by {!Space.config_key}: groups in
-    first-occurrence order, indices within a group in input order. *)
-
 val batch_by_key :
   t -> (Space.config -> float) -> dispatcher -> Space.config array -> float array
 (** [batch_by_key below eval] is the batch strategy for a layer over
     [below] whose randomness is keyed per configuration: one
-    dispatcher task per distinct configuration, repeated occurrences
-    evaluated in input order within the task.  When [below] carries
+    dispatcher task per distinct configuration (grouped by
+    {!Space.config_key}, in first-occurrence order), repeated
+    occurrences evaluated in input order within the task.  When [below] carries
     [Stream] randomness the groups run in the same order on
-    {!sequential_dispatcher}, whatever dispatcher is passed. *)
+    the sequential dispatcher, whatever dispatcher is passed. *)
 
 val better : t -> float -> float -> bool
 (** [better t a b] is true when performance [a] is strictly preferable
     to [b] under the objective's direction. *)
 
-val best_of : t -> float array -> float
-(** Best value in a non-empty array under the objective's direction. *)
-
 val worst_of : t -> float array -> float
-
-val eval_default : t -> float
-(** Evaluate the all-defaults configuration. *)
 
 val noisy : t -> bool
 (** Whether the stack carries any randomness ([Keyed] or [Stream]):
@@ -159,26 +141,18 @@ val with_noise : Harmony_numerics.Rng.t -> level:float -> t -> t
     perturbation (Section 5.2, 0% to +/-25%).  Marks the objective
     {!noisy}. *)
 
-val with_snap : t -> t
-(** Snap configurations onto the grid before evaluating; makes an
-    objective total over continuous proposals.  Over [Keyed]
-    randomness the result is [Stream]: configurations that snap to
-    one point share its attempt sequence. *)
-
 type fault_rates = {
   transient : float;         (** per-attempt probability of a transient
                                  failure *)
   persistent : float;        (** per-configuration probability that every
                                  attempt fails *)
   timeout : float;           (** per-attempt probability of a timed-out
-                                 measurement ({!timed_out}) *)
+                                 measurement (a [nan] reading) *)
   outlier : float;           (** per-attempt probability of multiplicative
                                  corruption of the reading *)
   outlier_magnitude : float; (** corruption factor: a corrupted reading is
                                  multiplied or divided by this (> 0) *)
 }
-
-val no_faults : fault_rates
 
 val fault_profile : float -> fault_rates
 (** [fault_profile rate] is the standard injection mix the CLI's
@@ -195,7 +169,7 @@ val with_faults : ?rates:fault_rates -> seed:int -> t -> t
     that configuration: replaying a run replays its faults exactly,
     independent of what other configurations were measured in
     between.  Transient and persistent faults raise
-    {!Measurement_failed}; timeouts return {!timed_out}; outliers
+    {!Measurement_failed}; timeouts return [nan]; outliers
     multiply or divide the true reading by [outlier_magnitude].
     Marks the objective {!noisy} (a transient objective is not a
     function of the configuration), so [cached] refuses to sit
@@ -228,11 +202,3 @@ val cached : ?telemetry:Harmony_telemetry.Telemetry.t -> ?freeze_noise:bool -> t
     [objective.memo.misses]), a private registry otherwise — and
     {!stats} reads them back, so there is exactly one counting path.
     Several cached objectives sharing one handle merge their counts. *)
-
-val with_cache : t -> t
-(** [cached ~freeze_noise:true] — the historical name.  Prefer
-    {!cached}, which refuses to freeze noise silently. *)
-
-val negate : t -> t
-(** Flip the direction by negating measurements (useful for reusing
-    minimizers as maximizers in tests). *)

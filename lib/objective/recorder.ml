@@ -33,11 +33,6 @@ let clear r =
   r.rev_entries <- [];
   r.next <- 0
 
-let performances r =
-  let a = Array.make r.next 0.0 in
-  List.iter (fun e -> a.(e.index) <- e.performance) r.rev_entries;
-  a
-
 let best obj r =
   List.fold_left
     (fun acc e ->

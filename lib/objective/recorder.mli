@@ -23,15 +23,15 @@ val entries : t -> entry list
 (** All evaluations, oldest first. *)
 
 val count : t -> int
-val clear : t -> unit
 
-val performances : t -> float array
-(** Measured values in evaluation order. *)
+(* lint: allow U1 — only its tests call it; retiring them is queued in ROADMAP item 11 *)
+val clear : t -> unit
 
 val best : Objective.t -> t -> entry option
 (** Best recorded entry under the objective's direction (ties broken
     towards the earliest). *)
 
+(* lint: allow U1 — only its tests call it; retiring them is queued in ROADMAP item 11 *)
 val lookup : t -> Space.config -> float option
 (** Most recent recorded measurement of exactly this configuration,
     if any — lets a tuner skip re-measuring known points. *)

@@ -41,25 +41,17 @@ module Cancel : sig
   (** The never-cancelled token; [cancel none] is a no-op, so sharing
       it is safe. *)
 
+  (* lint: allow U1 — tests inject cancellation through these tokens *)
   val create : unit -> t
+
+  (* lint: allow U1 — tests inject cancellation through these tokens *)
   val cancel : t -> unit
+
   val cancelled : t -> bool
 end
 
 exception Cancelled
 (** The [Error] payload filled into slots shed by cancellation. *)
-
-val create : ?telemetry:Harmony_telemetry.Telemetry.t -> domains:int -> unit -> t
-(** [create ~domains ()] starts a pool that runs at most [domains]
-    tasks in parallel: [domains - 1] worker domains plus the
-    submitting domain, which always participates.  [domains = 1]
-    spawns no domains at all and evaluates everything sequentially in
-    the caller.  With a live [telemetry] handle the pool records a
-    [pool.tasks] counter, a [pool.queue_depth.max] high-water gauge,
-    and per-domain [pool.domain.N.tasks] utilization counters (N = 0
-    is the submitting domain) — utilization is a scheduling
-    observation and may vary run to run; task results never do.
-    @raise Invalid_argument when [domains < 1]. *)
 
 val size : t -> int
 (** The [domains] the pool was created with. *)
@@ -85,12 +77,19 @@ val try_map_array :
     others' results.  Slots whose task had not started when [cancel]
     fired hold [Error Cancelled]. *)
 
-val shutdown : t -> unit
-(** Stop and join the worker domains.  Idempotent.  Tasks submitted
-    after shutdown still complete (the caller runs them itself), so a
-    shut-down pool behaves like a pool of size 1. *)
-
 val with_pool :
   ?telemetry:Harmony_telemetry.Telemetry.t -> domains:int -> (t -> 'a) -> 'a
 (** [with_pool ~domains f] runs [f] with a fresh pool and shuts it
-    down afterwards, whether [f] returns or raises. *)
+    down afterwards, whether [f] returns or raises.  The pool runs at
+    most [domains] tasks in parallel: [domains - 1] worker domains
+    plus the submitting domain, which always participates.
+    [domains = 1] spawns no domains at all and evaluates everything
+    sequentially in the caller.  Tasks submitted after shutdown still
+    complete (the caller runs them itself), so a pool that escapes [f]
+    behaves like a pool of size 1.  With a live [telemetry] handle the
+    pool records a [pool.tasks] counter, a [pool.queue_depth.max]
+    high-water gauge, and per-domain [pool.domain.N.tasks]
+    utilization counters (N = 0 is the submitting domain) —
+    utilization is a scheduling observation and may vary run to run;
+    task results never do.
+    @raise Invalid_argument when [domains < 1]. *)

@@ -35,7 +35,6 @@ let value_at p i =
   if i < 0 || i >= num_values p then invalid_arg "Param.value_at: out of range";
   p.min_value +. (float_of_int i *. p.step)
 
-let values p = Array.init (num_values p) (value_at p)
 let[@inline] clamp p v = Float.min p.max_value (Float.max p.min_value v)
 
 let snap p v =
@@ -74,7 +73,3 @@ let normalize_into ps c dst pos =
 
 let denormalize p x =
   snap p (p.min_value +. (x *. (p.max_value -. p.min_value)))
-
-let pp ppf p =
-  Format.fprintf ppf "%s in [%g, %g] step %g default %g" p.name p.min_value
-    p.max_value p.step p.default

@@ -31,15 +31,9 @@ val value_at : t -> int -> float
 (** [value_at p i] is the [i]-th grid point.
     @raise Invalid_argument if [i] is out of range. *)
 
-val values : t -> float array
-(** All grid points, ascending. *)
-
 val index_of : t -> float -> int
 (** Index of the grid point nearest to the given value (after
     clamping into range). *)
-
-val clamp : t -> float -> float
-(** Clamp into [min_value, max_value]. *)
 
 val snap : t -> float -> float
 (** Clamp, then round to the nearest grid point.  This is the paper's
@@ -67,5 +61,3 @@ val normalize_into : t array -> float array -> floatarray -> int -> unit
     [dst] at [pos + i] for every [i], boxing no float.
     @raise Invalid_argument when [ps] and [c] differ in length (and
     as {!Float.Array.set} when [dst] is too short). *)
-
-val pp : Format.formatter -> t -> unit

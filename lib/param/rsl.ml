@@ -75,7 +75,14 @@ let tokenize s =
           while !j < n && s.[!j] >= '0' && s.[!j] <= '9' do
             incr j
           done;
-          loop !j (Int (int_of_string (String.sub s i (!j - i))) :: acc)
+          let digits = String.sub s i (!j - i) in
+          (match int_of_string_opt digits with
+          | Some v -> loop !j (Int v :: acc)
+          | None ->
+              raise
+                (Parse_error
+                   (Printf.sprintf "integer literal %s out of range at offset %d"
+                      digits i)))
       | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
           let is_ident c =
             (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
@@ -340,21 +347,6 @@ let to_space t =
       t
   in
   Space.create params
-
-let is_feasible t values =
-  List.length t = Array.length values
-  && begin
-       let ok = ref true in
-       List.iteri
-         (fun i _ ->
-           if !ok then begin
-             let lo, hi, step = bounds t values i in
-             let v = values.(i) in
-             if v < lo || v > hi || (v - lo) mod step <> 0 then ok := false
-           end)
-         t;
-       !ok
-     end
 
 let feasible_count ?(limit = max_int) t =
   let n = List.length t in

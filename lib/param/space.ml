@@ -21,17 +21,7 @@ let param t i =
   if i < 0 || i >= dims t then invalid_arg "Space.param: out of range";
   t.params.(i)
 
-let index_of_name t name =
-  let rec loop i =
-    if i >= dims t then raise Not_found
-    else if t.params.(i).Param.name = name then i
-    else loop (i + 1)
-  in
-  loop 0
-
 let defaults t = Array.map (fun (p : Param.t) -> p.Param.default) t.params
-let mins t = Array.map (fun (p : Param.t) -> p.Param.min_value) t.params
-let maxs t = Array.map (fun (p : Param.t) -> p.Param.max_value) t.params
 
 let check_arity name t c =
   if Array.length c <> dims t then invalid_arg (name ^ ": arity mismatch")
@@ -53,10 +43,6 @@ let is_valid t c =
 let normalize t c =
   check_arity "Space.normalize" t c;
   Array.mapi (fun i v -> Param.normalize t.params.(i) v) c
-
-let denormalize t x =
-  check_arity "Space.denormalize" t x;
-  Array.mapi (fun i v -> Param.denormalize t.params.(i) v) x
 
 let cardinality t =
   Array.fold_left
@@ -140,5 +126,3 @@ let pp_config t ppf c =
       Format.fprintf ppf "%s=%g" t.params.(i).Param.name v)
     c;
   Format.fprintf ppf "}@]"
-
-let config_to_string t c = Format.asprintf "%a" (pp_config t) c

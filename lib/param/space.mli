@@ -16,14 +16,8 @@ val params : t -> Param.t array
 val dims : t -> int
 val param : t -> int -> Param.t
 
-val index_of_name : t -> string -> int
-(** @raise Not_found when no parameter has that name. *)
-
 val defaults : t -> config
 (** Configuration with every parameter at its default value. *)
-
-val mins : t -> config
-val maxs : t -> config
 
 val snap : t -> config -> config
 (** Snap every coordinate onto its parameter grid (fresh array). *)
@@ -34,8 +28,6 @@ val is_valid : t -> config -> bool
 val normalize : t -> config -> float array
 (** Per-coordinate [0, 1] normalization (for distances and
     sensitivities). *)
-
-val denormalize : t -> float array -> config
 
 val cardinality : t -> float
 (** Number of grid configurations, as a float (spaces like 2^1000 in
@@ -51,6 +43,7 @@ val enumerate : t -> config Seq.t
 (** Lazy row-major enumeration of every grid configuration.  Only
     sensible for small spaces (exhaustive search, Figure 4). *)
 
+(* lint: allow U1 — the analyzer's seed-pick reference measures distances with this *)
 val distance : t -> config -> config -> float
 (** Euclidean distance in normalized coordinates. *)
 
@@ -64,4 +57,3 @@ val config_equal : config -> config -> bool
 (** Coordinate-wise equality within 1e-9. *)
 
 val pp_config : t -> Format.formatter -> config -> unit
-val config_to_string : t -> config -> string

@@ -25,7 +25,6 @@ let crc32 s =
 let header_size = 8
 let max_payload = 16 * 1024 * 1024
 
-let encoded_size payload = header_size + String.length payload
 
 let encode payload =
   let len = String.length payload in

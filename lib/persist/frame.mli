@@ -8,15 +8,9 @@
     prefix reached, so a crash mid-append costs exactly the record
     being written and nothing before it. *)
 
-val crc32 : string -> int
-(** CRC-32 (IEEE 802.3 polynomial) of the whole string, in
-    [0, 0xFFFFFFFF]. *)
-
 val encode : string -> string
-(** Frame one payload: 4-byte LE length, 4-byte LE CRC-32, payload. *)
-
-val encoded_size : string -> int
-(** [String.length (encode payload)] without building the frame. *)
+(** Frame one payload: 4-byte LE length, 4-byte LE CRC-32 (IEEE 802.3
+    polynomial) of the payload, payload. *)
 
 val max_payload : int
 (** Upper bound on accepted payload length (16 MiB).  A scan treats a

@@ -1,7 +1,5 @@
 type t = { sink : Persist.sink; mutable records : int }
 
-let of_sink sink = { sink; records = 0 }
-
 let open_file ?(wrap = Fun.id) path =
   let existing =
     match Persist.read_file path with None -> "" | Some bytes -> bytes

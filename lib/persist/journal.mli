@@ -18,9 +18,6 @@ val open_file :
     file sink (fault injection in the crash harness).
     @raise Sys_error (or [Unix.Unix_error]) on I/O failure. *)
 
-val of_sink : Persist.sink -> t
-(** Journal over an arbitrary sink (in-memory tests). *)
-
 val append : t -> string list -> string list
 (** Frame each payload, write the frames in order with one write, then
     fsync once; returns the frames, in order, so a caller that keeps

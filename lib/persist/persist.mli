@@ -25,9 +25,11 @@ val file_sink : ?trim_to:int -> string -> sink
     [sync] is a real [fsync].
     @raise Sys_error (or [Unix.Unix_error]) on I/O failure. *)
 
+(* lint: allow U1 — fake sink the durability tests inject *)
 val buffer_sink : Buffer.t -> sink
 (** In-memory sink; [sync] is a no-op, [reset] clears the buffer. *)
 
+(* lint: allow U1 — fake sink the durability tests inject *)
 val fault_sink : limit_bytes:int -> sink -> sink
 (** Wrap [sink] so that after [limit_bytes] total bytes have been
     written, every write raises {!Crashed} — the overflowing write

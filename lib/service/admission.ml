@@ -108,7 +108,6 @@ let create ?telemetry ~shards config =
   in
   { config; clock = 0; shard_state; buckets = Hashtbl.create 64 }
 
-let config t = t.config
 let now t = t.clock
 
 let tick t =

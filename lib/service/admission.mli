@@ -37,6 +37,7 @@ type config = {
           and [degrade_high] the shard keeps its current mode. *)
 }
 
+(* lint: allow U1 — tests build the configs they inject on this *)
 val unlimited : config
 (** All features off: every check admits.  Useful as a base record. *)
 
@@ -83,8 +84,6 @@ val create :
     [degrade_window > 0] with [degrade_high < 1] or
     [degrade_low > degrade_high]) or [shards < 1]. *)
 
-val config : t -> config
-
 val now : t -> int
 (** The logical clock: the number of {!tick} calls so far. *)
 
@@ -94,10 +93,10 @@ val tick : t -> unit
     against the sheds it counted, flips its degraded flag accordingly,
     and starts a fresh window. *)
 
+(* lint: allow U1 — test hook: the admission tests read degraded mode through this *)
 val degraded : t -> shard:int -> bool
 (** Whether [shard] is currently in degraded mode. *)
 
-val any_degraded : t -> bool
 
 val check :
   t ->
@@ -137,11 +136,13 @@ val reject_text : reason:reason -> retry_after:int -> degraded:bool -> string
 val verdict_text : verdict -> string option
 (** [reject_text] for a [Reject]; [None] for [Admit]. *)
 
+(* lint: allow U1 — loadgen's retry loop reads rejections through this *)
 val retry_after_of_text : string -> int option
 (** Parse the [retry-after=N] hint back out of a reply line; [None]
     when the line is not an admission rejection.  Total on arbitrary
     input (the chaos harness feeds it every reply it sees). *)
 
+(* lint: allow U1 — loadgen's retry loop reads rejections through this *)
 val is_rejection_text : string -> bool
 (** Whether a reply line carries the admission-rejection grammar. *)
 
@@ -150,11 +151,16 @@ val is_rejection_text : string -> bool
 
 val c_admitted : string
 val c_rejected : string
+(* lint: allow U1 — loadgen's admission and chaos gates read this counter *)
 val c_rate_limited : string
+(* lint: allow U1 — loadgen's admission and chaos gates read this counter *)
 val c_over_capacity : string
+(* lint: allow U1 — loadgen's admission and chaos gates read this counter *)
 val c_shed : string
+(* lint: allow U1 — loadgen's admission and chaos gates read this counter *)
 val c_deadline_expired : string
 val c_cancelled : string
+(* lint: allow U1 — loadgen's admission and chaos gates read this counter *)
 val c_degrade_transitions : string
-val g_degraded : string
+(* lint: allow U1 — the telemetry golden generator names the histogram through this *)
 val h_queue_delay : string

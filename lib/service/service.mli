@@ -132,11 +132,13 @@ val create :
     @raise Invalid_argument when [shards < 1] (or the config is
     invalid, as in {!Admission.create} / {!Slo.create}). *)
 
+(* lint: allow U1 — test hook: the service tests read degraded mode through this *)
 val admission : t -> Admission.t option
 (** The live admission state, when the service was created with one
     (tests inspect degraded flags and the logical clock through
     this). *)
 
+(* lint: allow U1 — loadgen's SLO and chaos gates read this *)
 val admission_now : t -> int
 (** The admission logical clock: ticks once per {!handle} /
     {!handle_batch} call.  [0] when admission is off — with no
@@ -144,18 +146,22 @@ val admission_now : t -> int
 
 val shards : t -> int
 
+(* lint: allow U1 — the service and group tests route clients to shards through this *)
 val shard_for : shards:int -> string -> int
 (** The pure routing function: FNV-1a over the client id, mod
     [shards].  Independent of any runtime state, so clients can be
     routed without the service in hand.
     @raise Invalid_argument when [shards < 1]. *)
 
+(* lint: allow U1 — the service and group tests route clients to shards through this *)
 val shard_of_client : t -> string -> int
+(* lint: allow U1 — loadgen's SLO and chaos gates read this *)
 val sessions : t -> int
 (** Live sessions across all shards. *)
 
 (** {1 Handling} *)
 
+(* lint: allow U1 — the service tests drive one message at a time through this *)
 val handle : t -> message -> reply
 (** Process one message through its shard.  Total: every protocol
     error (unknown client, duplicate register, bad spec) is an error
@@ -166,17 +172,13 @@ val handle : t -> message -> reply
     not acknowledge it —
     and a message whose journal record would exceed
     {!Harmony_persist.Frame.max_payload} is answered [Rejected],
-    neither applied nor journaled.  Equivalent to {!handle_env} on a
-    bare envelope. *)
-
-val handle_env : t -> envelope -> reply
-(** {!handle} with admission metadata: the admission layer (when
+    neither applied nor journaled.  The admission layer (when
     configured) decides before the shard sees the message; a rejection
     is a total [Rejected] reply with a [retry-after=N] hint, journaled
     as a [shed] record when the message class is journaled. *)
 
 val handle_stamped : ?deadline_ticks:int -> t -> message -> reply
-(** {!handle_env} for a synchronous caller: the message is enqueued at
+(** {!handle} for a synchronous caller: the message is enqueued at
     the admission tick it is handled at, with a deadline
     [deadline_ticks] later (none without it), so a deadline of [0]
     means "handle at arrival" and is always met.  What [harmony_cli
@@ -185,7 +187,8 @@ val handle_stamped : ?deadline_ticks:int -> t -> message -> reply
 val handle_single : ?deadline_ticks:int -> t -> Server.message -> Server.reply
 (** The single-session protocol over the service: one unprefixed
     {!Server.message} at a time, run as the fixed client [session]
-    through {!handle_env}, so a lone session is journaled, recovered
+    through the shard path every client takes, so a lone session is
+    journaled, recovered
     and policed by the same code as every shard's.  [Metrics] is
     answered as [service-metrics] (the merged registry).  A [Register]
     while the session is live deregisters it first, so re-registering
@@ -245,17 +248,16 @@ val handle_batch_env :
 
 (** {1 Telemetry} *)
 
+(* lint: allow U1 — loadgen's SLO and chaos gates read this *)
 val shard_telemetry : t -> int -> Harmony_telemetry.Telemetry.t
 (** The handle shard [i] was created with ({!Harmony_telemetry.Telemetry.off}
     when out of range — total). *)
 
 val merged_telemetry : t -> Harmony_telemetry.Telemetry.t
-(** {!Harmony_telemetry.Telemetry.merged} over all shard handles. *)
+(** {!Harmony_telemetry.Telemetry.merged} over all shard handles; in
+    Prometheus text form it is what [Service_metrics] answers. *)
 
-val metrics : t -> string
-(** The merged registry in Prometheus text form — what
-    [Service_metrics] answers. *)
-
+(* lint: allow U1 — loadgen's SLO and chaos gates read this *)
 val flight_dump : t -> string
 (** Every shard's flight-recorder ring as JSONL (each line carries a
     [shard] field; oldest-first per shard) — what [Dump_flight]
@@ -263,11 +265,13 @@ val flight_dump : t -> string
     an SLO page.  Empty when no shard handle has an attached
     recorder. *)
 
+(* lint: allow U1 — loadgen's SLO and chaos gates read this *)
 val slo_state : t -> Slo.state option
 (** The burn-rate monitor's combined state (worst of the handle and
     queue-delay objectives); [None] when the service was created
     without [?slo]. *)
 
+(* lint: allow U1 — loadgen's SLO and chaos gates read this *)
 val slo_pages : t -> int
 (** Total transitions into [Page] across both objectives (0 without a
     monitor). *)
@@ -306,7 +310,9 @@ val reply_to_string : reply -> string
 module Event : sig
   type t = Recv of message | Reply of string | Shed of message
 
+  (* lint: allow U1 — the codec reference suite compares encodings through this *)
   val encode : seq:int -> t -> string
+  (* lint: allow U1 — loadgen's journal-exact check decodes shard journals through this *)
   val decode : string -> (int * t) option
   (** Total inverse of {!encode}; [None] on anything malformed. *)
 end

@@ -2,8 +2,9 @@
 
    The budgets half parses bench/service_slo.json — the single source
    of truth for the service's latency objectives — so the loadgen
-   harness, the CLI and the in-service monitor all read the same
-   numbers.
+   harness (test/loadgen.ml, whose CI gates hold the service to them)
+   and the monitor it attaches read the same numbers.  No program
+   reads the file: serve runs without a monitor.
 
    The monitor half is the classic multi-window burn-rate alert,
    transplanted onto the logical clock: each feed is one admission
@@ -225,8 +226,6 @@ let feed t ~total ~violations =
 
 let state t = t.state_
 let pages t = t.pages_
-let transitions t = t.transitions_
-let feeds t = t.next
 
 (* Violating observations in a histogram snapshot: the occupancy of
    every bucket whose upper bound exceeds the threshold.  Conservative

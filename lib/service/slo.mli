@@ -28,6 +28,7 @@ type burn_config = {
   page_burn : float;  (** fast burn that (with slow confirmation) pages *)
 }
 
+(* lint: allow U1 — the telemetry golden generator builds its monitor from this *)
 val default_burn : burn_config
 (** 8-feed fast window, 64-feed slow window, 1% budget, warn at 2x
     burn, page at 8x. *)
@@ -44,6 +45,7 @@ type budgets = {
   burn : burn_config;  (** optional "burn" object; defaults otherwise *)
 }
 
+(* lint: allow U1 — loadgen's SLO gate reads bench/service_slo.json through this *)
 val budgets_of_json : string -> (budgets, string) result
 (** Parse the JSON text of [bench/service_slo.json].  The [burn]
     object is optional (each field defaults from {!default_burn});
@@ -59,6 +61,7 @@ type spec = {
   burn : burn_config;
 }
 
+(* lint: allow U1 — loadgen's SLO gate reads bench/service_slo.json through this *)
 val spec_of_budgets : budgets -> spec
 
 (** {1 Burn-rate monitor} *)
@@ -77,18 +80,9 @@ val feed : t -> total:int -> violations:int -> state * state
     directly) and step the state machine.  Returns
     [(before, after)]. *)
 
-val burn_rates : t -> float * float
-(** Current (fast, slow) burn rates; 0 over an empty window. *)
-
 val state : t -> state
 val pages : t -> int
 (** Transitions into [Page] so far. *)
-
-val transitions : t -> int
-(** All state changes so far. *)
-
-val feeds : t -> int
-(** Feeds seen so far. *)
 
 val violations_in : Telemetry.histogram_snapshot -> threshold:float -> int
 (** Observations in buckets whose upper bound exceeds [threshold] —

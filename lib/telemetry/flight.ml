@@ -47,10 +47,8 @@ let create ~capacity =
     total = 0;
   }
 
-let capacity t = t.capacity
 let mutex t = t.lock
 
-let total t = Mutex.protect t.lock (fun () -> t.total)
 
 let int_of_kind = function Begin -> 0 | End -> 1 | Instant -> 2
 let kind_of_int = function 0 -> Begin | 1 -> End | _ -> Instant

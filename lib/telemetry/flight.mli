@@ -19,27 +19,15 @@ type t
 
 type kind = Begin | End | Instant
 
-type entry = { e_kind : kind; e_name : string; e_ts : float; e_trace : string }
-(** [e_trace] is the event's trace id as 16 hex digits ("" when it
-    carried none). *)
-
 val create : capacity:int -> t
 (** Fixed capacity ring; raises [Invalid_argument] if [capacity < 1]. *)
 
-val capacity : t -> int
-
-val total : t -> int
-(** Events ever recorded (not capped at capacity). *)
-
-val entries : t -> entry list
-(** The retained window, oldest first (length [min total capacity]). *)
-
 val to_jsonl : ?shard:int -> t -> string
-(** The retained window as JSONL event lines ([Export.jsonl]-shaped,
+(** The retained window — the last [capacity] events, oldest first —
+    as JSONL event lines ([Export.jsonl]-shaped: [type], [name], [ts],
+    and [args.trace_id] as 16 hex digits when the event carried one;
     plus a ["shard"] field when given), which [harmony_trace] and
     [harmony_cli stats] read. *)
-
-val kind_to_string : kind -> string
 
 (** {1 For the owning handle} *)
 

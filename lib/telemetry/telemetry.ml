@@ -339,10 +339,6 @@ let event_count = function
   | Off -> 0
   | On s -> Mutex.protect s.lock (fun () -> s.ticks)
 
-let depth = function
-  | Off -> 0
-  | On s -> Mutex.protect s.lock (fun () -> s.depth_now)
-
 (* ------------------------------------------------------------------ *)
 (* Counters                                                            *)
 
@@ -420,13 +416,6 @@ let gauge_max t name v =
       Mutex.lock s.lock;
       max_locked (gauge_locked s name) v;
       Mutex.unlock s.lock
-
-let gauge_value t name =
-  match t with
-  | Off -> None
-  | On s ->
-      Mutex.protect s.lock (fun () ->
-          Option.bind (Hashtbl.find_opt s.gauges name) value_if_set)
 
 (* ------------------------------------------------------------------ *)
 (* Histograms                                                          *)
@@ -651,10 +640,6 @@ let quantile snap q =
           else go (cumulative + occupancy) rest
     in
     go 0 snap.buckets
-
-let quantile_opt snap q =
-  let v = quantile snap q in
-  if Float.is_nan v then None else Some v
 
 (* Fold [src]'s buckets into [dst].  Identical bounds merge exactly
    (pointwise occupancy addition); differing bounds degrade gracefully

@@ -62,8 +62,13 @@ module Ctx : sig
   (** An indexed child, for fan-out (batch evaluation slots): the
       child named [name ^ "#" ^ string_of_int i]. *)
 
+  (* lint: allow U1 — the telemetry reference suite compares ids through this *)
   val trace_id : t -> string
+
+  (* lint: allow U1 — the telemetry reference suite compares ids through this *)
   val span_id : t -> string
+
+  (* lint: allow U1 — the telemetry reference suite compares ids through this *)
   val parent_id : t -> string
   (** 16 hex digits each; [parent_id] is [""] on a root. *)
 
@@ -137,9 +142,6 @@ val events : t -> event list
 
 val event_count : t -> int
 
-val depth : t -> int
-(** Current span nesting depth (0 when all spans are closed). *)
-
 (** {1 Metrics registry}
 
     Every counter, gauge and histogram is a per-name slot.  A hot call
@@ -195,6 +197,7 @@ val observe_into : ?ctx:Ctx.t -> histogram -> float -> unit
     in OpenMetrics exemplar syntax by [Export.prometheus] and readable
     back via {!exemplars}. *)
 
+(* lint: allow U1 — the telemetry reference suite drives the registry through this *)
 val observe :
   t -> ?bounds:float array -> ?ctx:Ctx.t -> string -> float -> unit
 (** {!observe_into} by name.  Bucket upper bounds are fixed by the
@@ -209,7 +212,6 @@ val declare_histogram : t -> ?bounds:float array -> string -> unit
     No-op if the histogram has already been updated or declared. *)
 
 val counter_value : t -> string -> int
-val gauge_value : t -> string -> float option
 
 val counters : t -> (string * int) list
 (** All counters, sorted by name. *)
@@ -246,17 +248,13 @@ val flight : t -> Flight.t option
     shards never contend on one mutex and per-shard traces stay
     deterministic) and merges the registries on demand. *)
 
+(* lint: allow U1 — loadgen's SLO gate reads its p99s through this *)
 val quantile : histogram_snapshot -> float -> float
 (** [quantile snap q] is a conservative upper estimate of the [q]-th
     quantile ([0 <= q <= 1]): the smallest bucket upper bound whose
     cumulative occupancy reaches [ceil (q * count)].  [infinity] when
     the quantile lands in the overflow bucket; [nan] on an empty
     histogram or an out-of-range [q]. *)
-
-val quantile_opt : histogram_snapshot -> float -> float option
-(** {!quantile} with the empty/out-of-range case made explicit:
-    [None] instead of [nan], so callers cannot silently propagate a
-    NaN into comparisons (lint rule N1). *)
 
 val merged : t list -> t
 (** A fresh live handle whose registry aggregates the inputs:

@@ -18,10 +18,6 @@ type t
 
 val derive : Wsconfig.t -> mix:Tpcw.mix -> t
 
-val node_ram_mb : float
-(** Memory per node (1 GByte, Table 3); thrashing starts as demand
-    approaches it. *)
-
 val cache_hit_probability : t -> Tpcw.interaction -> float
 (** Probability that the proxy serves the interaction from cache;
     [0.] for non-cacheable interactions. *)
@@ -48,11 +44,15 @@ val app_queue_limit : t -> int
 val db_servers : t -> int
 val db_queue_limit : t -> int
 
+(* lint: allow U1 — hook the model reference suite compares the fused means through *)
 val mean_cache_hit : t -> float
 (** Mix-weighted probability that a request is a cache hit. *)
 
+(* lint: allow U1 — hook the model reference suite compares the fused means through *)
 val mean_proxy_ms : t -> float
+(* lint: allow U1 — hook the model reference suite compares the fused means through *)
 val mean_app_ms : t -> float
+(* lint: allow U1 — hook the model reference suite compares the fused means through *)
 val mean_db_ms : t -> float
 (** Mix-weighted per-request expected demand at each tier (app/db
     weighted by miss probability) — the inputs of the analytic

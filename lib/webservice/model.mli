@@ -16,6 +16,7 @@ type options = {
   think_ms : float;     (** mean think time (default 1000 ms) *)
 }
 
+(* lint: allow U1 — hook the model reference suite compares the fast path through *)
 val default_options : options
 
 (** The Schweitzer AMVA fixed-point solver, exposed with its scratch
@@ -25,8 +26,10 @@ val default_options : options
 module Amva : sig
   type scratch
 
+  (* lint: allow U1 — hook the model reference suite compares the fast path through *)
   val scratch : unit -> scratch
 
+  (* lint: allow U1 — hook the model reference suite compares the fast path through *)
   val solve :
     ?scratch:scratch ->
     clients:int ->
@@ -44,10 +47,12 @@ module Amva : sig
       [clients < 1], a server count below 1, or a negative or
       non-finite think time or demand. *)
 
+  (* lint: allow U1 — test hook: the webservice tests check the AMVA population balance through this *)
   val queue_lengths : scratch -> float array
   (** Per-station mean queue lengths of the scratch's last solve. *)
 end
 
+(* lint: allow U1 — hook the model reference suite compares the fast path through *)
 val mmck_blocking : servers:int -> queue:int -> offered:float -> float
 (** Blocking probability of an M/M/c/K station with [servers] servers
     and [queue] waiting places under [offered] Erlangs (arrival rate x
@@ -62,6 +67,7 @@ type result = {
   reject_fraction : float;  (** estimated accept-queue overflow *)
 }
 
+(* lint: allow U1 — hook the model reference suite compares the fast path through *)
 val evaluate : ?options:options -> Wsconfig.t -> mix:Tpcw.mix -> result
 (** Solve the model for one configuration.  Stations 0, 1 and 2 are
     the proxy, app and db tiers.
@@ -69,6 +75,7 @@ val evaluate : ?options:options -> Wsconfig.t -> mix:Tpcw.mix -> result
     negative or not finite, or when the configuration gives a station
     no server or a non-finite demand. *)
 
+(* lint: allow U1 — hook the model reference suite compares the fast path through *)
 val wips : ?options:options -> Wsconfig.t -> mix:Tpcw.mix -> float
 
 val objective : ?options:options -> mix:Tpcw.mix -> unit -> Harmony_objective.Objective.t

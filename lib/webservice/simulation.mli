@@ -56,14 +56,13 @@ type result = {
 module Arena : sig
   type t
 
+  (* lint: allow U1 — tests inject arenas through this *)
   val create : ?capacity:int -> unit -> t
   (** [capacity] is the initial response-time buffer size in samples
       (default 4096); the buffer grows geometrically when exceeded. *)
 end
 
 val run : ?options:options -> ?arena:Arena.t -> Wsconfig.t -> mix:Tpcw.mix -> result
-
-val wips : ?options:options -> Wsconfig.t -> mix:Tpcw.mix -> float
 
 val objective : ?options:options -> mix:Tpcw.mix -> unit -> Harmony_objective.Objective.t
 (** Higher-is-better WIPS over {!Wsconfig.space}.  Each evaluation

@@ -96,17 +96,10 @@ let mix_of_label = function
   | "ordering" -> ordering
   | other -> invalid_arg ("Tpcw.mix_of_label: unknown mix " ^ other)
 
-let weight mix interaction =
-  let w = ref 0.0 in
-  Array.iter (fun (i, v) -> if i = interaction then w := !w +. v) mix.weights;
-  !w
-
 let browse_fraction mix =
   Array.fold_left
     (fun acc (i, w) -> if category i = Browse then acc +. w else acc)
     0.0 mix.weights
-
-let frequency_vector mix = Array.map (weight mix) all
 
 let sample rng mix =
   let u = Rng.float rng 1.0 in
@@ -243,11 +236,6 @@ let mean_demand mix =
       0.0 mix.weights
   in
   { acc with cacheable = cacheable_weight > 0.5 }
-
-let cacheable_fraction mix =
-  Array.fold_left
-    (fun acc (i, w) -> if (demand i).cacheable then acc +. w else acc)
-    0.0 mix.weights
 
 let write_fraction mix =
   Array.fold_left

@@ -22,9 +22,11 @@ type interaction =
 
 type category = Browse | Order
 
+(* lint: allow U1 — the tpcw tests iterate the interaction table through this *)
 val all : interaction array
 (** The 14 interactions, in specification order. *)
 
+(* lint: allow U1 — only its tests call it; retiring them is queued in ROADMAP item 11 *)
 val name : interaction -> string
 val category : interaction -> category
 
@@ -44,16 +46,8 @@ val mix_of_label : string -> mix
 (** Recognizes "browsing", "shopping", "ordering".
     @raise Invalid_argument otherwise. *)
 
-val weight : mix -> interaction -> float
-(** Normalized weight (weights of a mix sum to 1). *)
-
 val browse_fraction : mix -> float
 (** Total weight of Browse-category interactions. *)
-
-val frequency_vector : mix -> float array
-(** The 14 normalized weights in {!all} order — the workload
-    characterization the paper's data analyzer uses ("frequency
-    distribution for web interactions"). *)
 
 val sample : Harmony_numerics.Rng.t -> mix -> interaction
 (** Draw an interaction according to the mix weights
@@ -73,7 +67,7 @@ val sample_next :
 
 val observed_frequencies :
   Harmony_numerics.Rng.t -> mix -> samples:int -> float array
-(** Empirical frequency vector from [samples] draws: what the data
+(** Empirical frequency vector, in {!all} order, from [samples] draws: what the data
     analyzer sees when it "spends a small amount of time observing
     requests". *)
 
@@ -90,11 +84,10 @@ type demand = {
 
 val demand : interaction -> demand
 
+(* lint: allow U1 — only its tests call it; retiring them is queued in ROADMAP item 11 *)
 val mean_demand : mix -> demand
 (** Mix-weighted average demand ([cacheable] is true when the weighted
-    cacheable fraction exceeds one half; use {!cacheable_fraction} for
-    the exact value). *)
+    cacheable fraction exceeds one half). *)
 
-val cacheable_fraction : mix -> float
 val write_fraction : mix -> float
 (** Weight of interactions that perform database writes. *)

@@ -73,8 +73,8 @@ let pairs =
       List.map (fun mix -> (oname ^ "/" ^ mix.Tpcw.label, options, mix)) mixes)
     option_sets
 
-let lo = Space.mins Wsconfig.space
-let hi = Space.maxs Wsconfig.space
+let lo = Array.map (fun p -> p.Param.min_value) (Space.params Wsconfig.space)
+let hi = Array.map (fun p -> p.Param.max_value) (Space.params Wsconfig.space)
 
 let fixed_points =
   [
@@ -287,7 +287,7 @@ let scripted ~noisy readings =
         left := rest;
         match r with
         | V v -> v
-        | Timed_out -> Objective.timed_out
+        | Timed_out -> Float.nan
         | Fail k -> raise (Objective.Measurement_failed k))
   in
   {

@@ -17,24 +17,23 @@ let small_obj =
   Objective.create ~space:small_space ~direction:Objective.Higher_is_better
     (fun c -> (10.0 *. c.(0)) +. c.(1))
 
+(* Uniform sampling over the grid is Baselines.random_sweep, the
+   Monte-Carlo half of Figure 4's distributions. *)
 let test_random_search_finds_something () =
-  let r = Baselines.random_search (Rng.create 1) ~max_evaluations:200 peak in
-  Alcotest.(check int) "budget spent" 200 r.Baselines.evaluations;
-  Alcotest.(check bool) "reasonable result" true (r.Baselines.best_performance > 50.0);
-  Alcotest.(check (float 1e-9))
-    "consistent" r.Baselines.best_performance
-    (peak.Objective.eval r.Baselines.best_config)
+  let perfs = Baselines.random_sweep (Rng.create 1) ~samples:200 peak in
+  Alcotest.(check int) "budget spent" 200 (Array.length perfs);
+  Alcotest.(check bool) "reasonable result" true
+    (Array.fold_left Float.max neg_infinity perfs > 50.0)
 
 let test_random_search_deterministic () =
-  let a = Baselines.random_search (Rng.create 5) ~max_evaluations:50 peak in
-  let b = Baselines.random_search (Rng.create 5) ~max_evaluations:50 peak in
-  Alcotest.(check (float 1e-12)) "same seed same result" a.Baselines.best_performance
-    b.Baselines.best_performance
+  let a = Baselines.random_sweep (Rng.create 5) ~samples:50 peak in
+  let b = Baselines.random_sweep (Rng.create 5) ~samples:50 peak in
+  Alcotest.(check (array (float 1e-12))) "same seed same result" a b
 
 let test_random_search_empty_budget () =
   Alcotest.check_raises "no budget"
-    (Invalid_argument "Baselines.random_search: empty budget") (fun () ->
-      ignore (Baselines.random_search (Rng.create 1) ~max_evaluations:0 peak))
+    (Invalid_argument "Baselines.random_sweep: samples < 1") (fun () ->
+      ignore (Baselines.random_sweep (Rng.create 1) ~samples:0 peak))
 
 let test_exhaustive_finds_optimum () =
   let r = Baselines.exhaustive small_obj in
@@ -48,11 +47,18 @@ let test_exhaustive_limit () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected cardinality guard to fire"
 
+(* The exhaustive trace holds every grid performance in enumeration
+   order: the raw material of Figure 4's histograms. *)
 let test_sweep_matches_enumeration () =
-  let perfs = Baselines.sweep small_obj in
+  let r = Baselines.exhaustive small_obj in
+  let perfs =
+    Array.of_list (List.map (fun e -> e.Recorder.performance) r.Baselines.trace)
+  in
   Alcotest.(check int) "all configs" 25 (Array.length perfs);
-  Alcotest.(check (float 1e-12)) "max matches exhaustive" 44.0
-    (Array.fold_left Float.max neg_infinity perfs)
+  Alcotest.(check (array (float 1e-12))) "enumeration order"
+    (Array.of_seq
+       (Seq.map small_obj.Objective.eval (Space.enumerate small_space)))
+    perfs
 
 let test_random_sweep () =
   let perfs = Baselines.random_sweep (Rng.create 2) ~samples:500 peak in
@@ -60,56 +66,6 @@ let test_random_sweep () =
   Array.iter
     (fun p -> Alcotest.(check bool) "plausible" true (p >= 0.0 && p <= 100.0))
     perfs
-
-let test_powell_linear () =
-  (* A separable linear objective is exactly Powell's home turf. *)
-  let r = Baselines.powell ~max_evaluations:100 small_obj in
-  Alcotest.(check (float 1e-12)) "optimum" 44.0 r.Baselines.best_performance
-
-let test_powell_on_peak () =
-  let r = Baselines.powell ~max_evaluations:200 peak in
-  Alcotest.(check bool) "near the peak" true (r.Baselines.best_performance > 99.0)
-
-let test_powell_respects_budget () =
-  let count = ref 0 in
-  let counted = { peak with Objective.eval = (fun c -> incr count; peak.Objective.eval c) } in
-  ignore (Baselines.powell ~max_evaluations:37 counted);
-  Alcotest.(check bool) "hard cap" true (!count <= 37)
-
-let test_powell_invalid () =
-  Alcotest.check_raises "line points" (Invalid_argument "Baselines.powell: line_points < 3")
-    (fun () -> ignore (Baselines.powell ~line_points:2 peak))
-
-let test_annealing_improves () =
-  let r = Baselines.simulated_annealing (Rng.create 3) ~max_evaluations:300 peak in
-  Alcotest.(check bool) "near the peak" true (r.Baselines.best_performance > 90.0);
-  Alcotest.(check int) "budget spent" 300 r.Baselines.evaluations
-
-let test_annealing_minimizes () =
-  let bowl = Testbed.quadratic_bowl ~dims:2 () in
-  let start = Objective.eval_default bowl in
-  let r = Baselines.simulated_annealing (Rng.create 4) ~max_evaluations:400 bowl in
-  Alcotest.(check bool) "descends" true (r.Baselines.best_performance < start /. 4.0)
-
-let test_annealing_deterministic () =
-  let a = Baselines.simulated_annealing (Rng.create 5) ~max_evaluations:100 peak in
-  let b = Baselines.simulated_annealing (Rng.create 5) ~max_evaluations:100 peak in
-  Alcotest.(check (float 1e-12)) "same seed" a.Baselines.best_performance
-    b.Baselines.best_performance
-
-let test_annealing_empty_budget () =
-  Alcotest.check_raises "no budget"
-    (Invalid_argument "Baselines.simulated_annealing: empty budget") (fun () ->
-      ignore (Baselines.simulated_annealing (Rng.create 1) ~max_evaluations:0 peak))
-
-let test_powell_valley () =
-  (* Rosenbrock's curved valley is where Powell's direction update
-     earns its keep; expect real progress from the default start. *)
-  let ros = Testbed.rosenbrock () in
-  let start = Objective.eval_default ros in
-  let r = Baselines.powell ~max_evaluations:400 ros in
-  Alcotest.(check bool) "descended the valley" true
-    (r.Baselines.best_performance < start /. 10.0)
 
 let suite =
   [
@@ -120,13 +76,4 @@ let suite =
     Alcotest.test_case "exhaustive limit" `Quick test_exhaustive_limit;
     Alcotest.test_case "sweep" `Quick test_sweep_matches_enumeration;
     Alcotest.test_case "random sweep" `Quick test_random_sweep;
-    Alcotest.test_case "powell linear" `Quick test_powell_linear;
-    Alcotest.test_case "powell peak" `Quick test_powell_on_peak;
-    Alcotest.test_case "powell budget" `Quick test_powell_respects_budget;
-    Alcotest.test_case "powell invalid" `Quick test_powell_invalid;
-    Alcotest.test_case "powell valley" `Quick test_powell_valley;
-    Alcotest.test_case "annealing improves" `Quick test_annealing_improves;
-    Alcotest.test_case "annealing minimizes" `Quick test_annealing_minimizes;
-    Alcotest.test_case "annealing deterministic" `Quick test_annealing_deterministic;
-    Alcotest.test_case "annealing empty budget" `Quick test_annealing_empty_budget;
   ]

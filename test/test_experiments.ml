@@ -18,7 +18,7 @@ let test_report_rendering () =
       ~notes:[ "a note" ]
       [ [ "alpha"; "1" ]; [ "beta"; "22" ] ]
   in
-  let s = Report.to_string t in
+  let s = Format.asprintf "%a" Report.print t in
   List.iter
     (fun needle ->
       Alcotest.(check bool) ("contains " ^ needle) true (contains s needle))
@@ -46,7 +46,7 @@ let check_table (t : Report.table) =
   Alcotest.(check bool)
     (t.Report.id ^ " renders")
     true
-    (String.length (Report.to_string t) > 0)
+    (String.length (Format.asprintf "%a" Report.print t) > 0)
 
 let test_fig4_distributions () =
   let r = Fig4.run ~samples:2000 () in
@@ -196,8 +196,11 @@ let test_headline_band () =
 
 let test_all_tables_render () =
   List.iter
-    (fun (_, _, f) -> check_table (f None))
-    Registry.all
+    (fun id ->
+      match Registry.find id with
+      | Some f -> check_table (f None)
+      | None -> Alcotest.fail ("no runner for " ^ id))
+    Registry.ids
 
 let suite =
   [

@@ -87,7 +87,9 @@ let test_best_evaluations () =
 
 let test_merged_evaluations () =
   let db = sample_db () in
-  Alcotest.(check int) "all evals" 3 (List.length (History.merged_evaluations db))
+  Alcotest.(check int) "all evals" 3
+    (List.length
+       (List.concat_map (fun e -> e.History.evaluations) (History.entries db)))
 
 let test_save_load_roundtrip () =
   let db = sample_db () in

@@ -115,6 +115,15 @@ let t1_flags_partials () =
     "let f k xs = List.assoc k xs";
   check_rules "Queue.pop flagged" [ "T1" ] ~path:"lib/des/x.ml"
     "let f q = Queue.pop q";
+  (* The string conversions raise [Failure] on malformed or
+     out-of-range text: an RSL integer literal above max_int once
+     escaped the tuning server this way. *)
+  check_rules "int_of_string flagged" [ "T1" ] ~path:"lib/param/x.ml"
+    "let f s = int_of_string s";
+  check_rules "float_of_string flagged" [ "T1" ] ~path:"lib/core/x.ml"
+    "let f s = float_of_string s";
+  check_rules "bool_of_string flagged" [ "T1" ] ~path:"lib/core/x.ml"
+    "let f s = bool_of_string s";
   (* The durability layer is inside T1's scope: a raising partial on the
      recovery path would defeat "corrupt input never raises". *)
   check_rules "lib/persist is covered" [ "T1" ] ~path:"lib/persist/x.ml"
@@ -122,7 +131,9 @@ let t1_flags_partials () =
 
 let t1_allows_opt_variants () =
   check_rules "_opt variants are the fix" [] ~path:"lib/core/x.ml"
-    "let f h k xs o = (Hashtbl.find_opt h k, List.nth_opt xs 0, List.find_opt o xs)"
+    "let f h k xs o = (Hashtbl.find_opt h k, List.nth_opt xs 0, List.find_opt o xs)";
+  check_rules "conversion _opt variants are the fix" [] ~path:"lib/param/x.ml"
+    "let f s = (int_of_string_opt s, float_of_string_opt s, bool_of_string_opt s)"
 
 let t1_sees_through_opens () =
   check_rules "let open resolved" [ "T1" ] ~path:"lib/core/x.ml"
@@ -330,35 +341,40 @@ let rule_registry_well_formed () =
 (* ------------------------------------------------------------------ *)
 (* Self-check: the shipped tree is clean.  The test runs in the dune
    sandbox, whose parent is the build root: test/dune depends on the
-   @check aliases, so every unit of lib/, bin/, bench/ and tools/trace
-   has its cmt there, and on the repo allowlist. *)
+   @check aliases, so every unit of the linted directories and of
+   every directory U1 reads users from has its cmt there, and on the
+   repo allowlist. *)
+
+(* [make lint]'s directories, and the ones U1 counts uses in. *)
+let lint_dirs = [ "lib"; "bin"; "bench"; "tools/trace"; "examples" ]
+let user_dirs = [ "perfbench"; "tools/sem" ]
 
 let tree_is_lint_clean () =
   let root p = Filename.concat ".." p in
-  let dirs = [ "lib"; "bin"; "bench"; "tools/trace" ] in
-  let units, load_diags = Sem_cmt.load_units ~root:".." ~dirs in
+  let tree = Sem_cmt.load ~root:".." in
   (* Every directory contributes units: a missing @check dependency
-     would otherwise shrink the check silently. *)
+     would otherwise shrink the check silently, or show up as U1
+     findings for values only the missing directory uses. *)
   List.iter
     (fun dir ->
       if
         not
           (List.exists
              (fun u -> String.starts_with ~prefix:(dir ^ "/") u.Sem_cmt.path)
-             units)
+             tree.units)
       then Alcotest.fail ("no cmt files for " ^ dir))
-    dirs;
+    (lint_dirs @ user_dirs);
   let allowlist =
     match Lint_allow.load_allowlist (root "tools/sem/allowlist") with
     | Ok a -> a
     | Error msg -> Alcotest.fail msg
   in
-  let result =
-    Sem_driver.analyze ~allowlist
+  let _, result =
+    Sem_driver.analyze_tree ~allowlist
       ~source_of:(fun p -> Sem_driver.default_source_of (root p))
-      units
+      ~tree ~dirs:lint_dirs ()
   in
-  (match load_diags @ result.Sem_driver.kept with
+  (match result.Sem_driver.kept with
   | [] -> ()
   | ds ->
       let buf = Buffer.create 256 in

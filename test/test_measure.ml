@@ -58,7 +58,7 @@ let test_backoff_cap () =
 
 let test_timeout_retried () =
   let obj =
-    scripted (fun attempt _ -> if attempt = 0 then Objective.timed_out else 9.0)
+    scripted (fun attempt _ -> if attempt = 0 then Float.nan else 9.0)
   in
   match Measure.measure obj [| 5.0 |] with
   | Ok v -> Alcotest.(check (float 1e-9)) "value after timeout" 9.0 v
@@ -200,7 +200,7 @@ let tune_datagen ~faulty =
   let objective, measure =
     if faulty then
       ( Objective.with_faults
-          ~rates:{ Objective.no_faults with Objective.transient = 0.2 }
+          ~rates:{ (Objective.fault_profile 0.0) with Objective.transient = 0.2 }
           ~seed:3 clean,
         Some Measure.default_policy )
     else (clean, None)
@@ -308,49 +308,41 @@ let test_robust_batch_identity () =
         (Array.map Int64.bits_of_float got))
     [ 1; 4 ]
 
+(* A robust objective's batch path measures each configuration
+   exactly as its sequential path does, at any pool size. *)
 let test_measure_batch_matches_sequential () =
-  let make () = transient_then 2 42.0 in
-  let verdict = function
-    | Ok v -> Printf.sprintf "ok:%h" v
-    | Error f -> Format.asprintf "error:%a" Measure.pp_failure f
-  in
+  let make () = fst (Measure.robust (transient_then 2 42.0)) in
+  let bits = Array.map Int64.bits_of_float in
   let sequential =
     let obj = make () in
-    let clock = Measure.Clock.create () in
-    Array.map (fun c -> Measure.measure ~clock obj c) batch_configs
+    Array.map obj.Objective.eval batch_configs
   in
-  let batched ?pool () =
-    let obj = make () in
-    let clock = Measure.Clock.create () in
-    Measure.measure_batch ?pool ~clock obj batch_configs
-  in
+  let batched ?pool () = Objective.eval_batch ?pool (make ()) batch_configs in
   let check label got =
-    Alcotest.(check (array string))
-      label
-      (Array.map verdict sequential)
-      (Array.map verdict got)
+    Alcotest.(check (array int64)) label (bits sequential) (bits got)
   in
   check "no pool" (batched ());
   Pool.with_pool ~domains:4 (fun pool -> check "4 domains" (batched ~pool ()))
 
 let test_measure_batch_failures_in_place () =
-  (* A configuration that exhausts its retry budget reports its
-     failure in its own slot without disturbing the others. *)
-  let obj =
-    scripted (fun _ c ->
-        if Float.equal c.(0) 4.0 then
-          raise (Objective.Measurement_failed Objective.Persistent)
-        else c.(0))
+  (* A configuration that exhausts its retry budget is penalized in
+     its own slot without disturbing the others. *)
+  let obj, _ =
+    Measure.robust
+      (scripted (fun _ c ->
+           if Float.equal c.(0) 4.0 then
+             raise (Objective.Measurement_failed Objective.Persistent)
+           else c.(0)))
   in
-  let results = Measure.measure_batch obj batch_configs in
+  let results = Objective.eval_batch obj batch_configs in
   Array.iteri
-    (fun i r ->
-      match (r, Float.equal batch_configs.(i).(0) 4.0) with
-      | Error _, true -> ()
-      | Ok v, false ->
-          Alcotest.(check (float 1e-12)) "value" batch_configs.(i).(0) v
-      | Ok _, true -> Alcotest.fail "expected failure for 4.0"
-      | Error _, false -> Alcotest.fail "unexpected failure")
+    (fun i v ->
+      let expected =
+        if Float.equal batch_configs.(i).(0) 4.0 then
+          Measure.penalty_for Objective.Higher_is_better
+        else batch_configs.(i).(0)
+      in
+      Alcotest.(check (float 1e-12)) "value" expected v)
     results
 
 let suite =

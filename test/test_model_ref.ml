@@ -186,7 +186,7 @@ let with_faults ~(rates : Objective.fault_rates) ~seed f =
       raise (Objective.Measurement_failed Objective.Persistent);
     if draw key attempt "transient" < rates.Objective.transient then
       raise (Objective.Measurement_failed Objective.Transient);
-    if draw key attempt "timeout" < rates.Objective.timeout then Objective.timed_out
+    if draw key attempt "timeout" < rates.Objective.timeout then Float.nan
     else
       let v = f c in
       if draw key attempt "outlier" < rates.Objective.outlier then
@@ -195,12 +195,19 @@ let with_faults ~(rates : Objective.fault_rates) ~seed f =
         else v /. rates.Objective.outlier_magnitude
       else v
 
-(* Sequential dispatch of the grouped batch: groups in
-   first-occurrence order, stopping at the first exception. *)
+(* Sequential dispatch of the grouped batch: occurrences grouped by
+   configuration key, groups in first-occurrence order, stopping at
+   the first exception. *)
 let batch_by_key eval configs =
-  let groups = Objective.group_by_key configs in
+  let keys = Array.map Space.config_key configs in
   let results = Array.make (Array.length configs) 0.0 in
-  Array.iter (List.iter (fun i -> results.(i) <- eval configs.(i))) groups;
+  Array.iteri
+    (fun i key ->
+      if not (Array.exists (String.equal key) (Array.sub keys 0 i)) then
+        Array.iteri
+          (fun j k -> if String.equal k key then results.(j) <- eval configs.(j))
+          keys)
+    keys;
   results
 
 let measure ~(policy : Measure.policy) (obj : Objective.t) c =
@@ -268,8 +275,8 @@ let measure ~(policy : Measure.policy) (obj : Objective.t) c =
 (* Generators                                                          *)
 
 let mixes = [| Tpcw.browsing; Tpcw.shopping; Tpcw.ordering |]
-let lo = Space.mins Wsconfig.space
-let hi = Space.maxs Wsconfig.space
+let lo = Array.map (fun p -> p.Param.min_value) (Space.params Wsconfig.space)
+let hi = Array.map (fun p -> p.Param.max_value) (Space.params Wsconfig.space)
 
 (* A raw configuration: each coordinate up to 10% outside its range
    and off the grid, so of_config snaps and clamps. *)
@@ -472,7 +479,7 @@ let scripted ~noisy readings =
         left := rest;
         match r with
         | V v -> v
-        | Timed_out -> Objective.timed_out
+        | Timed_out -> Float.nan
         | Fail k -> raise (Objective.Measurement_failed k))
   in
   { (Objective.create ~space:fault_space ~direction:Objective.Higher_is_better eval) with

@@ -16,17 +16,16 @@ let test_better () =
 
 let test_best_worst () =
   let vals = [| 3.0; 1.0; 2.0 |] in
-  Alcotest.(check (float 1e-12)) "best high" 3.0 (Objective.best_of higher vals);
   Alcotest.(check (float 1e-12)) "worst high" 1.0 (Objective.worst_of higher vals);
-  Alcotest.(check (float 1e-12)) "best low" 1.0 (Objective.best_of lower vals);
   Alcotest.(check (float 1e-12)) "worst low" 3.0 (Objective.worst_of lower vals)
 
 let test_best_empty () =
-  Alcotest.check_raises "empty" (Invalid_argument "Objective.best_of: empty array")
-    (fun () -> ignore (Objective.best_of higher [||]))
+  Alcotest.check_raises "empty" (Invalid_argument "Objective.worst_of: empty array")
+    (fun () -> ignore (Objective.worst_of higher [||]))
 
 let test_eval_default () =
-  Alcotest.(check (float 1e-12)) "default" 5.0 (Objective.eval_default higher)
+  Alcotest.(check (float 1e-12)) "default" 5.0
+    (higher.Objective.eval (Space.defaults higher.Objective.space))
 
 let test_with_noise_bounds () =
   let noisy = Objective.with_noise (Rng.create 3) ~level:0.25 higher in
@@ -40,7 +39,7 @@ let test_with_noise_invalid () =
     (fun () -> ignore (Objective.with_noise (Rng.create 1) ~level:(-0.1) higher))
 
 let test_with_snap () =
-  let snapped = Objective.with_snap higher in
+  let snapped = Testbed.with_snap higher in
   Alcotest.(check (float 1e-12)) "snapped eval" 7.0 (snapped.Objective.eval [| 7.4 |])
 
 let test_with_cache () =
@@ -50,7 +49,7 @@ let test_with_cache () =
         incr count;
         c.(0))
   in
-  let cached = Objective.with_cache counted in
+  let cached = Objective.cached ~freeze_noise:true counted in
   Alcotest.(check (float 1e-12)) "first" 3.0 (cached.Objective.eval [| 3.0 |]);
   Alcotest.(check (float 1e-12)) "repeat" 3.0 (cached.Objective.eval [| 3.0 |]);
   Alcotest.(check (float 1e-12)) "other" 5.0 (cached.Objective.eval [| 5.0 |]);
@@ -58,7 +57,7 @@ let test_with_cache () =
 
 let test_with_cache_freezes_noise () =
   let noisy = Objective.with_noise (Harmony_numerics.Rng.create 1) ~level:0.25 higher in
-  let cached = Objective.with_cache noisy in
+  let cached = Objective.cached ~freeze_noise:true noisy in
   Alcotest.(check (float 1e-12)) "repeatable under noise"
     (cached.Objective.eval [| 8.0 |])
     (cached.Objective.eval [| 8.0 |])
@@ -127,7 +126,7 @@ let test_cached_under_snap () =
      point share one memo entry.  (Cache-then-snap would key on the
      raw proposal and re-measure each variant.) *)
   let count, counted = counted_objective () in
-  let snapped = Objective.with_snap (Objective.cached counted) in
+  let snapped = Testbed.with_snap (Objective.cached counted) in
   Alcotest.(check (float 1e-12)) "snapped eval" 7.0 (snapped.Objective.eval [| 7.4 |]);
   Alcotest.(check (float 1e-12)) "same grid point" 7.0 (snapped.Objective.eval [| 6.8 |]);
   Alcotest.(check int) "one real measurement" 1 !count;
@@ -154,7 +153,7 @@ let test_with_faults_marks_noisy () =
 
 let test_with_faults_pure_passthrough () =
   (* All rates zero: the wrapper is the identity on values. *)
-  let faulty = Objective.with_faults ~rates:Objective.no_faults ~seed:1 higher in
+  let faulty = Objective.with_faults ~rates:(Objective.fault_profile 0.0) ~seed:1 higher in
   Alcotest.(check (float 1e-12)) "value unchanged" 4.0
     (faulty.Objective.eval [| 4.0 |])
 
@@ -186,12 +185,12 @@ let test_stats_faults_and_retries () =
   check_stats "retry accounting" cached ~hits:1 ~misses:2 ~faults:1 ~retries:1
 
 let test_negate () =
-  let neg = Objective.negate higher in
+  let neg = Testbed.negate higher in
   Alcotest.(check bool) "direction flipped" true
     (neg.Objective.direction = Objective.Lower_is_better);
   Alcotest.(check (float 1e-12)) "value negated" (-4.0) (neg.Objective.eval [| 4.0 |]);
   (* Double negation restores preferences. *)
-  let nn = Objective.negate neg in
+  let nn = Testbed.negate neg in
   Alcotest.(check bool) "same winner" true
     (Objective.better nn (nn.Objective.eval [| 9.0 |]) (nn.Objective.eval [| 1.0 |]))
 
@@ -217,12 +216,12 @@ let stacked () =
         (c.(0) *. 3.0) +. 1.0)
   in
   let rates =
-    { Objective.no_faults with Objective.outlier = 0.3; outlier_magnitude = 4.0 }
+    { (Objective.fault_profile 0.0) with Objective.outlier = 0.3; outlier_magnitude = 4.0 }
   in
   let faulty = Objective.with_faults ~rates ~seed:9 base in
   let obj =
-    Objective.negate
-      (Objective.with_snap (Objective.cached ~freeze_noise:true faulty))
+    Testbed.negate
+      (Testbed.with_snap (Objective.cached ~freeze_noise:true faulty))
   in
   (obj, count)
 
@@ -270,14 +269,26 @@ let test_stats_under_batching () =
   ignore (Objective.eval_batch obj batch_configs : float array);
   check_stats "repeat batch" obj ~hits:11 ~misses:5
 
+(* batch_by_key groups occurrences by configuration key: one
+   dispatcher task per distinct configuration, groups in
+   first-occurrence order, input order within each. *)
 let test_group_by_key () =
-  let groups = Objective.group_by_key batch_configs in
-  Alcotest.(check int) "distinct groups" 5 (Array.length groups);
-  (* First-occurrence order of the groups, input order within each. *)
-  Alcotest.(check (list (list int)))
+  let tasks = ref 0 and order = ref [] in
+  let disp =
+    { Objective.run = (fun f xs -> tasks := Array.length xs; Array.map f xs) }
+  in
+  let eval c =
+    let i = ref 0 in
+    while batch_configs.(!i) != c do incr i done;
+    order := !i :: !order;
+    c.(0)
+  in
+  ignore (Objective.batch_by_key higher eval disp batch_configs : float array);
+  Alcotest.(check int) "distinct groups" 5 !tasks;
+  Alcotest.(check (list int))
     "grouped indices"
-    [ [ 0; 2; 6 ]; [ 1; 4 ]; [ 3 ]; [ 5 ]; [ 7 ] ]
-    (Array.to_list groups)
+    [ 0; 2; 6; 1; 4; 3; 5; 7 ]
+    (List.rev !order)
 
 let test_batch_noise_stays_sequential () =
   (* A shared-stream noisy objective must evaluate in input order even
@@ -324,8 +335,8 @@ let build layers =
           Objective.with_faults ~rates:(Objective.fault_profile 0.3) ~seed obj
       | Robust -> fst (Measure.robust obj)
       | Cache -> Objective.cached ~freeze_noise:true obj
-      | Snap -> Objective.with_snap obj
-      | Negate -> Objective.negate obj)
+      | Snap -> Testbed.with_snap obj
+      | Negate -> Testbed.negate obj)
     base layers
 
 let reverse_dispatcher =

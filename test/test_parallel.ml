@@ -6,7 +6,7 @@ exception Boom of int
 
 let test_create_invalid () =
   Alcotest.check_raises "domains < 1" (Invalid_argument "Pool.create: domains < 1")
-    (fun () -> ignore (Pool.create ~domains:0 ()))
+    (fun () -> Pool.with_pool ~domains:0 ignore)
 
 let test_size_one_matches_list_map () =
   Pool.with_pool ~domains:1 (fun pool ->
@@ -65,9 +65,7 @@ let test_empty_input () =
       Alcotest.(check (array int)) "empty" [||] (Pool.map_array pool succ [||]))
 
 let test_shutdown_idempotent_and_degrades () =
-  let pool = Pool.create ~domains:3 () in
-  Pool.shutdown pool;
-  Pool.shutdown pool;
+  let pool = Pool.with_pool ~domains:3 Fun.id in
   (* After shutdown the submitting domain runs everything itself. *)
   Alcotest.(check (list int)) "still completes" [ 2; 3 ] (Pool.map pool succ [ 1; 2 ])
 
@@ -84,7 +82,7 @@ let test_registry_determinism () =
       Alcotest.(check string) "paper order" id_s id_p;
       Alcotest.(check string)
         ("table " ^ id_s ^ " byte-identical")
-        (Report.to_string table_s) (Report.to_string table_p))
+        (Format.asprintf "%a" Report.print table_s) (Format.asprintf "%a" Report.print table_p))
     sequential parallel
 
 (* ------------------------------------------------------------------ *)

@@ -38,7 +38,8 @@ let test_num_values () =
 
 let test_values () =
   Alcotest.(check (array (float 1e-9)))
-    "grid" [| 2.0; 4.0; 6.0; 8.0; 10.0 |] (Param.values p)
+    "grid" [| 2.0; 4.0; 6.0; 8.0; 10.0 |]
+    (Array.init (Param.num_values p) (Param.value_at p))
 
 let test_value_at_bounds () =
   feq "first" 2.0 (Param.value_at p 0);
@@ -46,10 +47,11 @@ let test_value_at_bounds () =
   Alcotest.check_raises "oob" (Invalid_argument "Param.value_at: out of range")
     (fun () -> ignore (Param.value_at p 5))
 
+(* Normalization clamps into the range first. *)
 let test_clamp () =
-  feq "below" 2.0 (Param.clamp p 0.0);
-  feq "above" 10.0 (Param.clamp p 99.0);
-  feq "inside" 5.0 (Param.clamp p 5.0)
+  feq "below" 0.0 (Param.normalize p 0.0);
+  feq "above" 1.0 (Param.normalize p 99.0);
+  feq "inside" 0.375 (Param.normalize p 5.0)
 
 let test_snap () =
   feq "rounds down" 4.0 (Param.snap p 4.9);

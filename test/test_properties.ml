@@ -99,7 +99,7 @@ let prop_rsl_repair_feasible =
     (fun (spec, raw) ->
       let repaired = Rsl.repair spec raw in
       let ints = Array.map (fun x -> int_of_float (Float.round x)) repaired in
-      Rsl.is_feasible spec ints)
+      Rsl_check.feasible spec ints)
 
 (* ------------------------------------------------------------------ *)
 (* Server protocol                                                     *)
@@ -148,7 +148,7 @@ let prop_assign_always_feasible =
       let feasible_assign = function
         | Server.Assign assignment ->
             let ints = Array.of_list (List.map snd assignment) in
-            Rsl.is_feasible spec ints
+            Rsl_check.feasible spec ints
         | Server.Done _ | Server.Rejected _ | Server.Stats _ -> true
       in
       let register =

@@ -12,7 +12,9 @@ let test_records_in_order () =
   ignore (wrapped.Objective.eval [| 2.0 |]);
   Alcotest.(check int) "count" 3 (Recorder.count r);
   Alcotest.(check (array (float 1e-12)))
-    "order preserved" [| 1.0; 3.0; 2.0 |] (Recorder.performances r);
+    "order preserved" [| 1.0; 3.0; 2.0 |]
+    (Array.of_list
+       (List.map (fun e -> e.Recorder.performance) (Recorder.entries r)));
   let indices = List.map (fun e -> e.Recorder.index) (Recorder.entries r) in
   Alcotest.(check (list int)) "indices" [ 0; 1; 2 ] indices
 

@@ -72,7 +72,7 @@ let test_enumerate_matches_count () =
 let test_enumerate_all_feasible () =
   let t = Rsl.parse paper_spec in
   Seq.iter
-    (fun v -> Alcotest.(check bool) "feasible" true (Rsl.is_feasible t v))
+    (fun v -> Alcotest.(check bool) "feasible" true (Rsl_check.feasible t v))
     (Rsl.enumerate t)
 
 let test_enumerate_meaningful_only () =
@@ -84,22 +84,22 @@ let test_enumerate_meaningful_only () =
 
 let test_is_feasible () =
   let t = Rsl.parse paper_spec in
-  Alcotest.(check bool) "ok" true (Rsl.is_feasible t [| 3; 5 |]);
-  Alcotest.(check bool) "C too big" false (Rsl.is_feasible t [| 8; 2 |]);
-  Alcotest.(check bool) "below lo" false (Rsl.is_feasible t [| 0; 1 |]);
-  Alcotest.(check bool) "arity" false (Rsl.is_feasible t [| 3 |])
+  Alcotest.(check bool) "ok" true (Rsl_check.feasible t [| 3; 5 |]);
+  Alcotest.(check bool) "C too big" false (Rsl_check.feasible t [| 8; 2 |]);
+  Alcotest.(check bool) "below lo" false (Rsl_check.feasible t [| 0; 1 |]);
+  Alcotest.(check bool) "arity" false (Rsl_check.feasible t [| 3 |])
 
 let test_is_feasible_step () =
   let t = Rsl.parse "{ harmonyBundle A { int {0 10 3} }}" in
-  Alcotest.(check bool) "on step" true (Rsl.is_feasible t [| 9 |]);
-  Alcotest.(check bool) "off step" false (Rsl.is_feasible t [| 7 |])
+  Alcotest.(check bool) "on step" true (Rsl_check.feasible t [| 9 |]);
+  Alcotest.(check bool) "off step" false (Rsl_check.feasible t [| 7 |])
 
 let test_sample_feasible () =
   let t = Rsl.parse paper_spec in
   let rng = Rng.create 9 in
   for _ = 1 to 200 do
     match Rsl.sample rng t with
-    | Some v -> Alcotest.(check bool) "feasible" true (Rsl.is_feasible t v)
+    | Some v -> Alcotest.(check bool) "feasible" true (Rsl_check.feasible t v)
     | None -> Alcotest.fail "sampling a satisfiable spec returned None"
   done
 
@@ -107,17 +107,26 @@ let test_repair_feasible () =
   let t = Rsl.parse paper_spec in
   let r = Rsl.repair t [| 8.0; 7.0 |] in
   Alcotest.(check bool) "repaired into range" true
-    (Rsl.is_feasible t (Array.map int_of_float r))
+    (Rsl_check.feasible t (Array.map int_of_float r))
 
 let test_repair_identity_on_feasible () =
   let t = Rsl.parse paper_spec in
   Alcotest.(check (array (float 1e-9))) "unchanged" [| 3.0; 4.0 |]
     (Rsl.repair t [| 3.0; 4.0 |])
 
+(* The static bounds, read back from the box space (every bundle in
+   these specifications steps by 1). *)
+let static_bounds t =
+  Array.map
+    (fun p ->
+      (int_of_float p.Harmony_param.Param.min_value,
+       int_of_float p.Harmony_param.Param.max_value))
+    (Harmony_param.Space.params (Rsl.to_space t))
+
 let test_static_bounds () =
   let t = Rsl.parse paper_spec in
   Alcotest.(check (array (pair int int)))
-    "interval hull" [| (1, 8); (1, 8) |] (Rsl.static_bounds t)
+    "interval hull" [| (1, 8); (1, 8) |] (static_bounds t)
 
 let test_static_bounds_arithmetic () =
   let t =
@@ -125,13 +134,13 @@ let test_static_bounds_arithmetic () =
       "{ harmonyBundle A { int {2 5 1}}}\n{ harmonyBundle B { int {-$A 3*$A 1} }}"
   in
   Alcotest.(check (array (pair int int)))
-    "interval arithmetic" [| (2, 5); (-5, 15) |] (Rsl.static_bounds t)
+    "interval arithmetic" [| (2, 5); (-5, 15) |] (static_bounds t)
 
 let test_static_bounds_empty () =
   let t = Rsl.parse "{ harmonyBundle A { int {5 2 1}}}" in
   Alcotest.check_raises "always empty"
     (Invalid_argument "Rsl.static_bounds: bundle A is always empty") (fun () ->
-      ignore (Rsl.static_bounds t))
+      ignore (static_bounds t))
 
 let test_to_space () =
   let t = Rsl.parse paper_spec in
@@ -186,7 +195,7 @@ let prop_static_bounds_hull =
     QCheck2.Gen.(pair (int_range 4 12) (int_range 2 4))
     (fun (rows, blocks) ->
       let t = Harmony_experiments.Fig10.partition_spec ~rows ~blocks in
-      let boxes = Rsl.static_bounds t in
+      let boxes = static_bounds t in
       Seq.for_all
         (fun v ->
           Array.for_all Fun.id
@@ -254,7 +263,7 @@ let prop_repair_feasible =
     QCheck2.Gen.(pair (float_range (-5.0) 20.0) (float_range (-5.0) 20.0))
     (fun (a, b) ->
       let r = Rsl.repair t [| a; b |] in
-      Rsl.is_feasible t (Array.map int_of_float r))
+      Rsl_check.feasible t (Array.map int_of_float r))
 
 let suite =
   [

@@ -22,18 +22,21 @@ let test_create_validation () =
   Alcotest.check_raises "ranges arity" (Invalid_argument "Rules.create: ranges arity")
     (fun () -> ignore (Rules.create ~num_vars:2 ~ranges:[| (0.0, 1.0) |] []))
 
+(* [rules] followed by a catch-all worth -1: evaluation answers -1
+   exactly when no rule of [rules] fires. *)
+let with_catch_all rules =
+  Rules.create ~num_vars:2 ~ranges:ranges2 (rules @ [ rule [] (-1.0) ])
+
 let test_satisfies () =
-  let r = rule [ cond 0 2.0 4.0; cond 1 0.0 1.0 ] 5.0 in
-  Alcotest.(check bool) "inside" true (Rules.satisfies r [| 3.0; 0.5 |]);
-  Alcotest.(check bool) "boundary" true (Rules.satisfies r [| 2.0; 1.0 |]);
-  Alcotest.(check bool) "outside" false (Rules.satisfies r [| 5.0; 0.5 |])
+  let r = with_catch_all [ rule [ cond 0 2.0 4.0; cond 1 0.0 1.0 ] 5.0 ] in
+  Alcotest.(check (float 1e-12)) "inside" 5.0 (Rules.eval r [| 3.0; 0.5 |]);
+  Alcotest.(check (float 1e-12)) "boundary" 5.0 (Rules.eval r [| 2.0; 1.0 |]);
+  Alcotest.(check (float 1e-12)) "outside" (-1.0) (Rules.eval r [| 5.0; 0.5 |])
 
 let test_first_satisfied () =
-  (match Rules.first_satisfied two_rules [| 2.0; 9.0 |] with
-  | Some r -> Alcotest.(check (float 1e-12)) "rule 1" 10.0 r.Rules.performance
-  | None -> Alcotest.fail "expected a match");
-  Alcotest.(check bool) "no match" true
-    (Rules.first_satisfied two_rules [| 7.0; 9.0 |] = None)
+  let r = with_catch_all (Array.to_list (Rules.rules two_rules)) in
+  Alcotest.(check (float 1e-12)) "rule 1" 10.0 (Rules.eval r [| 2.0; 9.0 |]);
+  Alcotest.(check (float 1e-12)) "no match" (-1.0) (Rules.eval r [| 7.0; 9.0 |])
 
 let test_eval_satisfied () =
   Alcotest.(check (float 1e-12)) "direct hit" 20.0 (Rules.eval two_rules [| 7.0; 3.0 |])

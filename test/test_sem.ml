@@ -604,6 +604,9 @@ let t1_hints_name_real_functions () =
       ("Stack.top s", "Stack.top_opt");
       ("Option.get o", "pattern-match on the option");
       ("Hashtbl.find h 0", "Hashtbl.find_opt");
+      ("int_of_string \"1\"", "int_of_string_opt");
+      ("float_of_string \"1\"", "float_of_string_opt");
+      ("bool_of_string \"true\"", "bool_of_string_opt");
     ]
   in
   let args =
@@ -631,12 +634,113 @@ let t1_hints_name_real_functions () =
     cases
 
 (* ------------------------------------------------------------------ *)
+(* U1 — exported values no program uses *)
+
+(* A lib unit exporting [f] (and a nested [Sub.h]); [f] also serves
+   its own unit, so "only its own module uses it" is expressible. *)
+let fixlib_mli =
+  "(* The fixture library. *)\n\
+   val f : int -> int\n\
+   module Sub : sig val h : int -> int end\n"
+
+let fixlib_ml = "let f x = x + 1\nmodule Sub = struct let h x = f x end\n"
+
+(* U1 over the fixture library plus [users]: (path, source) pairs,
+   each its own unit.  Returns the kept and the waived findings. *)
+let u1 ?(mli = fixlib_mli) users =
+  let sources =
+    [ ("Fixlib", "lib/fix/fixlib.mli", mli); ("Fixlib", "lib/fix/fixlib.ml", fixlib_ml) ]
+    @ List.mapi (fun i (path, src) -> (Printf.sprintf "User%d" i, path, src)) users
+  in
+  match Sem_typecheck.units_of_sources sources with
+  | Error msg -> Alcotest.fail ("U1 fixture does not typecheck: " ^ msg)
+  | Ok (units, interfaces) ->
+      let r =
+        Sem_driver.analyze
+          ~rules:(Option.to_list (Sem_rules.find "U1"))
+          ~source_of:(fun p ->
+            List.find_map
+              (fun (_, path, src) -> if path = p then Some src else None)
+              sources)
+          ~interfaces units
+      in
+      (r.Sem_driver.kept, r.Sem_driver.suppressed)
+
+let contains s affix =
+  let n = String.length affix in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = affix || at (i + 1))
+  in
+  at 0
+
+let flagged ?mli users =
+  List.map
+    (fun d -> d.Lint_diag.message)
+    (fst (u1 ?mli users))
+
+(* Every way a program can name [f] and [Sub.h] counts as a use. *)
+let u1_counts_every_kind_of_use () =
+  let uses =
+    [
+      ("direct", "let g = Fixlib.f 1 + Fixlib.Sub.h 1");
+      ("open", "open Fixlib\nlet g = f 1 + Sub.h 1");
+      ("module alias", "module M = Fixlib\nlet g = M.f 1 + M.Sub.h 1");
+      ( "let module",
+        "let g = let module M = Fixlib in M.f 1 + M.Sub.h 1" );
+      ("include", "include Fixlib");
+      ( "functor argument",
+        "module F (X : sig val f : int -> int module Sub : sig val h : int \
+         -> int end end) = struct let g = X.f 1 end\n\
+         module N = F (Fixlib)" );
+      ( "packed module",
+        "module type S = sig val f : int -> int module Sub : sig val h : \
+         int -> int end end\n\
+         let m = (module Fixlib : S)" );
+    ]
+  in
+  List.iter
+    (fun (how, src) ->
+      Alcotest.(check (list string)) (how ^ ": bin/ user") []
+        (flagged [ ("bin/user.ml", src) ]);
+      Alcotest.(check (list string)) (how ^ ": another lib unit") []
+        (flagged [ ("lib/other/user.ml", src) ]))
+    uses
+
+let u1_flags_unused_exports () =
+  (match flagged [] with
+  | [ f; h ] ->
+      Alcotest.(check bool) ("own module only: " ^ f) true
+        (String.starts_with ~prefix:"exported value `Fixlib.f`" f
+        && contains f "nothing outside its own module uses it");
+      Alcotest.(check bool) ("nested val: " ^ h) true
+        (String.starts_with ~prefix:"exported value `Fixlib.Sub.h`" h)
+  | ms -> Alcotest.fail (Printf.sprintf "expected 2 findings, got %d" (List.length ms)));
+  match flagged [ ("test/test_fix.ml", "let g = Fixlib.f 1 + Fixlib.Sub.h 1") ] with
+  | [ f; _ ] ->
+      Alcotest.(check bool) ("tests only: " ^ f) true
+        (contains f "only tests use it")
+  | ms -> Alcotest.fail (Printf.sprintf "expected 2 findings, got %d" (List.length ms))
+
+let u1_inline_waiver () =
+  let mli =
+    "(* lint: allow U1 — kept for the fixture's sake *)\n\
+     val f : int -> int\n\
+     module Sub : sig\n\
+    \  (* lint: allow U1 — nested waivers sit at their val too *)\n\
+    \  val h : int -> int\n\
+     end\n"
+  in
+  let kept, suppressed = u1 ~mli [] in
+  Alcotest.(check int) "nothing kept" 0 (List.length kept);
+  Alcotest.(check (list string)) "both waived" [ "U1"; "U1" ] (rules_of suppressed)
+
+(* ------------------------------------------------------------------ *)
 (* Rule registry *)
 
 let rule_registry_well_formed () =
   Alcotest.(check (list string))
     "ids unique and stable"
-    [ "S1"; "S2"; "S3"; "S4"; "D1"; "D2"; "T1"; "P1" ]
+    [ "S1"; "S2"; "S3"; "S4"; "D1"; "D2"; "T1"; "P1"; "U1" ]
     (List.map (fun r -> r.Sem_rules.id) Sem_rules.all)
 
 let suite =
@@ -680,5 +784,8 @@ let suite =
     ("sarif report shape", `Quick, sarif_report_is_valid_and_complete);
     ("sarif shared with lint", `Quick, sarif_shared_with_lint);
     ("t1 hints name real functions", `Quick, t1_hints_name_real_functions);
+    ("u1 counts every kind of use", `Quick, u1_counts_every_kind_of_use);
+    ("u1 flags unused exports", `Quick, u1_flags_unused_exports);
+    ("u1 inline waiver", `Quick, u1_inline_waiver);
     ("rule registry well-formed", `Quick, rule_registry_well_formed);
   ]

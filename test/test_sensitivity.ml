@@ -96,15 +96,28 @@ let test_invalid_args () =
   Alcotest.check_raises "repeats" (Invalid_argument "Sensitivity.analyze: repeats < 1")
     (fun () -> ignore (Sensitivity.analyze ~repeats:0 linear))
 
+(* The values a sweep of x probes: every grid point when max_points
+   covers them, otherwise evenly spaced ones with both endpoints. *)
 let test_subsample () =
-  Alcotest.(check (array int)) "all when count >= n" [| 0; 1; 2 |]
-    (Sensitivity.subsample 3 5);
-  Alcotest.(check (array int)) "endpoints included" [| 0; 5; 10 |]
-    (Sensitivity.subsample 11 3);
-  (* The former division-by-zero cases. *)
-  Alcotest.(check (array int)) "count = 1" [| 0 |] (Sensitivity.subsample 11 1);
-  Alcotest.(check (array int)) "count = 0" [| 0 |] (Sensitivity.subsample 11 0);
-  Alcotest.(check (array int)) "n = 0" [||] (Sensitivity.subsample 0 4)
+  let probed max_points =
+    let xs = ref [] in
+    let recorded =
+      {
+        linear with
+        Objective.eval =
+          (fun c ->
+            if Float.equal c.(1) 5.0 && Float.equal c.(2) 5.0 then
+              xs := c.(0) :: !xs;
+            linear.Objective.eval c);
+      }
+    in
+    ignore (Sensitivity.analyze ~max_points recorded : Sensitivity.report);
+    List.sort_uniq Float.compare !xs
+  in
+  Alcotest.(check (list (float 0.0))) "all when max_points >= n"
+    (List.init 11 float_of_int) (probed 16);
+  Alcotest.(check (list (float 0.0))) "endpoints included" [ 0.0; 5.0; 10.0 ]
+    (probed 3)
 
 let test_pool_matches_sequential () =
   let sequential = Sensitivity.analyze linear in

@@ -27,6 +27,57 @@ let test_register_bad_spec () =
   | Server.Rejected _ -> ()
   | _ -> Alcotest.fail "expected rejection"
 
+(* An integer literal beyond max_int is a malformed specification:
+   the client gets a rejection naming the literal, never an exception
+   out of the handler. *)
+let oversized_spec = "{ harmonyBundle B { int {1 99999999999999999999 1} }}"
+
+let test_register_oversized_literal () =
+  let server = Server.create () in
+  match
+    Server.handle server
+      (Server.Register { spec = oversized_spec; direction = Server.Maximize })
+  with
+  | Server.Rejected msg ->
+      Alcotest.(check bool) ("names the literal: " ^ msg) true
+        (String.starts_with
+           ~prefix:"bad specification: integer literal 99999999999999999999 "
+           msg)
+  | _ -> Alcotest.fail "expected rejection"
+
+(* Raw specification text, well-formed or not, with long digit runs:
+   registering it (and querying after) answers with a reply. *)
+let prop_raw_spec_never_raises =
+  let open QCheck2.Gen in
+  let digits = string_size ~gen:(char_range '0' '9') (int_range 1 40) in
+  let piece =
+    oneof
+      [
+        digits;
+        map (fun d -> "-" ^ d) digits;
+        oneofl
+          [ "{"; "}"; "("; ")"; " "; "\n"; "harmonyBundle"; "int"; "B"; "C";
+            "$B"; "+"; "*"; "/"; "#"; "x9" ];
+      ]
+  in
+  let raw = map (String.concat " ") (list_size (int_range 0 30) piece) in
+  let templated =
+    map
+      (fun (lo, hi, step) ->
+        Printf.sprintf "{ harmonyBundle B { int {%s %s %s} }}" lo hi step)
+      (triple digits digits digits)
+  in
+  QCheck2.Test.make ~name:"raw spec text never raises" ~count:300
+    ~print:(fun s -> s)
+    (oneof [ raw; templated ])
+    (fun spec ->
+      let server = Server.create () in
+      ignore
+        (Server.handle server
+           (Server.Register { spec; direction = Server.Maximize }));
+      ignore (Server.handle server Server.Query);
+      true)
+
 let test_register_untunable_spec () =
   (* Parses fine, but the space is a single point: the search kernel
      cannot build a non-degenerate initial simplex.  The degeneracy
@@ -88,12 +139,12 @@ let test_assignments_feasible () =
     | Server.Assign assignment ->
         let values = Array.of_list (List.map snd assignment) in
         Alcotest.(check bool) "feasible under restriction" true
-          (Rsl.is_feasible spec values);
+          (Rsl_check.feasible spec values);
         loop (Server.handle server (Server.Report (respond assignment))) (steps + 1)
     | Server.Done { best; performance } ->
         Alcotest.(check bool) "found a good point" true (performance > 90.0);
         let values = Array.of_list (List.map snd best) in
-        Alcotest.(check bool) "best feasible" true (Rsl.is_feasible spec values)
+        Alcotest.(check bool) "best feasible" true (Rsl_check.feasible spec values)
     | Server.Rejected msg -> Alcotest.fail ("unexpected rejection: " ^ msg)
     | Server.Stats _ -> Alcotest.fail "unexpected stats reply"
   in
@@ -352,6 +403,9 @@ let suite =
   [
     Alcotest.test_case "register assigns" `Quick test_register_assigns;
     Alcotest.test_case "register bad spec" `Quick test_register_bad_spec;
+    Alcotest.test_case "register oversized literal" `Quick
+      test_register_oversized_literal;
+    QCheck_alcotest.to_alcotest prop_raw_spec_never_raises;
     Alcotest.test_case "register untunable spec" `Quick test_register_untunable_spec;
     Alcotest.test_case "query before register" `Quick test_query_before_register;
     Alcotest.test_case "report without assignment" `Quick test_report_without_assignment;

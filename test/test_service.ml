@@ -808,6 +808,41 @@ let test_corrupt_one_shard_salvages_the_rest () =
       check_all_resume ~msg:"corrupt shard 0" r.Service.service dones_ref;
       Service.detach_journals r.Service.service)
 
+(* A register whose specification overflows an integer literal is
+   rejected inside a journaled batch: every message of the batch is
+   answered, and the journal holding its [recv] record recovers. *)
+let test_oversized_literal_batch_recovers () =
+  let shards = 1 in
+  let bad =
+    Service.Client
+      {
+        client = "alpha";
+        payload =
+          Server.Register
+            {
+              spec = "{ harmonyBundle B { int {1 99999999999999999999 1} }}";
+              direction = Server.Maximize;
+            };
+      }
+  in
+  with_journal ~shards (fun path ->
+      let service = Service.create ~options ~shards () in
+      Service.attach_journals service ~journal:path ();
+      let replies =
+        Service.handle_batch service [ bad; query_msg "alpha"; register_msg "bravo" ]
+      in
+      Alcotest.(check int) "every message answered" 3 (List.length replies);
+      (match replies with
+      | Service.Client_reply { reply = Server.Rejected msg; _ } :: _ ->
+          Alcotest.(check bool) ("bad specification: " ^ msg) true
+            (String.starts_with ~prefix:"bad specification: integer literal" msg)
+      | _ -> Alcotest.fail "expected the register to be rejected");
+      Service.detach_journals service;
+      let r = Service.recover ~options ~shards ~journal:path () in
+      Alcotest.(check int) "nothing dropped" 0 r.Service.dropped;
+      Alcotest.(check int) "one live session" 1 (Service.sessions r.Service.service);
+      Service.detach_journals r.Service.service)
+
 (* Whole-service recovery cross-checks: recovering an intact two-shard
    run replays everything, drops nothing, and the merged telemetry
    carries the per-shard totals. *)
@@ -980,7 +1015,8 @@ let test_metrics_probe_pre_batch_snapshot () =
   (match Service.handle_batch service [ register_msg "alpha" ] with
   | [ Service.Client_reply { reply = Server.Assign _; _ } ] -> ()
   | _ -> Alcotest.fail "register failed");
-  let expected = Service.reply_to_string (Service.Service_stats (Service.metrics service)) in
+  let expected = Service.reply_to_string (Service.Service_stats
+         (Harmony_telemetry.Export.prometheus (Service.merged_telemetry service))) in
   let replies =
     Service.handle_batch service
       [ Service.Service_metrics; register_msg "bravo";
@@ -1607,6 +1643,8 @@ let suite =
     Alcotest.test_case "corrupt one shard salvages rest" `Quick
       test_corrupt_one_shard_salvages_the_rest;
     Alcotest.test_case "recover intact service" `Quick test_recover_intact_service;
+    Alcotest.test_case "oversized literal batch recovers" `Quick
+      test_oversized_literal_batch_recovers;
     Alcotest.test_case "metrics probe answers pre-batch snapshot" `Quick
       test_metrics_probe_pre_batch_snapshot;
     Alcotest.test_case "admission rejects and retries converge" `Quick

@@ -27,14 +27,15 @@ let test_create_empty () =
 
 let test_dims_and_lookup () =
   Alcotest.(check int) "dims" 2 (Space.dims space);
-  Alcotest.(check int) "index b" 1 (Space.index_of_name space "b");
-  Alcotest.check_raises "missing" Not_found (fun () ->
-      ignore (Space.index_of_name space "zz"))
+  Alcotest.(check string) "param 1" "b" (Space.param space 1).Param.name
 
 let test_defaults_mins_maxs () =
   Alcotest.check farr "defaults" [| 2.0; 10.0 |] (Space.defaults space);
-  Alcotest.check farr "mins" [| 0.0; 10.0 |] (Space.mins space);
-  Alcotest.check farr "maxs" [| 4.0; 30.0 |] (Space.maxs space)
+  let params = Space.params space in
+  Alcotest.check farr "mins" [| 0.0; 10.0 |]
+    (Array.map (fun p -> p.Param.min_value) params);
+  Alcotest.check farr "maxs" [| 4.0; 30.0 |]
+    (Array.map (fun p -> p.Param.max_value) params)
 
 let test_snap () =
   Alcotest.check farr "snapped" [| 3.0; 20.0 |] (Space.snap space [| 3.2; 24.0 |])
@@ -46,7 +47,10 @@ let test_is_valid () =
 
 let test_normalize_roundtrip () =
   let c = [| 3.0; 20.0 |] in
-  Alcotest.check farr "roundtrip" c (Space.denormalize space (Space.normalize space c))
+  Alcotest.check farr "roundtrip" c
+    (Array.mapi
+       (fun i x -> Param.denormalize (Space.param space i) x)
+       (Space.normalize space c))
 
 let test_cardinality () =
   Alcotest.(check (float 1e-9)) "5*3" 15.0 (Space.cardinality space)
@@ -87,7 +91,7 @@ let test_enumerate_distinct_and_valid () =
   Seq.iter
     (fun c ->
       Alcotest.(check bool) "valid" true (Space.is_valid space c);
-      let key = Space.config_to_string space c in
+      let key = Format.asprintf "%a" (Space.pp_config space) c in
       Alcotest.(check bool) "distinct" false (Hashtbl.mem seen key);
       Hashtbl.add seen key ())
     (Space.enumerate space)
@@ -105,7 +109,7 @@ let test_config_equal () =
 let test_config_to_string () =
   Alcotest.(check string)
     "rendering" "{a=2; b=10}"
-    (Space.config_to_string space [| 2.0; 10.0 |])
+    (Format.asprintf "%a" (Space.pp_config space) [| 2.0; 10.0 |])
 
 (* Property: snap is a projection onto the valid grid. *)
 let prop_snap_projection =

@@ -65,7 +65,7 @@ let test_tuning_subspace_leaves_rest_fixed () =
   Alcotest.(check (float 1e-9)) "c untouched" 3.0 full.(2)
 
 let test_direction_preserved () =
-  let sub = Subspace.project (Objective.negate obj) ~indices:[ 0 ] () in
+  let sub = Subspace.project (Testbed.negate obj) ~indices:[ 0 ] () in
   Alcotest.(check bool) "lower is better" true
     ((Subspace.objective sub).Objective.direction = Objective.Lower_is_better)
 

@@ -25,17 +25,28 @@ let event_ts = function
   | Telemetry.Instant { ts; _ } ->
       ts
 
+(* Open spans: begins minus ends among the recorded events. *)
+let depth t =
+  List.fold_left
+    (fun d -> function
+      | Telemetry.Begin _ -> d + 1
+      | Telemetry.End _ -> d - 1
+      | Telemetry.Instant _ -> d)
+    0 (Telemetry.events t)
+
+let gauge_value t name = List.assoc_opt name (Telemetry.gauges t)
+
 let test_span_nesting () =
   let t = Telemetry.create () in
   let r =
     Telemetry.span t "outer" (fun () ->
-        Alcotest.(check int) "depth inside outer" 1 (Telemetry.depth t);
+        Alcotest.(check int) "depth inside outer" 1 (depth t);
         Telemetry.span t "inner" (fun () ->
-            Alcotest.(check int) "depth inside inner" 2 (Telemetry.depth t));
+            Alcotest.(check int) "depth inside inner" 2 (depth t));
         17)
   in
   Alcotest.(check int) "span returns f's value" 17 r;
-  Alcotest.(check int) "all spans closed" 0 (Telemetry.depth t);
+  Alcotest.(check int) "all spans closed" 0 (depth t);
   let names = List.map event_name (Telemetry.events t) in
   Alcotest.(check (list string))
     "record order" [ "outer"; "inner"; "inner"; "outer" ] names;
@@ -53,7 +64,7 @@ let test_span_end_on_exception () =
   let t = Telemetry.create () in
   (try Telemetry.span t "failing" (fun () -> failwith "boom")
    with Failure _ -> ());
-  Alcotest.(check int) "span closed by the exception path" 0 (Telemetry.depth t);
+  Alcotest.(check int) "span closed by the exception path" 0 (depth t);
   match Telemetry.events t with
   | [ Telemetry.Begin _; Telemetry.End _ ] -> ()
   | _ -> Alcotest.fail "expected a Begin/End pair"
@@ -79,7 +90,7 @@ let test_off_is_noop () =
   Telemetry.observe t "h" 1.0;
   Alcotest.(check int) "no events" 0 (Telemetry.event_count t);
   Alcotest.(check int) "counter reads 0" 0 (Telemetry.counter_value t "c");
-  Alcotest.(check bool) "no gauge" true (Telemetry.gauge_value t "g" = None);
+  Alcotest.(check bool) "no gauge" true (gauge_value t "g" = None);
   Alcotest.(check int) "no histograms" 0 (List.length (Telemetry.histograms t))
 
 (* ------------------------------------------------------------------ *)
@@ -89,20 +100,20 @@ let test_gauge_handle () =
   let t = Telemetry.create () in
   let g = Telemetry.gauge_handle t "g" in
   Alcotest.(check bool) "resolving exports nothing" true
-    (Telemetry.gauges t = [] && Telemetry.gauge_value t "g" = None);
+    (Telemetry.gauges t = [] && gauge_value t "g" = None);
   Telemetry.set g 2.5;
   Alcotest.(check bool) "set through the handle" true
-    (Telemetry.gauge_value t "g" = Some 2.5);
+    (gauge_value t "g" = Some 2.5);
   Telemetry.gauge t "g" 4.0;
   Telemetry.gauge_max t "g" 1.0;
   Alcotest.(check bool) "the name writes the same slot" true
     (Telemetry.gauges t = [ ("g", 4.0) ]);
   Telemetry.set g 0.5;
   Alcotest.(check bool) "and the handle sees it" true
-    (Telemetry.gauge_value t "g" = Some 0.5);
+    (gauge_value t "g" = Some 0.5);
   Telemetry.set (Telemetry.gauge_handle Telemetry.off "g") 1.0;
   Alcotest.(check bool) "off's handle is inert" true
-    (Telemetry.gauge_value Telemetry.off "g" = None)
+    (gauge_value Telemetry.off "g" = None)
 
 let test_registry () =
   let t = Telemetry.create () in
@@ -116,10 +127,10 @@ let test_registry () =
     "counters sorted by name"
     [ ("a.counter", 4); ("b.counter", 2) ]
     (Telemetry.counters t);
-  Alcotest.(check bool) "gauge set" true (Telemetry.gauge_value t "g" = Some 2.0);
+  Alcotest.(check bool) "gauge set" true (gauge_value t "g" = Some 2.0);
   Alcotest.(check bool)
     "gauge_max keeps the high-water mark" true
-    (Telemetry.gauge_value t "hw" = Some 3.0);
+    (gauge_value t "hw" = Some 3.0);
   Telemetry.observe t ~bounds:[| 1.0; 10.0 |] "h" 0.5;
   Telemetry.observe t "h" 5.0;
   Telemetry.observe t "h" 99.0;
@@ -206,7 +217,7 @@ let test_merged () =
   Alcotest.(check int) "singleton counter kept" 1
     (Telemetry.counter_value m "only_b");
   Alcotest.(check bool) "gauges take the max" true
-    (Telemetry.gauge_value m "hw" = Some 5.0);
+    (gauge_value m "hw" = Some 5.0);
   (match List.assoc_opt "lat" (Telemetry.histograms m) with
   | Some snap ->
       Alcotest.(check int) "histogram count sums" 3 snap.Telemetry.count;
@@ -454,7 +465,7 @@ let test_session_spans_present () =
     [ "session.tune"; "sensitivity"; "simplex.init"; "simplex.step"; "measure" ];
   Alcotest.(check bool) "evaluations counted" true
     (Telemetry.counter_value telemetry "tuner.evaluations" > 0);
-  Alcotest.(check bool) "all spans closed" true (Telemetry.depth telemetry = 0)
+  Alcotest.(check bool) "all spans closed" true (depth telemetry = 0)
 
 let test_memo_counters_are_the_registry () =
   (* Satellite: Objective.stats is a thin view over the registry. *)
@@ -628,6 +639,26 @@ let test_exemplars_recorded_and_merged () =
      in
      go 0)
 
+(* A flight ring's window as (type, name, trace id) triples, read
+   back from its JSONL dump. *)
+let flight_window flight =
+  let field name obj =
+    Option.value ~default:""
+      (Option.bind (Tjson.member name obj) Tjson.to_str)
+  in
+  String.split_on_char '\n' (Flight.to_jsonl flight)
+  |> List.filter (fun l -> not (String.equal l ""))
+  |> List.map (fun line ->
+         match Tjson.parse line with
+         | Error e -> Alcotest.fail e
+         | Ok obj ->
+             let trace =
+               match Tjson.member "args" obj with
+               | Some args -> field "trace_id" args
+               | None -> ""
+             in
+             (field "type" obj, field "name" obj, trace))
+
 let test_flight_mirrors_metrics_only_handle () =
   let flight = Flight.create ~capacity:8 in
   let t = Telemetry.create ~record_events:false ~flight () in
@@ -638,15 +669,13 @@ let test_flight_mirrors_metrics_only_handle () =
   (* The logical clock still advanced — metrics-only handles tick
      identically to recording ones. *)
   Alcotest.(check int) "clock ticked" 2 (Telemetry.event_count t);
-  match Flight.entries flight with
-  | [ b; e ] ->
-      Alcotest.(check string) "begin mirrored" "server.handle" b.Flight.e_name;
+  match flight_window flight with
+  | [ (b_type, b_name, b_trace); (e_type, _, _) ] ->
+      Alcotest.(check string) "begin mirrored" "server.handle" b_name;
+      Alcotest.(check string) "begin kind" "begin" b_type;
       Alcotest.(check string)
-        "trace id captured" (Telemetry.Ctx.trace_id ctx) b.Flight.e_trace;
-      Alcotest.(check bool) "end mirrored" true
-        (match e.Flight.e_kind with
-        | Flight.End -> true
-        | Flight.Begin | Flight.Instant -> false)
+        "trace id captured" (Telemetry.Ctx.trace_id ctx) b_trace;
+      Alcotest.(check string) "end mirrored" "end" e_type
   | l ->
       Alcotest.fail
         (Printf.sprintf "expected 2 mirrored events, got %d" (List.length l))
@@ -667,8 +696,7 @@ let flight_wraparound_qcheck =
       let expected =
         List.init kept (fun j -> Printf.sprintf "e%d" (n - kept + j))
       in
-      Flight.total f = n
-      && List.map (fun e -> e.Flight.e_name) (Flight.entries f) = expected)
+      List.map (fun (_, name, _) -> name) (flight_window f) = expected)
 
 let suite =
   [

@@ -87,7 +87,7 @@ let model_snapshot ?(seq = 0) m log =
    many bytes as the live frames. *)
 let model_step m (recv, rep) extend =
   m.seq <- m.seq + 1;
-  let bytes seq ev = Frame.encoded_size (m.encode ~seq ev) in
+  let bytes seq ev = String.length (Frame.encode (m.encode ~seq ev)) in
   m.records <- m.records + 2;
   m.journal_bytes <- m.journal_bytes + bytes m.seq recv + bytes m.seq rep;
   m.log <- extend m.seq m.log;
@@ -333,7 +333,7 @@ let amplification_sink ~armed ~snapshot violations (sink : Persist.sink) =
          | [] -> []
        in
        let bytes =
-         List.fold_left (fun a r -> a + Frame.encoded_size r) 0 frames
+         List.fold_left (fun a r -> a + String.length (Frame.encode r)) 0 frames
        in
        if bytes > 2 * !journaled then
          violations := (bytes, !journaled) :: !violations);

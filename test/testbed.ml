@@ -1,4 +1,5 @@
 open Harmony_param
+open Harmony_objective
 
 let grid_space ~dims ~lo ~hi ~step ~default =
   let p i =
@@ -98,3 +99,40 @@ let with_irrelevant obj idxs =
     Objective.run_batch obj disp (Array.map mask configs)
   in
   { obj with Objective.eval; batch = Some batch }
+
+let negate (t : Objective.t) =
+  let direction =
+    match t.direction with
+    | Higher_is_better -> Objective.Lower_is_better
+    | Lower_is_better -> Higher_is_better
+  in
+  {
+    t with
+    direction;
+    eval = (fun c -> -.t.eval c);
+    batch =
+      Some
+        (fun disp configs ->
+          Array.map Float.neg (Objective.run_batch t disp configs));
+  }
+
+let with_snap (t : Objective.t) =
+  let snap c = Space.snap t.space c in
+  (* Snapping merges distinct configurations into one grid point, so
+     keyed draws below are no longer keyed by this layer's input: the
+     point's attempt counter advances in whatever order the merged
+     configurations arrive.  Above a snap they count as [Stream]. *)
+  let randomness =
+    match t.randomness with
+    | Keyed -> Objective.Stream
+    | Deterministic | Stream -> t.randomness
+  in
+  {
+    t with
+    eval = (fun c -> t.eval (snap c));
+    batch =
+      Some
+        (fun disp configs ->
+          Objective.run_batch t disp (Array.map snap configs));
+    randomness;
+  }

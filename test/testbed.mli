@@ -1,8 +1,8 @@
-(** Analytic test objectives with known optima.
+(** Analytic test objectives with known optima, for the unit and
+    property tests of the search kernels.  All are defined over
+    explicit discrete grids. *)
 
-    Used by unit and property tests of the search kernels, and as
-    cheap stand-ins when an experiment needs "some" landscape.  All
-    are defined over explicit discrete grids. *)
+open Harmony_objective
 
 val quadratic_bowl : ?dims:int -> ?target:float array -> unit -> Objective.t
 (** Lower-is-better; minimum value [0] at [target] (defaults to the
@@ -31,3 +31,13 @@ val with_irrelevant : Objective.t -> int list -> Objective.t
     coordinates are ignored (replaced by their defaults before
     evaluation): ground-truth irrelevant parameters for sensitivity
     tests (Section 5.2). *)
+
+val negate : Objective.t -> Objective.t
+(** Flip the direction by negating measurements, to run a minimizer
+    as a maximizer. *)
+
+val with_snap : Objective.t -> Objective.t
+(** Snap configurations onto the grid before evaluating; makes an
+    objective total over continuous proposals.  Over [Keyed]
+    randomness the result is [Stream]: configurations that snap to
+    one point share its attempt sequence. *)

@@ -1,23 +1,28 @@
 (* harmony_sem — the project's static analyzer over the typedtree:
    ambient nondeterminism, module-level mutable state, raising
    partials, hot-path printing, races, lock order, polymorphic
-   comparison and handler totality.  See DESIGN.md §8.
+   comparison, handler totality and exported values no program uses.
+   See DESIGN.md §8.
 
      harmony_sem [--root DIR] [--format text|json|sarif]
                  [--rules D1,S3,...] [--allowlist FILE]
                  [--baseline FILE] [--check-baseline] [--write-baseline]
                  [--output FILE] [--list-rules] [SRC_DIR...]
 
-   Reads the .cmt artifacts under --root (default _build/default) for
-   sources living in the given directories (default: lib bin bench
-   tools/trace); `dune build @check` produces them for executables
-   too.  Exit status 0 when no unwaived finding remains (or, under
+   Reads the .cmt and .cmti artifacts under --root (default
+   _build/default) for sources living in the given directories
+   (default: lib bin bench tools/trace examples); `dune build @check`
+   produces them for executables too.  U1 counts uses in every unit
+   under --root outside test/, whatever directories are named.  Exit
+   status 0 when no unwaived finding remains (or, under
    --check-baseline, no finding beyond the committed baseline), 1 on
    findings, 2 on usage errors. *)
 
-let default_dirs = [ "lib"; "bin"; "bench"; "tools/trace" ]
+let default_dirs = [ "lib"; "bin"; "bench"; "tools/trace"; "examples" ]
 
-let usage = "harmony_sem [options] SRC_DIR...  (default: lib bin bench tools/trace)"
+let usage =
+  "harmony_sem [options] SRC_DIR...  (default: lib bin bench tools/trace \
+   examples)"
 
 let fail_usage fmt =
   Printf.ksprintf
@@ -83,14 +88,13 @@ let () =
   if not (Sys.file_exists !root && Sys.is_directory !root) then
     fail_usage "build root %s not found (run dune build @check first)" !root;
   let dirs = match List.rev !dirs with [] -> default_dirs | ds -> ds in
-  let units, load_diags = Sem_cmt.load_units ~root:!root ~dirs in
+  let units, result =
+    Sem_driver.analyze_tree ~rules ~allowlist ~tree:(Sem_cmt.load ~root:!root)
+      ~dirs ()
+  in
   if units = [] then
     fail_usage "no cmt files for %s under %s (run dune build @check first)"
       (String.concat " " dirs) !root;
-  let result = Sem_driver.analyze ~rules ~allowlist units in
-  let result =
-    { result with Sem_driver.kept = load_diags @ result.Sem_driver.kept }
-  in
   if !write_baseline then begin
     if !baseline_file = "" then fail_usage "--write-baseline needs --baseline FILE";
     let oc = open_out !baseline_file in

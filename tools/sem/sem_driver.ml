@@ -20,12 +20,24 @@ let default_source_of path =
 
 (* [source_of] maps a diagnostic's file to its source text so inline
    [(* lint: allow S1 *)] comments apply; tests inject in-memory
-   fixtures, the CLI reads from disk. *)
+   fixtures, the CLI reads from disk.  [units] are where the per-unit
+   rules report; U1 reports on [interfaces] and counts uses in [users]
+   (default: [units]). *)
 let analyze ?rules ?(allowlist = Lint_allow.empty_allowlist)
-    ?(source_of = default_source_of) (units : Sem_cmt.unit_info list) =
+    ?(source_of = default_source_of) ?(interfaces = []) ?users
+    (units : Sem_cmt.unit_info list) =
   let summary = Sem_summary.create () in
   let diags =
-    Sem_rules.run ?rules ~summary (List.map Sem_cmt.as_tuple units)
+    Sem_rules.run ?rules ~summary
+      ~interfaces:
+        (List.map
+           (fun (i : Sem_cmt.interface_info) -> (i.imodname, i.ipath, i.sg))
+           interfaces)
+      ~users:
+        (List.map
+           (fun (u : Sem_cmt.unit_info) -> (u.path, u.str))
+           (Option.value users ~default:units))
+      (List.map Sem_cmt.as_tuple units)
   in
   let allow_cache = Hashtbl.create 8 in
   let allow_for file =
@@ -89,6 +101,21 @@ let render_json ppf result =
     (List.length
        (List.filter (fun d -> d.Lint_diag.severity = Lint_diag.Warning) result.kept))
     (List.length result.suppressed)
+
+(* The analysis of a built tree: the per-unit rules and U1's report
+   sites are the units and interfaces under [dirs]; U1's users are
+   every unit under [root], whatever [dirs] names. *)
+let analyze_tree ?rules ?allowlist ?source_of ~(tree : Sem_cmt.tree) ~dirs ()
+    =
+  let scoped path = Sem_cmt.in_dirs ~dirs path in
+  let units = List.filter (fun u -> scoped u.Sem_cmt.path) tree.units in
+  let interfaces =
+    List.filter (fun i -> scoped i.Sem_cmt.ipath) tree.interfaces
+  in
+  let result =
+    analyze ?rules ?allowlist ?source_of ~interfaces ~users:tree.units units
+  in
+  (units, { result with kept = tree.diags @ result.kept })
 
 (* Exit status without a baseline: any unwaived finding fails. *)
 let failed result = result.kept <> []

@@ -22,7 +22,10 @@
    S4  handler totality: protocol-handler modules contain no partial
        match, assert false, failwith/exit, Obj.magic, or raise of a
        freshly built exception (re-raise of a caught exception and
-       invalid_arg are allowed). *)
+       invalid_arg are allowed).
+   U1  no exported value in lib/'s interfaces that no program uses:
+       every val of a lib/ .mli must be referenced from a unit outside
+       test/ other than its own. *)
 
 open Typedtree
 
@@ -150,7 +153,22 @@ let s4 =
        result) instead.";
   }
 
-let all = [ s1; s2; s3; s4; d1; d2; t1; p1 ]
+let u1 =
+  {
+    id = "U1";
+    severity = Lint_diag.Error;
+    summary = "no exported value in lib/ that no program uses";
+    doc =
+      "Every val of a lib/ interface must be referenced, by resolved path, \
+       from an implementation unit outside test/ other than its own: \
+       bin/, bench/, perfbench/, tools/, examples/ or another lib/ unit. \
+       An include, a functor argument or a packed module uses every value \
+       of its module. Delete a value only tests call (with its tests), \
+       drop one only its own module uses from the interface, or waive it \
+       inline at its val with the reason it stays.";
+  }
+
+let all = [ s1; s2; s3; s4; d1; d2; t1; p1; u1 ]
 
 let find id = List.find_opt (fun r -> r.id = id) all
 
@@ -633,16 +651,17 @@ let run_s2 ~(summary : Sem_summary.t) (units : (string * string * structure) lis
 (* The unit's module aliases — [module R = Random] at any structure
    level and [let module R = Random in] — keyed by the alias's unique
    ident name, for [Sem_util.resolve]. *)
+(* The module a module expression names, when it names one. *)
+let rec module_target (me : module_expr) =
+  match me.mod_desc with
+  | Tmod_ident (p, _) -> Some p
+  | Tmod_constraint (me, _, _, _) -> module_target me
+  | _ -> None
+
 let module_aliases (str : structure) =
   let aliases = Hashtbl.create 8 in
-  let rec target (me : module_expr) =
-    match me.mod_desc with
-    | Tmod_ident (p, _) -> Some p
-    | Tmod_constraint (me, _, _, _) -> target me
-    | _ -> None
-  in
   let add id me =
-    match (id, target me) with
+    match (id, module_target me) with
     | Some id, Some p -> Hashtbl.replace aliases (Ident.unique_name id) p
     | _ -> ()
   in
@@ -714,6 +733,8 @@ let t1_table path =
         Some (Sem_util.dotted path ^ "_opt")
     | [ "Option"; "get" ] -> Some "pattern-match on the option"
     | [ "Hashtbl"; "find" ] -> Some "Hashtbl.find_opt"
+    | [ (("int_of_string" | "float_of_string" | "bool_of_string") as f) ] ->
+        Some (f ^ "_opt")
     | _ -> None
   in
   Option.map
@@ -893,10 +914,164 @@ let run_s4 ~aliases (str : structure) =
   !diags
 
 (* ------------------------------------------------------------------ *)
+(* U1: exported values no program uses *)
+
+(* Every [val] of an interface with its path inside the unit
+   ([["Ctx"; "child"]] for [Telemetry.Ctx.child]), nested signatures
+   included, plus the module aliases the interface exports, which
+   uses are expanded through.  Functor bodies and module types hold
+   no value of the unit. *)
+let interface_vals (sg : signature) =
+  let vals = ref [] and aliases = ref [] in
+  let rec walk prefix (sg : signature) =
+    List.iter
+      (fun (item : signature_item) ->
+        match item.sig_desc with
+        | Tsig_value vd ->
+            vals := (prefix @ [ vd.val_name.txt ], vd.val_loc) :: !vals
+        | Tsig_module { md_name = { txt = Some name; _ }; md_type; _ } -> (
+            match md_type.mty_desc with
+            | Tmty_signature sg -> walk (prefix @ [ name ]) sg
+            | Tmty_alias (p, _) -> aliases := (prefix @ [ name ], p) :: !aliases
+            | _ -> ())
+        | _ -> ())
+      sg.sig_items
+  in
+  walk [] sg;
+  (List.rev !vals, !aliases)
+
+(* [interfaces]: (full unit name, .mli path, signature); [users]:
+   (source path, structure).  A use is a resolved path that lands in
+   an interface's unit from any other unit: a value path names one
+   val; an [include], a functor argument or a packed module names
+   every val under its module.  Units under test/ are not users, but
+   their uses are counted so the report can say "only tests". *)
+let run_u1 ~interfaces ~users =
+  (* unit -> its source stem ([lib/parallel/pool]), the one unit whose
+     uses of its own values do not count *)
+  let known = Hashtbl.create 64 in
+  List.iter
+    (fun (m, ipath, _) ->
+      Hashtbl.replace known m (Filename.remove_extension ipath))
+    interfaces;
+  let exported_aliases = Hashtbl.create 8 in
+  let vals =
+    List.map
+      (fun (m, ipath, sg) ->
+        let vs, aliases = interface_vals sg in
+        List.iter
+          (fun (sub, p) ->
+            Hashtbl.replace exported_aliases (Sem_util.dotted (m :: sub)) p)
+          aliases;
+        (m, ipath, vs))
+      interfaces
+  in
+  (* A resolved path as (unit, components inside it): the wrapper
+     prefix dune adds ([Harmony_parallel.Pool] is the unit
+     [Harmony_parallel__Pool]) is folded in, and a module alias an
+     interface exports is followed. *)
+  let rec locate ~aliases depth = function
+    | m :: rest when Hashtbl.mem known m -> expand ~aliases depth m rest
+    | w :: m :: rest when Hashtbl.mem known (w ^ "__" ^ m) ->
+        expand ~aliases depth (w ^ "__" ^ m) rest
+    | _ -> None
+  and expand ~aliases depth unit rest =
+    let rec split before = function
+      | [] -> Some (unit, rest)
+      | c :: after -> (
+          let here = before @ [ c ] in
+          match
+            Hashtbl.find_opt exported_aliases (Sem_util.dotted (unit :: here))
+          with
+          | Some p when depth < 8 ->
+              Option.bind (Sem_util.resolve ~aliases p) (fun target ->
+                  locate ~aliases (depth + 1) (target @ after))
+          | _ -> split here after)
+    in
+    split [] rest
+  in
+  (* (unit, components, whole module?), used from another unit *)
+  let used = Hashtbl.create 256 and tested = Hashtbl.create 256 in
+  List.iter
+    (fun (upath, str) ->
+      let table = if under "test" upath then tested else used in
+      let stem = Filename.remove_extension upath in
+      let aliases = module_aliases str in
+      let mark ~whole p =
+        match Option.bind (Sem_util.resolve ~aliases p) (locate ~aliases 0) with
+        | Some (unit, sub) when not (String.equal stem (Hashtbl.find known unit))
+          ->
+            Hashtbl.replace table (unit, sub, whole) ()
+        | Some _ | None -> ()
+      in
+      let on_module me = Option.iter (mark ~whole:true) (module_target me) in
+      let it =
+        {
+          Tast_iterator.default_iterator with
+          expr =
+            (fun sub e ->
+              (match e.exp_desc with
+              | Texp_ident (p, _, _) -> mark ~whole:false p
+              | Texp_letop { let_; ands; _ } ->
+                  List.iter
+                    (fun (b : binding_op) -> mark ~whole:false b.bop_op_path)
+                    (let_ :: ands)
+              | Texp_pack me -> on_module me
+              | _ -> ());
+              Tast_iterator.default_iterator.expr sub e);
+          structure_item =
+            (fun sub item ->
+              (match item.str_desc with
+              | Tstr_include { incl_mod; _ } -> on_module incl_mod
+              | _ -> ());
+              Tast_iterator.default_iterator.structure_item sub item);
+          module_expr =
+            (fun sub me ->
+              (match me.mod_desc with
+              | Tmod_apply (_, arg, _) -> on_module arg
+              | _ -> ());
+              Tast_iterator.default_iterator.module_expr sub me);
+        }
+      in
+      it.structure it str)
+    users;
+  (* Is [unit]'s val [sub] used: by name, or through a whole-module
+     use of a module enclosing it? *)
+  let uses table unit sub =
+    Hashtbl.mem table (unit, sub, false)
+    || List.exists
+         (fun n ->
+           Hashtbl.mem table (unit, List.filteri (fun i _ -> i < n) sub, true))
+         (List.init (List.length sub) Fun.id)
+  in
+  List.concat_map
+    (fun (unit, _, vs) ->
+      List.filter_map
+        (fun (sub, loc) ->
+          if uses used unit sub then None
+          else
+            let name =
+              Sem_util.dotted (Sem_util.normalize_modname unit :: sub)
+            in
+            Some
+              (Lint_diag.make ~rule:"U1" ~severity:u1.severity ~loc
+                 (Printf.sprintf
+                    "exported value `%s` is used by no program (%s); delete \
+                     it, drop it from the interface, or waive it with the \
+                     reason it stays"
+                    name
+                    (if uses tested unit sub then "only tests use it"
+                     else "nothing outside its own module uses it"))))
+        vs)
+    vals
+
+(* ------------------------------------------------------------------ *)
 (* Dispatch *)
 
-(* [units]: (normalized module name, source path, structure). *)
-let run ?(rules = all) ~(summary : Sem_summary.t) units =
+(* [units]: (normalized module name, source path, structure), where
+   the per-unit rules report; [interfaces] and [users] feed U1 (see
+   [run_u1]). *)
+let run ?(rules = all) ~interfaces ~users ~(summary : Sem_summary.t) units =
   let want id = List.exists (fun r -> r.id = id) rules in
   (* Aliases feed S3 and must be complete before any unit is judged. *)
   let candidates =
@@ -927,4 +1102,11 @@ let run ?(rules = all) ~(summary : Sem_summary.t) units =
       units
   in
   let global = if want "S2" then run_s2 ~summary units else [] in
-  List.sort Lint_diag.compare (per_unit @ global)
+  let unused =
+    if want "U1" then
+      run_u1
+        ~interfaces:(List.filter (fun (_, ipath, _) -> under "lib" ipath) interfaces)
+        ~users
+    else []
+  in
+  List.sort Lint_diag.compare (per_unit @ global @ unused)
