@@ -54,8 +54,6 @@ let create ?(options = Simplex.default_options) ?(max_report_failures = 3)
     handle_ms = Telemetry.histogram telemetry "server.handle_ms";
     session = None; handled = 0 }
 
-let spec t = Option.map (fun s -> s.rsl) t.session
-
 let fault_counters t =
   match t.session with
   | None -> (0, 0)

@@ -38,8 +38,6 @@
     through a fresh [Server] regenerates every reply byte-for-byte,
     which is what that recovery rests on. *)
 
-open Harmony_param
-
 type direction = Minimize | Maximize
 
 type message =
@@ -118,10 +116,6 @@ val handle :
     the message is [Rejected], and the client must re-register.  Every
     assignment is feasible under the registered restrictions (box
     proposals are projected with {!Rsl.repair}). *)
-
-(* lint: allow U1 — test hook: the server tests read the live specification through this *)
-val spec : t -> Rsl.t option
-(** The currently registered specification, if any. *)
 
 (* lint: allow U1 — test hook: the server tests read the fault counts through this *)
 val fault_counters : t -> int * int
