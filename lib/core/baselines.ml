@@ -23,8 +23,9 @@ let exhaustive ?(limit = 1_000_000) obj =
   let card = Space.cardinality obj.Objective.space in
   if card > float_of_int limit then
     invalid_arg
-      (Printf.sprintf "Baselines.exhaustive: space has %.3g configurations (limit %d)"
-         card limit);
+      (Printf.sprintf
+         "Baselines.exhaustive: space has %.3g configurations (limit %d)" card
+         limit);
   let recorder, recorded = Recorder.wrap obj in
   Seq.iter
     (fun c -> ignore (recorded.Objective.eval c))

@@ -117,9 +117,10 @@ val batch_by_key :
     [below] whose randomness is keyed per configuration: one
     dispatcher task per distinct configuration (grouped by
     {!Space.config_key}, in first-occurrence order), repeated
-    occurrences evaluated in input order within the task.  When [below] carries
-    [Stream] randomness the groups run in the same order on
-    the sequential dispatcher, whatever dispatcher is passed. *)
+    occurrences evaluated in input order within the task.  When
+    [below] carries [Stream] randomness the groups run in the same
+    order on the sequential dispatcher, whatever dispatcher is
+    passed. *)
 
 val better : t -> float -> float -> bool
 (** [better t a b] is true when performance [a] is strictly preferable

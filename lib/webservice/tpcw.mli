@@ -67,9 +67,9 @@ val sample_next :
 
 val observed_frequencies :
   Harmony_numerics.Rng.t -> mix -> samples:int -> float array
-(** Empirical frequency vector, in {!all} order, from [samples] draws: what the data
-    analyzer sees when it "spends a small amount of time observing
-    requests". *)
+(** Empirical frequency vector, in {!all} order, from [samples]
+    draws: what the data analyzer sees when it "spends a small amount
+    of time observing requests". *)
 
 (** Per-interaction resource demands, used by both the analytic model
     and the discrete-event simulator. *)

@@ -32,10 +32,10 @@ let test_heap_fifo_ties () =
   Heap.push h 1.0 1;
   Heap.push h 1.0 2;
   Heap.push h 1.0 3;
-  let pop () = match pop h with Some (_, v) -> v | None -> -1 in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
+  let next () = match pop h with Some (_, v) -> v | None -> -1 in
+  let first = next () in
+  let second = next () in
+  let third = next () in
   Alcotest.(check (list int)) "insertion order" [ 1; 2; 3 ]
     [ first; second; third ]
 

@@ -153,7 +153,9 @@ let test_with_faults_marks_noisy () =
 
 let test_with_faults_pure_passthrough () =
   (* All rates zero: the wrapper is the identity on values. *)
-  let faulty = Objective.with_faults ~rates:(Objective.fault_profile 0.0) ~seed:1 higher in
+  let faulty =
+    Objective.with_faults ~rates:(Objective.fault_profile 0.0) ~seed:1 higher
+  in
   Alcotest.(check (float 1e-12)) "value unchanged" 4.0
     (faulty.Objective.eval [| 4.0 |])
 
@@ -216,7 +218,11 @@ let stacked () =
         (c.(0) *. 3.0) +. 1.0)
   in
   let rates =
-    { (Objective.fault_profile 0.0) with Objective.outlier = 0.3; outlier_magnitude = 4.0 }
+    {
+      (Objective.fault_profile 0.0) with
+      Objective.outlier = 0.3;
+      outlier_magnitude = 4.0;
+    }
   in
   let faulty = Objective.with_faults ~rates ~seed:9 base in
   let obj =
