@@ -28,8 +28,6 @@ type session = {
       (* assignment awaiting its performance report *)
   mutable outstanding_failures : int;
       (* consecutive [report failed] for the outstanding assignment *)
-  mutable failed_reports : int;
-  mutable penalized : int;
 }
 
 type t = {
@@ -53,11 +51,6 @@ let create ?(options = Simplex.default_options) ?(max_report_failures = 3)
     messages = Telemetry.counter telemetry "server.messages";
     handle_ms = Telemetry.histogram telemetry "server.handle_ms";
     session = None; handled = 0 }
-
-let fault_counters t =
-  match t.session with
-  | None -> (0, 0)
-  | Some s -> (s.failed_reports, s.penalized)
 
 let better direction (a : float) (b : float) =
   match direction with
@@ -165,8 +158,6 @@ let handle_message t message =
                   direction;
                   outstanding = None;
                   outstanding_failures = 0;
-                  failed_reports = 0;
-                  penalized = 0;
                 }
               in
               t.session <- Some session;
@@ -193,7 +184,6 @@ let handle_message t message =
       match session.outstanding with
       | None -> Rejected "no assignment outstanding"
       | Some assignment ->
-          session.failed_reports <- session.failed_reports + 1;
           session.outstanding_failures <- session.outstanding_failures + 1;
           if session.outstanding_failures < t.max_report_failures then
             (* Re-assign: the client retries the same configuration
@@ -204,7 +194,6 @@ let handle_message t message =
             (* The configuration stays broken: feed the controller a
                worst-case penalty so the search moves away from it, and
                hand out the next proposal. *)
-            session.penalized <- session.penalized + 1;
             session.outstanding <- None;
             session.outstanding_failures <- 0;
             Controller.report session.controller

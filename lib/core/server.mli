@@ -117,13 +117,6 @@ val handle :
     assignment is feasible under the registered restrictions (box
     proposals are projected with {!Rsl.repair}). *)
 
-(* lint: allow U1 — test hook: the server tests read the fault counts through this *)
-val fault_counters : t -> int * int
-(** [(failed_reports, penalized)] for the current session:
-    [Report_failed] messages received, and configurations written off
-    as worst-case after exhausting their re-assignments.  [(0, 0)]
-    when nothing is registered. *)
-
 val parse_message : string -> (message, string) result
 (** Parse the text form: ["register min|max\n<rsl...>"], ["query"],
     ["report <float>"], ["report failed"], ["metrics"].  Total: never

@@ -40,7 +40,6 @@ let create ~objective ?db ?db_path ?checkpoint_every ?on_salvage
 let save_database t =
   match t.db_path with None -> () | Some path -> History.save t.db path
 
-let database t = t.db
 
 let prioritize ?max_points t =
   match t.report with

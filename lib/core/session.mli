@@ -58,9 +58,6 @@ val save_database : t -> unit
 (** Persist the experience database to the session's [db_path]; a
     no-op for sessions created without one. *)
 
-(* lint: allow U1 — test hook: the session tests read the loaded experience through this *)
-val database : t -> History.t
-
 (* lint: allow U1 — the model golden generator runs the prioritizing tool through this *)
 val prioritize : ?max_points:int -> t -> Sensitivity.report
 (** Run the parameter prioritizing tool (cached: repeated calls return

@@ -229,7 +229,7 @@ let test_reject_reregister_after_abort () =
 let test_report_failed_reassigns () =
   let server = Server.create () in
   let first = register server in
-  (match first with
+  match first with
   | Server.Assign a ->
       (* Two consecutive failures: the same configuration is re-assigned
          for the client to retry. *)
@@ -243,9 +243,7 @@ let test_report_failed_reassigns () =
       | Server.Assign _ | Server.Done _ -> ()
       | Server.Rejected msg -> Alcotest.fail ("unexpected rejection: " ^ msg)
       | Server.Stats _ -> Alcotest.fail "unexpected stats reply")
-  | _ -> Alcotest.fail "expected an assignment");
-  Alcotest.(check (pair int int)) "fault counters" (3, 1)
-    (Server.fault_counters server)
+  | _ -> Alcotest.fail "expected an assignment"
 
 let test_report_failed_without_registration () =
   let server = Server.create () in
@@ -259,15 +257,13 @@ let test_successful_report_resets_failures () =
   (* One failure, then a success: the failure streak resets, so the
      next assignment gets its full retry allowance again. *)
   let _ = Server.handle server Server.Report_failed in
-  (match Server.handle server (Server.Report 50.0) with
+  match Server.handle server (Server.Report 50.0) with
   | Server.Assign a ->
       Alcotest.(check bool) "fresh allowance: retry 1" true
         (Server.handle server Server.Report_failed = Server.Assign a);
       Alcotest.(check bool) "fresh allowance: retry 2" true
         (Server.handle server Server.Report_failed = Server.Assign a)
-  | _ -> Alcotest.fail "expected an assignment");
-  Alcotest.(check (pair int int)) "no penalty yet" (3, 0)
-    (Server.fault_counters server)
+  | _ -> Alcotest.fail "expected an assignment"
 
 let test_done_degrades_to_best_measured () =
   (* Only the very first assignment ever gets measured; everything
@@ -300,9 +296,7 @@ let test_done_degrades_to_best_measured () =
       | Server.Rejected msg -> Alcotest.fail ("unexpected rejection: " ^ msg)
       | Server.Stats _ -> Alcotest.fail "unexpected stats reply"
   in
-  loop (register server) 0;
-  let failed, penalized = Server.fault_counters server in
-  Alcotest.(check bool) "failures recorded" true (failed > 0 && penalized > 0)
+  loop (register server) 0
 
 let test_max_report_failures_invalid () =
   Alcotest.(check bool) "zero rejected" true
