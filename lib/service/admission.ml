@@ -129,11 +129,6 @@ let tick t =
         end)
       t.shard_state
 
-let degraded t ~shard =
-  shard >= 0
-  && shard < Array.length t.shard_state
-  && t.shard_state.(shard).degraded
-
 let any_degraded t = Array.exists (fun s -> s.degraded) t.shard_state
 
 (* Bring a client's bucket current, creating it full on first

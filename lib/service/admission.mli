@@ -93,10 +93,6 @@ val tick : t -> unit
     against the sheds it counted, flips its degraded flag accordingly,
     and starts a fresh window. *)
 
-(* lint: allow U1 — test hook: the admission tests read degraded mode through this *)
-val degraded : t -> shard:int -> bool
-(** Whether [shard] is currently in degraded mode. *)
-
 
 val check :
   t ->

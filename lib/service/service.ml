@@ -157,7 +157,6 @@ let create ?options ?max_report_failures ?telemetry ?admission ?slo ~shards ()
     slo;
   }
 
-let admission t = t.admission
 let admission_now t =
   match t.admission with Some a -> Admission.now a | None -> 0
 

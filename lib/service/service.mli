@@ -132,12 +132,6 @@ val create :
     @raise Invalid_argument when [shards < 1] (or the config is
     invalid, as in {!Admission.create} / {!Slo.create}). *)
 
-(* lint: allow U1 — test hook: the service tests read degraded mode through this *)
-val admission : t -> Admission.t option
-(** The live admission state, when the service was created with one
-    (tests inspect degraded flags and the logical clock through
-    this). *)
-
 (* lint: allow U1 — loadgen's SLO and chaos gates read this *)
 val admission_now : t -> int
 (** The admission logical clock: ticks once per {!handle} /

@@ -7,6 +7,20 @@ module Telemetry = Harmony_telemetry.Telemetry
 
 let base = Admission.unlimited
 
+(* Admission state whose shards report on live handles, with a reader
+   of the degraded-mode gauge each shard publishes. *)
+let create_observed ~shards config =
+  let tels =
+    Array.init shards (fun _ -> Telemetry.create ~record_events:false ())
+  in
+  let t = Admission.create ~telemetry:(fun i -> tels.(i)) ~shards config in
+  let degraded shard =
+    Option.equal Float.equal (Some 1.0)
+      (List.assoc_opt "service.admission.degraded"
+         (Telemetry.gauges tels.(shard)))
+  in
+  (t, degraded)
+
 let is_admit = function Admission.Admit -> true | Admission.Reject _ -> false
 
 let reason = function
@@ -22,12 +36,12 @@ let check ?enqueued_at ?deadline ?(shard = 0) ?(client = "c1")
   Admission.check t ~shard ~client ~priority ?enqueued_at ?deadline ()
 
 let test_unlimited_admits () =
-  let t = Admission.create ~shards:2 base in
+  let t, degraded = create_observed ~shards:2 base in
   Admission.tick t;
   for _ = 1 to 100 do
     Alcotest.(check bool) "unlimited admits" true (is_admit (check t))
   done;
-  Alcotest.(check bool) "never degraded" false (Admission.degraded t ~shard:0 || Admission.degraded t ~shard:1);
+  Alcotest.(check bool) "never degraded" false (degraded 0 || degraded 1);
   Alcotest.(check int) "clock ticked once" 1 (Admission.now t)
 
 let test_token_bucket () =
@@ -123,15 +137,16 @@ let trip t =
   Admission.complete t ~shard:0
 
 let test_degraded_hysteresis () =
-  let t = Admission.create ~shards:1 degrade_config in
+  let t, degraded = create_observed ~shards:1 degrade_config in
   trip t;
   Alcotest.(check bool) "not degraded until rollover" false
-    (Admission.degraded t ~shard:0);
+    (degraded 0);
   (* Roll the window: ticks 2..4 close the [0,4) window. *)
   for _ = 1 to 3 do Admission.tick t done;
   Alcotest.(check bool) "degraded after rollover" true
-    (Admission.degraded t ~shard:0);
-  Alcotest.(check bool) "any_degraded sees it" true (Admission.degraded t ~shard:0);
+    (degraded 0);
+  Alcotest.(check bool) "any_degraded sees it" false
+    (is_admit (Admission.check_service t));
   (* While degraded, Low priority is shed outright with the degraded
      flag in the verdict; Normal and Critical still pass. *)
   let v = check ~priority:Admission.Low t in
@@ -154,7 +169,7 @@ let test_degraded_hysteresis () =
     (is_admit (check ~client:"p1" t));
   for _ = 1 to 4 do Admission.tick t done;
   Alcotest.(check bool) "fresh pressure keeps state" true
-    (Admission.degraded t ~shard:0);
+    (degraded 0);
   Admission.complete t ~shard:0;
   (* A window with nothing but degraded sheds counts as quiet: the
      rollover clears the mode. *)
@@ -162,7 +177,7 @@ let test_degraded_hysteresis () =
     (is_admit (check ~client:"p2" ~priority:Admission.Low t));
   for _ = 1 to 4 do Admission.tick t done;
   Alcotest.(check bool) "quiet window recovers" false
-    (Admission.degraded t ~shard:0)
+    (degraded 0)
 
 let test_service_probe_sheds_when_degraded () =
   let t = Admission.create ~shards:1 degrade_config in

@@ -1109,12 +1109,18 @@ let test_degraded_sheds_by_priority () =
      shed-free round. *)
   let service =
     Service.create ~options
+      ~telemetry:(fun _ -> Telemetry.create ~record_events:false ())
       ~admission:
         { Admission.unlimited with Admission.max_inflight = 1;
           degrade_window = 1; degrade_high = 1; degrade_low = 0 }
       ~shards:1 ()
   in
-  let adm = Option.get (Service.admission service) in
+  (* Degraded mode as the shard publishes it. *)
+  let degraded () =
+    Option.equal Float.equal (Some 1.0)
+      (List.assoc_opt "service.admission.degraded"
+         (Telemetry.gauges (Service.shard_telemetry service 0)))
+  in
   ignore (Service.handle_batch service [ register_msg "alpha" ]);
   ignore (Service.handle_batch service [ register_msg "bravo" ]);
   (* Two Normal reports against one slot: one shed. *)
@@ -1141,8 +1147,7 @@ let test_degraded_sheds_by_priority () =
         Service.Client { client = "bravo"; payload = Server.Report_failed };
         Service.Deregister { client = "alpha" } ]
   in
-  Alcotest.(check bool) "shard reports degraded" true
-    (Admission.degraded adm ~shard:0);
+  Alcotest.(check bool) "shard reports degraded" true (degraded ());
   (match replies with
   | [ Service.Client_reply { reply = Server.Rejected msg; _ };
       Service.Client_reply { reply = _; _ };
@@ -1158,7 +1163,7 @@ let test_degraded_sheds_by_priority () =
     (Service.handle_batch service [ Service.Deregister { client = "bravo" } ]);
   ignore (Service.handle_batch service []);
   Alcotest.(check bool) "shard recovered after quiet window" false
-    (Admission.degraded adm ~shard:0)
+    (degraded ())
 
 let test_cancelled_batch_is_total () =
   let service = Service.create ~options ~shards:2 () in
