@@ -67,6 +67,28 @@ let test_random_sweep () =
     (fun p -> Alcotest.(check bool) "plausible" true (p >= 0.0 && p <= 100.0))
     perfs
 
+let test_annealing_improves () =
+  let r = Baselines.simulated_annealing (Rng.create 3) ~max_evaluations:300 peak in
+  Alcotest.(check bool) "near the peak" true (r.Baselines.best_performance > 90.0);
+  Alcotest.(check int) "budget spent" 300 r.Baselines.evaluations
+
+let test_annealing_minimizes () =
+  let bowl = Testbed.quadratic_bowl ~dims:2 () in
+  let start = bowl.Objective.eval (Space.defaults bowl.Objective.space) in
+  let r = Baselines.simulated_annealing (Rng.create 4) ~max_evaluations:400 bowl in
+  Alcotest.(check bool) "descends" true (r.Baselines.best_performance < start /. 4.0)
+
+let test_annealing_deterministic () =
+  let a = Baselines.simulated_annealing (Rng.create 5) ~max_evaluations:100 peak in
+  let b = Baselines.simulated_annealing (Rng.create 5) ~max_evaluations:100 peak in
+  Alcotest.(check (float 1e-12)) "same seed" a.Baselines.best_performance
+    b.Baselines.best_performance
+
+let test_annealing_empty_budget () =
+  Alcotest.check_raises "no budget"
+    (Invalid_argument "Baselines.simulated_annealing: empty budget") (fun () ->
+      ignore (Baselines.simulated_annealing (Rng.create 1) ~max_evaluations:0 peak))
+
 let suite =
   [
     Alcotest.test_case "random search" `Quick test_random_search_finds_something;
@@ -76,4 +98,8 @@ let suite =
     Alcotest.test_case "exhaustive limit" `Quick test_exhaustive_limit;
     Alcotest.test_case "sweep" `Quick test_sweep_matches_enumeration;
     Alcotest.test_case "random sweep" `Quick test_random_sweep;
+    Alcotest.test_case "annealing improves" `Quick test_annealing_improves;
+    Alcotest.test_case "annealing minimizes" `Quick test_annealing_minimizes;
+    Alcotest.test_case "annealing deterministic" `Quick test_annealing_deterministic;
+    Alcotest.test_case "annealing empty budget" `Quick test_annealing_empty_budget;
   ]
