@@ -213,30 +213,6 @@ let demand = function
       { app_ms = 110.0; db_ms = 130.0; db_write_ms = 110.0; response_kb = 20.0;
         db_result_kb = 6.0; cacheable = false }
 
-let mean_demand mix =
-  let acc =
-    Array.fold_left
-      (fun acc (i, w) ->
-        let d = demand i in
-        {
-          app_ms = acc.app_ms +. (w *. d.app_ms);
-          db_ms = acc.db_ms +. (w *. d.db_ms);
-          db_write_ms = acc.db_write_ms +. (w *. d.db_write_ms);
-          response_kb = acc.response_kb +. (w *. d.response_kb);
-          db_result_kb = acc.db_result_kb +. (w *. d.db_result_kb);
-          cacheable = acc.cacheable;
-        })
-      { app_ms = 0.0; db_ms = 0.0; db_write_ms = 0.0; response_kb = 0.0;
-        db_result_kb = 0.0; cacheable = false }
-      mix.weights
-  in
-  let cacheable_weight =
-    Array.fold_left
-      (fun acc (i, w) -> if (demand i).cacheable then acc +. w else acc)
-      0.0 mix.weights
-  in
-  { acc with cacheable = cacheable_weight > 0.5 }
-
 let write_fraction mix =
   Array.fold_left
     (fun acc (i, w) -> if (demand i).db_write_ms > 0.0 then acc +. w else acc)

@@ -84,10 +84,5 @@ type demand = {
 
 val demand : interaction -> demand
 
-(* lint: allow U1 — only its tests call it; retiring them is queued in ROADMAP item 11 *)
-val mean_demand : mix -> demand
-(** Mix-weighted average demand ([cacheable] is true when the weighted
-    cacheable fraction exceeds one half). *)
-
 val write_fraction : mix -> float
 (** Weight of interactions that perform database writes. *)

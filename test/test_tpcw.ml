@@ -160,11 +160,6 @@ let test_fraction_monotonicity () =
   Alcotest.(check bool) "cacheable fraction falls" true
     (cacheable_fraction Tpcw.ordering < cacheable_fraction Tpcw.shopping)
 
-let test_mean_demand_weighted () =
-  let d = Tpcw.mean_demand Tpcw.shopping in
-  (* Between the lightest and heaviest single interactions. *)
-  Alcotest.(check bool) "app in range" true (d.Tpcw.app_ms > 50.0 && d.Tpcw.app_ms < 150.0)
-
 let suite =
   [
     Alcotest.test_case "fourteen interactions" `Quick test_fourteen_interactions;
@@ -182,5 +177,4 @@ let suite =
     Alcotest.test_case "demands positive" `Quick test_demands_positive;
     Alcotest.test_case "writers are order-side" `Quick test_writes_are_order_side;
     Alcotest.test_case "fraction monotonicity" `Quick test_fraction_monotonicity;
-    Alcotest.test_case "mean demand weighted" `Quick test_mean_demand_weighted;
   ]
