@@ -19,9 +19,22 @@ type reply =
   | Rejected of string
   | Stats of string
 
-type session = {
+(* A registered spec text compiled once: sessions that register the
+   same text share it, and it leaves the table with its last user. *)
+type compiled = {
+  text : string;
   rsl : Rsl.t;
+  space : Space.t;
   names : string list;
+  mutable users : int;  (* live sessions holding it *)
+}
+
+type specs = (string, compiled) Hashtbl.t
+
+let specs () : specs = Hashtbl.create 1
+
+type session = {
+  spec : compiled;
   controller : Controller.t;
   direction : Objective.direction;
   mutable outstanding : (string * int) list option;
@@ -31,6 +44,7 @@ type session = {
 }
 
 type t = {
+  specs : specs;
   options : Simplex.options;
   max_report_failures : int;
   reject_reregister : bool;
@@ -41,13 +55,15 @@ type t = {
   mutable handled : int;  (* messages ever handled; seeds fallback trace roots *)
 }
 
-let create ?(options = Simplex.default_options) ?(max_report_failures = 3)
-    ?(reject_reregister = false) ?(telemetry = Telemetry.off) () =
+let create ?specs:shared ?(options = Simplex.default_options)
+    ?(max_report_failures = 3) ?(reject_reregister = false)
+    ?(telemetry = Telemetry.off) () =
   if max_report_failures < 1 then
     invalid_arg "Server.create: max_report_failures < 1";
+  let specs = match shared with Some table -> table | None -> specs () in
   (* A service creates a server per session on a shared shard handle;
      these resolve to the shard's existing slots. *)
-  { options; max_report_failures; reject_reregister; telemetry;
+  { specs; options; max_report_failures; reject_reregister; telemetry;
     messages = Telemetry.counter telemetry "server.messages";
     handle_ms = Telemetry.histogram telemetry "server.handle_ms";
     session = None; handled = 0 }
@@ -63,12 +79,12 @@ let assignment_of_config session config =
      The controller is told the performance of its own proposal — the
      projection distance is at most one conditional-range clamp, the
      same approximation Rsl.repair-based tuning makes everywhere. *)
-  let feasible = Rsl.repair session.rsl config in
+  let feasible = Rsl.repair session.spec.rsl config in
   let rec pair i = function
     | [] -> []
     | name :: rest -> (name, int_of_float feasible.(i)) :: pair (i + 1) rest
   in
-  pair 0 session.names
+  pair 0 session.spec.names
 
 (* Advance the controller to its next request and turn it into a
    reply, remembering the outstanding assignment. *)
@@ -97,14 +113,42 @@ let next_reply session =
       in
       Done { best = assignment_of_config session best_config; performance }
 
-(* The [kind] arg of a [server.handle] span; constant lists, so naming
-   the kind allocates nothing. *)
+(* The compiled form of [text]: the table's when a live session
+   registered the same text, else parsed afresh (and kept only once a
+   session holds it, so a text that fails never enters the table). *)
+let compile specs text =
+  match Hashtbl.find_opt specs text with
+  | Some compiled -> Ok compiled
+  | None -> (
+      match Rsl.parse text with
+      | exception Rsl.Parse_error msg -> Error ("bad specification: " ^ msg)
+      | rsl -> (
+          match Rsl.to_space rsl with
+          | exception Invalid_argument msg -> Error msg
+          | space -> Ok { text; rsl; space; names = Rsl.names rsl; users = 0 }))
+
+let hold specs compiled =
+  if compiled.users = 0 then Hashtbl.replace specs compiled.text compiled;
+  compiled.users <- compiled.users + 1
+
+(* Drop the live session, if any; its spec leaves the table with its
+   last user. *)
+let close t =
+  match t.session with
+  | None -> ()
+  | Some { spec; _ } ->
+      t.session <- None;
+      spec.users <- spec.users - 1;
+      if spec.users = 0 then Hashtbl.remove t.specs spec.text
+
+(* The [kind] arg of a [server.handle] span; constants, so naming the
+   kind allocates nothing. *)
 let kind_args = function
-  | Register _ -> [ ("kind", Telemetry.Str "register") ]
-  | Query -> [ ("kind", Telemetry.Str "query") ]
-  | Report _ -> [ ("kind", Telemetry.Str "report") ]
-  | Report_failed -> [ ("kind", Telemetry.Str "report-failed") ]
-  | Metrics -> [ ("kind", Telemetry.Str "metrics") ]
+  | Register _ -> Some [ ("kind", Telemetry.Str "register") ]
+  | Query -> Some [ ("kind", Telemetry.Str "query") ]
+  | Report _ -> Some [ ("kind", Telemetry.Str "report") ]
+  | Report_failed -> Some [ ("kind", Telemetry.Str "report-failed") ]
+  | Metrics -> Some [ ("kind", Telemetry.Str "metrics") ]
 
 let handle_message t message =
   match (message, t.session) with
@@ -127,39 +171,39 @@ let handle_message t message =
         "already registered: an active session is mid-tuning (finish it \
          before re-registering)"
   | Register { spec; direction }, _ -> (
-      match Rsl.parse spec with
-      | exception Rsl.Parse_error msg -> Rejected ("bad specification: " ^ msg)
-      | rsl -> (
-          match Rsl.to_space rsl with
-          | exception Invalid_argument msg -> Rejected msg
-          | space ->
-              let direction =
-                match direction with
-                | Minimize -> Objective.Lower_is_better
-                | Maximize -> Objective.Higher_is_better
-              in
-              (* A structurally valid spec can still be untunable —
-                 e.g. a single feasible point gives the search kernel a
-                 degenerate initial simplex.  [handle] is total: such
-                 specs are rejected, never raised (the fuzz suite
-                 drives this with arbitrary generated specs). *)
-              match
-                Controller.create ~telemetry:t.telemetry ~options:t.options
-                  ~space ~direction ()
-              with
-              | exception Invalid_argument msg ->
-                  Rejected ("untunable specification: " ^ msg)
-              | controller ->
+      match compile t.specs spec with
+      | Error msg -> Rejected msg
+      | Ok compiled -> (
+          let direction =
+            match direction with
+            | Minimize -> Objective.Lower_is_better
+            | Maximize -> Objective.Higher_is_better
+          in
+          (* A structurally valid spec can still be untunable — e.g. a
+             single feasible point gives the search kernel a degenerate
+             initial simplex.  [handle] is total: such specs are
+             rejected, never raised (the fuzz suite drives this with
+             arbitrary generated specs). *)
+          match
+            Controller.create ~telemetry:t.telemetry ~options:t.options
+              ~space:compiled.space ~direction ()
+          with
+          | exception Invalid_argument msg ->
+              Rejected ("untunable specification: " ^ msg)
+          | controller ->
               let session =
                 {
-                  rsl;
-                  names = Rsl.names rsl;
+                  spec = compiled;
                   controller;
                   direction;
                   outstanding = None;
                   outstanding_failures = 0;
                 }
               in
+              (* Held before the old session lets go, so re-registering
+                 the same text never recompiles it. *)
+              hold t.specs compiled;
+              close t;
               t.session <- Some session;
               next_reply session))
   | Query, None -> Rejected "no specification registered"
@@ -213,7 +257,7 @@ let handle_total t message =
   match handle_message t message with
   | reply -> reply
   | exception Invalid_argument msg ->
-      t.session <- None;
+      close t;
       Rejected ("session aborted: " ^ msg)
 
 (* ------------------------------------------------------------------ *)
@@ -308,18 +352,25 @@ let handle ?ctx t message =
        correlation ids. *)
     let ctx =
       match ctx with
-      | Some c -> c
-      | None -> Telemetry.Ctx.root ~client:"server" ~seq:t.handled
+      | Some _ -> ctx
+      | None -> Some (Telemetry.Ctx.root ~client:"server" ~seq:t.handled)
     in
-    Telemetry.span_begin tel ~ctx ~args:(kind_args message) "server.handle";
+    Telemetry.span_begin tel ?ctx ?args:(kind_args message) "server.handle";
     Telemetry.add t.messages 1;
     let started = Telemetry.now tel in
-    Telemetry.span_begin tel
-      ~ctx:(Telemetry.Ctx.child ctx "server.search")
-      "server.search";
+    (* The search span's own context is built only for a handle that
+       keeps events: any other reads just the trace id, which the
+       child shares with [ctx]. *)
+    let search_ctx =
+      match ctx with
+      | Some c when Telemetry.retains_events tel ->
+          Some (Telemetry.Ctx.child c "server.search")
+      | Some _ | None -> ctx
+    in
+    Telemetry.span_begin tel ?ctx:search_ctx "server.search";
     let reply = handle_total t message in
     Telemetry.span_end tel "server.search";
-    Telemetry.observe_into ~ctx t.handle_ms (Telemetry.now tel -. started);
+    Telemetry.observe_into ?ctx t.handle_ms (Telemetry.now tel -. started);
     Telemetry.span_end tel "server.handle";
     reply
   end

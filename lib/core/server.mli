@@ -63,12 +63,31 @@ type reply =
 
 type t
 
+type specs
+(** A table of compiled specifications: the RSL bundles, box space and
+    parameter names of every spec text a live session of its servers
+    registered, keyed by the exact text.  A register whose text is in
+    the table shares its entry instead of parsing the text again; an
+    entry leaves with the last session that holds it (re-registered
+    over, aborted, or {!close}d).  A text that fails to parse, to
+    build a space, or to start a search never enters it.  Not
+    thread-safe: the servers sharing one table must handle their
+    messages on one domain at a time. *)
+
+val specs : unit -> specs
+(** An empty table. *)
+
 val create :
-  ?options:Simplex.options -> ?max_report_failures:int ->
+  ?specs:specs -> ?options:Simplex.options -> ?max_report_failures:int ->
   ?reject_reregister:bool ->
   ?telemetry:Harmony_telemetry.Telemetry.t -> unit -> t
-(** A server with no registered client yet.  [options] bounds each
-    session's search (budget, tolerance, initial simplex).
+(** A server with no registered client yet.  [specs] is the table its
+    sessions compile their specs into (default: one of its own); the
+    sharded service gives every session on a shard the shard's table,
+    so sessions that register the same text hold one compiled copy.
+    No reply depends on whether a register found its text compiled.
+    [options] bounds each session's search (budget, tolerance, initial
+    simplex).
     [max_report_failures] (default 3, must be >= 1) is how many
     consecutive [Report_failed] a configuration gets before it is
     penalized as worst-case and the search moves on.
@@ -116,6 +135,11 @@ val handle :
     the message is [Rejected], and the client must re-register.  Every
     assignment is feasible under the registered restrictions (box
     proposals are projected with {!Rsl.repair}). *)
+
+val close : t -> unit
+(** End the live session, if any, releasing its compiled spec; the
+    server is then as if nothing were registered.  What the service
+    does when a client deregisters. *)
 
 val parse_message : string -> (message, string) result
 (** Parse the text form: ["register min|max\n<rsl...>"], ["query"],

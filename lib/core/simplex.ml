@@ -174,6 +174,66 @@ let higher_first a b =
 let lower_first a b =
   if a.value < b.value then -1 else if b.value < a.value then 1 else 0
 
+(* [Array.sort]'s ternary heap sort over vertices, step for step, with
+   the comparator picked by direction instead of passed as a closure
+   and the bottom of the heap returned as [-1] instead of raised: it
+   allocates nothing, and ties and NaNs end in the order [Array.sort]
+   leaves them. *)
+let[@inline] order direction a b =
+  match direction with
+  | Objective.Higher_is_better -> higher_first a b
+  | Objective.Lower_is_better -> lower_first a b
+
+(* The son of [i] that moves up, or [-1] when none lies below [l]. *)
+let maxson dir a l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then
+    let x = if order dir a.(i31) a.(i31 + 1) < 0 then i31 + 1 else i31 in
+    if order dir a.(x) a.(i31 + 2) < 0 then i31 + 2 else x
+  else if i31 + 1 < l && order dir a.(i31) a.(i31 + 1) < 0 then i31 + 1
+  else if i31 < l then i31
+  else -1
+
+let rec trickle dir a l i e =
+  let j = maxson dir a l i in
+  if j >= 0 && order dir a.(j) e > 0 then begin
+    a.(i) <- a.(j);
+    trickle dir a l j e
+  end
+  else a.(i) <- e
+
+let rec bubble dir a l i =
+  let j = maxson dir a l i in
+  if j < 0 then i
+  else begin
+    a.(i) <- a.(j);
+    bubble dir a l j
+  end
+
+let rec trickle_up dir a i e =
+  let father = (i - 1) / 3 in
+  if order dir a.(father) e < 0 then begin
+    a.(i) <- a.(father);
+    if father > 0 then trickle_up dir a father e else a.(0) <- e
+  end
+  else a.(i) <- e
+
+let sort_vertices dir (a : vertex array) =
+  let l = Array.length a in
+  for i = ((l + 1) / 3) - 1 downto 0 do
+    trickle dir a l i a.(i)
+  done;
+  for i = l - 1 downto 2 do
+    let e = a.(i) in
+    a.(i) <- a.(0);
+    trickle_up dir a (bubble dir a i 0) e
+  done;
+  if l > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
 let rec vertex_in vertices c i =
   i < Array.length vertices
   && (Space.config_equal vertices.(i).config c || vertex_in vertices c (i + 1))
@@ -238,12 +298,7 @@ let[@inline] better s (a : float) (b : float) =
 
 let budget_left s = s.evaluations < s.options.max_evaluations
 
-let sort s =
-  Array.sort
-    (match s.direction with
-    | Objective.Higher_is_better -> higher_first
-    | Objective.Lower_is_better -> lower_first)
-    s.vertices
+let sort s = sort_vertices s.direction s.vertices
 
 let is_vertex s c = vertex_in s.vertices c 0
 let worst s = s.vertices.(Array.length s.vertices - 1)

@@ -34,17 +34,27 @@ type envelope = {
 
 let envelope ?enqueued_at ?deadline message = { message; enqueued_at; deadline }
 
+(* What a shard knows of one client: its message sequence, advanced in
+   arrival order on the submitting domain only (the deterministic seed
+   of each message's trace context), and its live session.  The record
+   outlives the session, as the sequence must for trace ids to stay
+   unique; the admission loop looks it up once per message and hands
+   it to the shard's task. *)
+type client = { mutable seq : int; mutable server : Server.t option }
+
 (* A shard's log interleaves many clients' sessions in its replayable
    essence, so every kept record is owned by its client (an accepted
    re-register or a deregister retires exactly that client's
-   history). *)
+   history).  [specs] is the compiled form of every spec text the
+   shard's live sessions registered. *)
 type shard = {
   tel : Telemetry.t;
   messages : Telemetry.counter;  (* service.messages *)
   appends : Telemetry.counter;  (* service.journal.appends *)
   fsyncs : Telemetry.counter;  (* service.journal.fsyncs *)
   compactions : Telemetry.counter;  (* service.journal.compactions *)
-  sessions : (string, Server.t) Hashtbl.t;
+  clients : (string, client) Hashtbl.t;
+  specs : Server.specs;
   mutable wal : Wal.t option;
 }
 
@@ -65,10 +75,6 @@ type t = {
   max_report_failures : int option;
   shards_ : shard array;
   admission : Admission.t option;
-  seqs : (string, int ref) Hashtbl.t;
-      (* per-client message sequence, advanced in arrival order on the
-         submitting domain only — the deterministic seed of each
-         message's trace context *)
   slo : slo_monitor option;
 }
 
@@ -95,7 +101,21 @@ let shards t = Array.length t.shards_
 let shard_of_client t client = shard_for ~shards:(shards t) client
 
 let sessions t =
-  Array.fold_left (fun n s -> n + Hashtbl.length s.sessions) 0 t.shards_
+  Array.fold_left
+    (fun n s ->
+      Hashtbl.fold
+        (fun _ c n -> match c.server with Some _ -> n + 1 | None -> n)
+        s.clients n)
+    0 t.shards_
+
+(* The shard's record of [client], made on first contact. *)
+let client_record shard client =
+  match Hashtbl.find_opt shard.clients client with
+  | Some c -> c
+  | None ->
+      let c = { seq = 0; server = None } in
+      Hashtbl.add shard.clients client c;
+      c
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
@@ -124,7 +144,8 @@ let create ?options ?max_report_failures ?telemetry ?admission ?slo ~shards ()
           appends = Telemetry.counter tel "service.journal.appends";
           fsyncs = Telemetry.counter tel "service.journal.fsyncs";
           compactions = Telemetry.counter tel "service.journal.compactions";
-          sessions = Hashtbl.create 64;
+          clients = Hashtbl.create 64;
+          specs = Server.specs ();
           wal = None;
         })
   in
@@ -153,7 +174,6 @@ let create ?options ?max_report_failures ?telemetry ?admission ?slo ~shards ()
     max_report_failures;
     shards_;
     admission;
-    seqs = Hashtbl.create 256;
     slo;
   }
 
@@ -237,7 +257,7 @@ let unknown_client shard client =
   Telemetry.incr shard.tel "service.unknown_client";
   Server.Rejected ("unknown client " ^ client ^ ": register first")
 
-let apply ?ctx t shard = function
+let apply ?ctx t shard c = function
   | Service_metrics ->
       (* Routed at the service level (it needs every shard's registry);
          a shard only sees it through a corrupted journal, where a
@@ -247,29 +267,31 @@ let apply ?ctx t shard = function
       (* Same service-level routing: it reads every shard's ring. *)
       Service_error "dump-flight is not shard-local"
   | Deregister { client } -> (
-      match Hashtbl.find_opt shard.sessions client with
+      match c.server with
       | None ->
           (match unknown_client shard client with
           | Server.Rejected msg -> Service_error msg
           | Server.Assign _ | Server.Done _ | Server.Stats _ ->
               Service_error "unknown client")
-      | Some _ ->
-          Hashtbl.remove shard.sessions client;
+      | Some server ->
+          Server.close server;
+          c.server <- None;
           Telemetry.incr shard.tel "service.deregisters";
           Deregistered { client })
   | Client { client; payload } -> (
-      match Hashtbl.find_opt shard.sessions client with
+      match c.server with
       | Some server ->
           Client_reply { client; reply = Server.handle ?ctx server payload }
       | None -> (
           match payload with
           | Server.Register _ ->
               (* First contact: the client's dedicated session.  It
-                 shares the shard's telemetry handle and runs with
-                 [reject_reregister], so a duplicate register while
-                 tuning is a total error reply, never a silent reset. *)
+                 shares the shard's telemetry handle and compiled specs
+                 and runs with [reject_reregister], so a duplicate
+                 register while tuning is a total error reply, never a
+                 silent reset. *)
               let server =
-                Server.create ?options:t.options
+                Server.create ~specs:shard.specs ?options:t.options
                   ?max_report_failures:t.max_report_failures
                   ~reject_reregister:true ~telemetry:shard.tel ()
               in
@@ -278,7 +300,7 @@ let apply ?ctx t shard = function
               | Server.Rejected _ -> ()
               | Server.Assign _ | Server.Done _ | Server.Stats _ ->
                   Telemetry.incr shard.tel "service.registers";
-                  Hashtbl.add shard.sessions client server);
+                  c.server <- Some server);
               Client_reply { client; reply }
           | Server.Query | Server.Report _ | Server.Report_failed
           | Server.Metrics ->
@@ -413,12 +435,15 @@ let write_group ?ctx shard w ~seq records =
   match records with
   | [] -> []
   | _ :: _ ->
+      (* As for [server.search]: a child context only where events are
+         kept. *)
       (match ctx with
-      | Some c ->
+      | Some c when Telemetry.retains_events shard.tel ->
           Telemetry.span_begin shard.tel
             ~ctx:(Telemetry.Ctx.child c "service.journal.append")
             "service.journal.append"
-      | None -> Telemetry.span_begin shard.tel "service.journal.append");
+      | Some _ | None ->
+          Telemetry.span_begin shard.tel ?ctx "service.journal.append");
       let frames = Wal.append w ~seq records in
       Telemetry.span_end shard.tel "service.journal.append";
       Telemetry.add shard.appends (List.length frames);
@@ -450,7 +475,7 @@ type step =
    pairs each recv with its reply, and the log compacts at most once.
    A crash between the writes loses replies the clients never saw;
    every durable recv is replayed. *)
-let handle_group t shard w ~sheds ~ctxs messages =
+let handle_group t shard w ~sheds ~ctxs ~clients messages =
   Telemetry.add shard.messages (Array.length messages);
   let seq = ref (Wal.seq w) in
   let first = ref [] and first_ctx = ref None in
@@ -494,7 +519,7 @@ let handle_group t shard w ~sheds ~ctxs messages =
       (fun k message ->
         match steps.(k) with
         | Answer reason -> shed_reply message reason
-        | Apply | Journal _ -> apply ?ctx:ctxs.(k) t shard message)
+        | Apply | Journal _ -> apply ?ctx:ctxs.(k) t shard clients.(k) message)
       messages
   in
   (* Built back to front, so [second_ctx] ends as the first journaled
@@ -534,12 +559,14 @@ let handle_group t shard w ~sheds ~ctxs messages =
 
 (* One message through its shard: a one-message group when journaled,
    so [handle] writes a recv, applies, then writes its reply. *)
-let handle_in_shard ?ctx t shard message =
+let handle_in_shard ?ctx t shard c message =
   match shard.wal with
-  | Some w -> (handle_group t shard w ~sheds:[] ~ctxs:[| ctx |] [| message |]).(0)
+  | Some w ->
+      (handle_group t shard w ~sheds:[] ~ctxs:[| ctx |] ~clients:[| c |]
+         [| message |]).(0)
   | None ->
       Telemetry.add shard.messages 1;
-      apply ?ctx t shard message
+      apply ?ctx t shard c message
 
 (* Priority classes for the admission layer: a session's lifecycle
    messages must always land (a completed tuning run that cannot
@@ -588,24 +615,16 @@ let admission_check ?ctx t ~shard env =
             ~priority:(priority_of_message env.message)
             ?enqueued_at:env.enqueued_at ?deadline:env.deadline ?ctx ())
 
-(* The trace root for a client message routed to shard [s]: derived
-   from (client, seq) where seq is the client's message arrival index,
-   advanced on the submitting domain before dispatch — so trace ids
-   are a function of the message stream alone and byte-identical at
-   any domain count.  The seq advances even when the shard's handle is
-   off, but then no context is built. *)
-let next_ctx t s client =
-  let r =
-    match Hashtbl.find_opt t.seqs client with
-    | Some r -> r
-    | None ->
-        let r = ref 0 in
-        Hashtbl.add t.seqs client r;
-        r
-  in
-  incr r;
-  if Telemetry.enabled t.shards_.(s).tel then
-    Some (Telemetry.Ctx.root ~client ~seq:!r)
+(* The trace root for a message of [client], whose record on [shard] is
+   [c]: derived from (client, seq) where seq is the client's message
+   arrival index, advanced on the submitting domain before dispatch —
+   so trace ids are a function of the message stream alone and
+   byte-identical at any domain count.  The seq advances even when the
+   shard's handle is off, but then no context is built. *)
+let next_ctx shard c client =
+  c.seq <- c.seq + 1;
+  if Telemetry.enabled shard.tel then
+    Some (Telemetry.Ctx.root ~client ~seq:c.seq)
   else None
 
 (* ------------------------------------------------------------------ *)
@@ -701,23 +720,24 @@ let handle_env t env =
         | Some text -> Service_error text)
     | Client { client; _ } | Deregister { client } -> (
         let s = shard_of_client t client in
-        let ctx = next_ctx t s client in
+        let shard = t.shards_.(s) in
+        let c = client_record shard client in
+        let ctx = next_ctx shard c client in
         match Admission.verdict_text (admission_check ?ctx t ~shard:s env) with
         | None ->
-            let reply = handle_in_shard ?ctx t t.shards_.(s) env.message in
+            let reply = handle_in_shard ?ctx t shard c env.message in
             (match t.admission with
             | Some a -> Admission.complete a ~shard:s
             | None -> ());
             reply
         | Some text ->
             let reply = shed_reply env.message text in
-            let shard = t.shards_.(s) in
             (match shard.wal with
             | Some w when journaled env.message ->
                 ignore
                   (handle_group t shard w
                      ~sheds:[ shed_of ?ctx env.message reply ]
-                     ~ctxs:[||] [||]
+                     ~ctxs:[||] ~clients:[||] [||]
                     : reply array)
             | Some _ | None -> ());
             reply)
@@ -749,8 +769,12 @@ let handle_single ?deadline_ticks t message =
   let send m = handle_stamped ?deadline_ticks t m in
   let send_client payload = send (Client { client = single_client; payload }) in
   let live () =
-    Hashtbl.mem t.shards_.(shard_of_client t single_client).sessions
-      single_client
+    match
+      Hashtbl.find_opt t.shards_.(shard_of_client t single_client).clients
+        single_client
+    with
+    | Some { server = Some _; _ } -> true
+    | Some { server = None; _ } | None -> false
   in
   let reply =
     match message with
@@ -817,6 +841,7 @@ let handle_batch_env ?pool ?(cancel = Pool.Cancel.none) t envelopes =
   let sheds = Array.make nshards [] in
   let admitted = Array.make nshards 0 in
   let ctxs = Array.make n None in
+  let clients = Array.make n { seq = 0; server = None } in
   Array.iteri
     (fun i env ->
       match env.message with
@@ -830,8 +855,11 @@ let handle_batch_env ?pool ?(cancel = Pool.Cancel.none) t envelopes =
           | Some text -> replies.(i) <- Some (Service_error text))
       | Client { client; _ } | Deregister { client } -> (
           let s = shard_of_client t client in
-          let ctx = next_ctx t s client in
+          let shard = t.shards_.(s) in
+          let c = client_record shard client in
+          let ctx = next_ctx shard c client in
           ctxs.(i) <- ctx;
+          clients.(i) <- c;
           match
             Admission.verdict_text (admission_check ?ctx t ~shard:s env)
           with
@@ -840,7 +868,7 @@ let handle_batch_env ?pool ?(cancel = Pool.Cancel.none) t envelopes =
               per_shard.(s) <- i :: per_shard.(s)
           | Some text ->
               let reply = shed_reply env.message text in
-              (match t.shards_.(s).wal with
+              (match shard.wal with
               | Some _ when journaled env.message ->
                   sheds.(s) <- shed_of ?ctx env.message reply :: sheds.(s)
               | Some _ | None -> ());
@@ -863,6 +891,7 @@ let handle_batch_env ?pool ?(cancel = Pool.Cancel.none) t envelopes =
           let replies =
             handle_group t shard w ~sheds:(List.rev shed_list)
               ~ctxs:(Array.map (fun i -> ctxs.(i)) ixs_a)
+              ~clients:(Array.map (fun i -> clients.(i)) ixs_a)
               (Array.map (fun i -> msgs.(i).message) ixs_a)
           in
           List.mapi (fun k i -> (i, replies.(k))) ixs
@@ -874,7 +903,9 @@ let handle_batch_env ?pool ?(cancel = Pool.Cancel.none) t envelopes =
                retryable replies instead of occupying the domain. *)
             if Pool.Cancel.cancelled cancel then
               (i, cancelled_reply shard msgs.(i).message)
-            else (i, handle_in_shard ?ctx:ctxs.(i) t shard msgs.(i).message))
+            else
+              (i, handle_in_shard ?ctx:ctxs.(i) t shard clients.(i)
+                    msgs.(i).message))
           ixs
   in
   let inputs = Array.init nshards (fun s -> (s, List.rev per_shard.(s))) in
@@ -960,6 +991,13 @@ let detach_journals t =
 (* ------------------------------------------------------------------ *)
 (* Recovery                                                            *)
 
+(* The record a replayed message runs against; a service-level probe
+   (only a corrupted journal holds one) reads none, so it gets a
+   throwaway instead of a table entry. *)
+let record_of shard = function
+  | Client { client; _ } | Deregister { client } -> client_record shard client
+  | Service_metrics | Dump_flight -> { seq = 0; server = None }
+
 (* Re-apply one shard's recorded messages to its fresh sessions,
    rebuilding the live set from re-encoded events, frames kept in the
    order the live run kept them.  The recorded replies are cross-checks
@@ -986,7 +1024,7 @@ let replay_shard t shard w events =
     | (s, Recv m) :: rest ->
         if s <= seq then diverged rest
         else
-          let reply = apply t shard m in
+          let reply = apply t shard (record_of shard m) m in
           let text = reply_to_string reply in
           keep_handled w m reply ~recv:(frame s (Recv m))
             ~rep:(frame s (Reply text));

@@ -213,6 +213,7 @@ let create ?clock ?(record_events = true) ?flight ?(gc_stats = false) () =
   On (make ?clock ~record_events ?flight ~gc_stats ())
 
 let enabled = function Off -> false | On _ -> true
+let retains_events = function Off -> false | On s -> s.record_events
 
 let now_locked s =
   match s.clock with

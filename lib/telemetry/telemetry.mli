@@ -113,6 +113,15 @@ val create :
     closes. *)
 
 val enabled : t -> bool
+
+val retains_events : t -> bool
+(** Whether events are kept for {!events} (a live handle created with
+    [record_events]).  Every other consumer of an event — the flight
+    ring and histogram exemplars — reads only its context's trace id,
+    which a child context shares with its parent, so a caller may skip
+    deriving child contexts for a handle that does not retain
+    events. *)
+
 val now : t -> float
 (** Current clock reading without recording an event (0 when off). *)
 

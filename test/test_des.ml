@@ -325,6 +325,7 @@ let suite =
     Alcotest.test_case "heap fifo ties" `Quick test_heap_fifo_ties;
     Alcotest.test_case "heap peek" `Quick test_heap_peek;
     Alcotest.test_case "heap clear" `Quick test_heap_clear;
+    Alcotest.test_case "heap pop payload" `Quick test_heap_pop_payload;
     Alcotest.test_case "sim fires in order" `Quick test_sim_fires_in_order;
     Alcotest.test_case "sim handlers schedule" `Quick test_sim_handlers_can_schedule;
     Alcotest.test_case "sim until" `Quick test_sim_until;
@@ -340,4 +341,9 @@ let suite =
     Alcotest.test_case "mm1 throughput" `Slow test_mm1_throughput;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_heap_sorts; prop_sim_monotonic_time; prop_resource_conserves ]
+      [
+        prop_heap_sorts;
+        prop_heap_matches_reference;
+        prop_sim_monotonic_time;
+        prop_resource_conserves;
+      ]

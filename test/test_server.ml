@@ -420,6 +420,7 @@ let suite =
       test_max_report_failures_invalid;
     Alcotest.test_case "parse query" `Quick test_parse_query;
     Alcotest.test_case "parse report" `Quick test_parse_report;
+    Alcotest.test_case "parse report failed" `Quick test_parse_report_failed;
     Alcotest.test_case "parse register" `Quick test_parse_register;
     Alcotest.test_case "parse unknown" `Quick test_parse_unknown;
     Alcotest.test_case "reply rendering" `Quick test_reply_rendering;
