@@ -1,19 +1,21 @@
 open Harmony_param
 open Harmony_objective
 
-(* The search asks for batches; a client measures one configuration
-   per report, so a batch is handed out entry by entry and told back
-   once its last reading is in.  No fiber is parked between reports:
-   the session is this record and the search's. *)
+(* A batch is told back whole, or handed out entry by entry and told
+   back once its last reading is in. *)
 type t = {
   search : Simplex.Search.t;
   direction : Objective.direction;
   mutable readings : float array;  (* of the asked batch, up to [next] *)
-  mutable next : int;  (* the asked configuration out for measurement *)
-  mutable broken : bool;
-      (* the search raised while told a batch; it is not to be used again *)
+  mutable next : int;
+      (* the asked configuration out for measurement; [-1] while a
+         batch is told, and for good once the search or a measurement
+         of its batch raised *)
   mutable measurements : int;
-  mutable best : (Space.config * float) option;
+  mutable best_config : Space.config;
+      (* the search's own array, which it never mutates; [||] until a
+         number is read *)
+  mutable best : float;  (* the best reading, NaN until a number is read *)
 }
 
 let create ?telemetry ?(options = Simplex.default_options) ~space ~direction ()
@@ -24,45 +26,60 @@ let create ?telemetry ?(options = Simplex.default_options) ~space ~direction ()
     direction;
     readings = Array.make (Array.length (Simplex.Search.asked search)) 0.0;
     next = 0;
-    broken = false;
     measurements = 0;
-    best = None;
+    best_config = [||];
+    best = Float.nan;
   }
 
-let pending t =
-  if t.broken then invalid_arg "Controller.pending: controller is mid-step";
-  match Simplex.Search.outcome t.search with
-  | Some outcome -> `Done outcome
-  | None -> `Measure (Array.copy (Simplex.Search.asked t.search).(t.next))
+let asked t = Simplex.Search.asked t.search
 
-let improves t (performance : float) best =
-  match t.direction with
-  | Objective.Higher_is_better -> performance > best
-  | Objective.Lower_is_better -> performance < best
+let abandon t =
+  t.next <- -1;
+  Simplex.Search.abandon t.search
+
+let outcome t =
+  match Simplex.Search.outcome t.search with
+  | Some o when Objective.improves t.direction t.best o.Simplex.best_performance
+    ->
+      Some { o with best_config = t.best_config; best_performance = t.best }
+  | result -> result
+
+let pending t =
+  if t.next < 0 then invalid_arg "Controller.pending: controller is mid-step";
+  match outcome t with
+  | Some o -> `Done o
+  | None -> `Measure (Array.copy (asked t).(t.next))
 
 let report t performance =
-  if t.broken then invalid_arg "Controller.report: no measurement outstanding";
+  if t.next < 0 then invalid_arg "Controller.report: no measurement outstanding";
   match Simplex.Search.outcome t.search with
   | Some _ -> invalid_arg "Controller.report: search already finished"
   | None ->
-      let asked = Simplex.Search.asked t.search in
+      let asked = asked t in
       t.measurements <- t.measurements + 1;
-      (match t.best with
-      | Some (_, best) when not (improves t performance best) -> ()
-      | Some _ | None -> t.best <- Some (Array.copy asked.(t.next), performance));
+      if Objective.improves t.direction performance t.best then begin
+        t.best_config <- asked.(t.next);
+        t.best <- performance
+      end;
       t.readings.(t.next) <- performance;
-      t.next <- t.next + 1;
-      if t.next = Array.length asked then begin
+      if t.next + 1 < Array.length asked then t.next <- t.next + 1
+      else begin
         (* Telling runs the search to its next batch or its end; if it
            raises (a degenerate initial simplex) the controller stays
            broken. *)
-        t.broken <- true;
+        t.next <- -1;
         Simplex.Search.tell t.search t.readings;
-        t.broken <- false;
         t.next <- 0;
         let len = Array.length (Simplex.Search.asked t.search) in
         if Array.length t.readings <> len then t.readings <- Array.make len 0.0
       end
 
+let tell t values =
+  let n = Array.length values in
+  if n = 0 || t.next <> 0 || n <> Array.length (asked t) then
+    invalid_arg "Controller.tell: one reading per asked configuration";
+  for i = 0 to n - 1 do
+    report t values.(i)
+  done
+
 let measurements t = t.measurements
-let best_so_far t = t.best

@@ -1,16 +1,14 @@
-(** Online (server-driven) tuning.
+(** The adaptation controller: the search half of one tuning run.
 
-    Active Harmony is a {e runtime} tuning system: the application
-    reports one performance measurement at a time and the adaptation
-    controller replies with the next configuration to try (Section 2).
-    This module serves the {!Simplex.Search} state machine through
-    exactly that request/report protocol: it hands out each batch the
-    search asks for one configuration per exchange and tells the
-    readings back once the batch is complete.  {!Simplex.optimize}
-    drives the same machine, so the online behaviour is identical to
-    it by construction.  A controller is a plain record: no effect
-    handler, continuation or fiber stack waits between reports for the
-    minor collector to scan.
+    Active Harmony hands out configurations and feeds the measurements
+    back into a simplex (Section 2).  A controller holds the
+    {!Simplex.Search}, the batch out for measurement, the measurement
+    count and the best measured reading in one plain record: no fiber
+    waits between reports.  It offers two views of the same run, with
+    the same batches and telemetry: whole batches ({!asked}/{!tell}),
+    which {!Tuner.tune} measures with {!Objective.eval_batch}, and one
+    configuration per report ({!pending}/{!report}), which {!Server}
+    hands out one client exchange at a time.
 
     {[
       let c = Controller.create ~space ~direction:Higher_is_better () in
@@ -22,7 +20,11 @@
         | `Done outcome -> outcome
       in
       loop ()
-    ]} *)
+    ]}
+
+    or, a batch at a time,
+    [Controller.tell c (Objective.eval_batch obj (Controller.asked c))]
+    until {!outcome} is [Some]. *)
 
 open Harmony_param
 open Harmony_objective
@@ -36,35 +38,45 @@ val create :
   direction:Objective.direction ->
   unit ->
   t
-(** A fresh controller; the first {!pending} call already has a
-    configuration to measure (unless the initial simplex is fully
-    trusted).
+(** A fresh controller, its search run to its first batch.  The
+    search's spans go to [telemetry] (default off) as the readings
+    drive it, so a span opened while one message is handled may close
+    while a later one is: durations and counters are exact, strict
+    nesting across messages is not.
+    @raise Invalid_argument as {!Simplex.Search.start} does. *)
 
-    [telemetry] is threaded into the search, so a live handle sees its
-    init/step/restart spans as the client's reports drive it.  Because
-    a search step can wait for a measurement between messages, a span
-    opened while handling one message may close while handling a
-    later one — the {e metrics}
-    derived from these events (logical-clock durations, step counters)
-    are exact and deterministic, but strict stack nesting of the raw
-    trace is not guaranteed across messages.  Default: {!Telemetry.off}. *)
+val asked : t -> Space.config array
+(** The batch out for measurement, in order; empty once the run has
+    finished.  The search keeps these arrays: do not mutate them. *)
+
+val tell : t -> float array -> unit
+(** The readings of the whole {!asked} batch, in its order: the
+    {!report}s of each in turn.
+    @raise Invalid_argument when nothing is asked, the lengths differ
+    or part of the batch was reported, and as {!report} does. *)
+
+val abandon : t -> unit
+(** A measurement of the {!asked} batch raised: close the spans open
+    around it ({!Simplex.Search.abandon}); the controller is done. *)
 
 val pending : t -> [ `Measure of Space.config | `Done of Simplex.outcome ]
-(** What the controller wants next: a configuration to measure, or the
-    final outcome.  Idempotent until {!report} is called. *)
+(** A configuration to measure, or the {!outcome}.  Idempotent until
+    {!report} is called. *)
 
 val report : t -> float -> unit
-(** Supply the measurement for the configuration last returned by
-    {!pending}.
+(** The reading of the configuration {!pending} returned.
     @raise Invalid_argument if the search already finished or no
     measurement is outstanding, or from the search itself when this
     report completes a degenerate initial simplex; after that,
     {!pending} and {!report} raise too. *)
 
-(* lint: allow U1 — the simplex reference suite compares controllers through this *)
 val measurements : t -> int
-(** Measurements reported so far. *)
+(** Readings taken so far, through either view. *)
 
-val best_so_far : t -> (Space.config * float) option
-(** Best (configuration, performance) among reported measurements
-    under the controller's direction. *)
+val outcome : t -> Simplex.outcome option
+(** [Some] once the search has finished: its outcome, with the earliest
+    best reading as [best_config]/[best_performance] when that reading
+    beats the final best vertex under {!Objective.improves}.  Every
+    number that beats the incumbent enters the simplex, so only NaN
+    readings, which no comparison orders, let a reading beat the final
+    vertex; the rule keeps a NaN from being the answer. *)

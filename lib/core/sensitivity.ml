@@ -13,12 +13,9 @@ type score = {
 type report = { scores : score array }
 
 (* Evenly subsample [count] indices out of [0 .. n-1], endpoints
-   included.  [count <= 1] degenerates to the first index alone (a
-   one-point "sweep"); anything else would divide by [count - 1]. *)
+   included. *)
 let subsample n count =
-  if n <= 0 then [||]
-  else if count >= n then Array.init n Fun.id
-  else if count <= 1 then [| 0 |]
+  if count >= n then Array.init n Fun.id
   else
     Array.init count (fun i ->
         let f = float_of_int i /. float_of_int (count - 1) in

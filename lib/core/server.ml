@@ -68,11 +68,6 @@ let create ?specs:shared ?(options = Simplex.default_options)
     handle_ms = Telemetry.histogram telemetry "server.handle_ms";
     session = None; handled = 0 }
 
-let better direction (a : float) (b : float) =
-  match direction with
-  | Objective.Higher_is_better -> a > b
-  | Objective.Lower_is_better -> a < b
-
 let assignment_of_config session config =
   (* Proposals come from the box space; project into the restricted
      region so the client only ever runs meaningful configurations.
@@ -98,20 +93,8 @@ let next_reply session =
   | `Done outcome ->
       session.outstanding <- None;
       session.outstanding_failures <- 0;
-      (* Graceful degradation: if the budget ran out while later
-         vertices kept failing (their penalized measurements drag the
-         simplex's notion of "best" down), fall back to the best
-         configuration a client actually measured. *)
-      let best_config, performance =
-        match Controller.best_so_far session.controller with
-        | Some (config, perf)
-          when better session.direction perf outcome.Simplex.best_performance
-          ->
-            (config, perf)
-        | Some _ | None ->
-            (outcome.Simplex.best_config, outcome.Simplex.best_performance)
-      in
-      Done { best = assignment_of_config session best_config; performance }
+      let best = assignment_of_config session outcome.Simplex.best_config in
+      Done { best; performance = outcome.Simplex.best_performance }
 
 (* The compiled form of [text]: the table's when a live session
    registered the same text, else parsed afresh (and kept only once a

@@ -25,9 +25,8 @@
     to [max_report_failures - 1] times (the client retries with its
     own backoff); a configuration that stays broken is fed to the
     controller as a worst-case penalty so the search moves away from
-    it, and when the budget runs out mid-faults the final [Done]
-    degrades gracefully to the best configuration a client actually
-    measured.
+    it.  The final [Done] is the controller's {!Controller.outcome},
+    which never prefers a NaN report to a number.
 
     Durability lives one layer up: [Server] is the pure in-memory
     session machine, and [Harmony_service.Service] journals,

@@ -654,6 +654,7 @@ module Search = struct
   let start = start
   let asked s = s.batch
   let tell = tell
+  let abandon = abandon
 
   let outcome s =
     match s.phase with

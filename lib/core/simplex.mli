@@ -118,4 +118,8 @@ module Search : sig
 
   val outcome : t -> outcome option
   (** [Some] once the search has finished. *)
+
+  val abandon : t -> unit
+  (** A measurement of {!asked} raised: close the [simplex.init] or
+      [simplex.restart] span, as {!optimize} does before re-raising. *)
 end

@@ -45,89 +45,62 @@ let tune ?(telemetry = Telemetry.off) ?ctx ?pool ?(options = default_options)
         let robust, handle = Measure.robust ~telemetry ~policy obj in
         (robust, Some handle)
   in
-  (* A [measure] span per evaluation, closed with the vetted reading.
-     Wrapping below the recorder keeps the span around the physical
-     measurement; the recorder's own hook still fires in entry order. *)
-  (* Trace correlation: each [measure] span is a child of [ctx],
-     numbered in evaluation order.  The counter only ever advances on
-     the calling domain (eval is sequential; batch spans are emitted
-     after the pool joins), so the ids are a function of the
-     evaluation sequence alone — identical at any pool size. *)
-  let measure_seq = ref 0 in
-  let measure_begin () =
-    match ctx with
-    | None -> Telemetry.span_begin telemetry "measure"
-    | Some c ->
-        let i = !measure_seq in
-        incr measure_seq;
-        Telemetry.span_begin telemetry
-          ~ctx:(Telemetry.Ctx.child_i c "measure" i)
-          "measure"
-  in
   let evaluations = Telemetry.counter telemetry "tuner.evaluations" in
-  let traced =
-    if not (Telemetry.enabled telemetry) then measured
-    else
-      {
-        measured with
-        Objective.eval =
-          (fun c ->
-            measure_begin ();
-            Telemetry.add evaluations 1;
-            match measured.Objective.eval c with
-            | v ->
-                Telemetry.span_end telemetry
-                  ~args:[ ("performance", Telemetry.Num v) ]
-                  "measure";
-                v
-            | exception e ->
-                Telemetry.span_end telemetry "measure";
-                raise e);
-        (* A batch emits its [measure] spans after the underlying
-           evaluations return, one per reading in input order on the
-           calling domain — the trace stays deterministic at any pool
-           size (the spans bracket no wall time; the logical clock
-           just orders them). *)
-        batch =
-          Some
-            (fun disp configs ->
-              let values = Objective.run_batch measured disp configs in
-              Array.iter
-                (fun v ->
-                  measure_begin ();
-                  Telemetry.add evaluations 1;
-                  Telemetry.span_end telemetry
-                    ~args:[ ("performance", Telemetry.Num v) ]
-                    "measure")
-                values;
-              values);
-      }
+  let controller =
+    Controller.create ~telemetry
+      ~options:
+        {
+          Simplex.init = options.init;
+          max_evaluations = options.max_evaluations;
+          tolerance = options.tolerance;
+        }
+      ~space:obj.Objective.space ~direction:obj.Objective.direction ()
   in
-  let recorder, recorded = Recorder.wrap ?on_record:options.on_evaluation traced in
-  let simplex_options =
-    {
-      Simplex.init = options.init;
-      max_evaluations = options.max_evaluations;
-      tolerance = options.tolerance;
-    }
+  let rev_trace = ref [] in
+  (* Once a batch's readings return, on the calling domain in batch
+     order (so at any pool size): a [measure] span per reading, a child
+     of [ctx] numbered in evaluation order, then its trace entry and
+     the [on_evaluation] hook. *)
+  let measure batch =
+    let values = Objective.eval_batch ?pool measured batch in
+    let first = Controller.measurements controller in
+    if Telemetry.enabled telemetry then
+      for i = 0 to Array.length values - 1 do
+        (match ctx with
+        | None -> Telemetry.span_begin telemetry "measure"
+        | Some c ->
+            let ctx = Telemetry.Ctx.child_i c "measure" (first + i) in
+            Telemetry.span_begin telemetry ~ctx "measure");
+        Telemetry.add evaluations 1;
+        Telemetry.span_end telemetry
+          ~args:[ ("performance", Telemetry.Num values.(i)) ]
+          "measure"
+      done;
+    for i = 0 to Array.length values - 1 do
+      let config = Array.copy batch.(i) in
+      let entry = { Recorder.index = first + i; config; performance = values.(i) } in
+      rev_trace := entry :: !rev_trace;
+      match options.on_evaluation with Some hook -> hook entry | None -> ()
+    done;
+    values
   in
-  let result = Simplex.optimize ~telemetry ?pool ~options:simplex_options recorded in
-  let trace = Recorder.entries recorder in
-  (* The best *measured* point can beat the simplex's final best
-     vertex (e.g. a good vertex was later shrunk away); report the
-     best measurement, as a real tuning server would keep it.  With a
-     seeded (trusted) simplex the trace can also be empty or worse
-     than a trusted vertex, in which case the simplex result wins. *)
-  let best_config, best_performance =
-    match Recorder.best obj recorder with
-    | Some e when Objective.better obj e.Recorder.performance result.Simplex.best_performance ->
-        (e.Recorder.config, e.Recorder.performance)
-    | Some _ | None -> (result.Simplex.best_config, result.Simplex.best_performance)
+  let rec run () =
+    match Controller.outcome controller with
+    | Some result -> result
+    | None ->
+        (match measure (Controller.asked controller) with
+        | values -> Controller.tell controller values
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            Controller.abandon controller;
+            Printexc.raise_with_backtrace e bt);
+        run ()
   in
+  let result = run () in
   {
-    best_config;
-    best_performance;
-    trace;
+    best_config = result.Simplex.best_config;
+    best_performance = result.Simplex.best_performance;
+    trace = List.rev !rev_trace;
     evaluations = result.Simplex.evaluations;
     converged = result.Simplex.converged;
     measurement = Option.map Measure.summary handle;
@@ -190,11 +163,14 @@ module Metrics = struct
     else begin
       let final_best = outcome.best_performance in
       let reference = Option.value reference ~default:final_best in
-      (* Best-so-far series. *)
+      (* Best-so-far series, under the best-measured rule. *)
       let best_so_far = Array.make n perfs.(0) in
       for i = 1 to n - 1 do
         best_so_far.(i) <-
-          (if Objective.better obj perfs.(i) best_so_far.(i - 1) then perfs.(i)
+          (if
+             Objective.improves obj.Objective.direction perfs.(i)
+               best_so_far.(i - 1)
+           then perfs.(i)
            else best_so_far.(i - 1))
       done;
       let convergence_iteration =

@@ -1,11 +1,10 @@
-(** The Active Harmony adaptation controller.
-
-    Runs the {!Simplex} kernel against an objective while recording
-    every (configuration, performance) measurement — the tuning
-    trace.  The trace is what the paper's evaluation is about: not
-    just the final configuration but the performance of the system
-    {e while getting there} (Section 4.1), summarized by convergence
-    time, worst performance, and oscillation statistics. *)
+(** Tuning an objective in-process: a {!Controller} driven batch by
+    batch with {!Objective.eval_batch}, recording every
+    (configuration, performance) measurement — the tuning trace.  The
+    trace is what the paper's evaluation is about: not just the final
+    configuration but the performance of the system {e while getting
+    there} (Section 4.1), summarized by convergence time, worst
+    performance, and oscillation statistics. *)
 
 open Harmony_param
 open Harmony_objective
@@ -35,7 +34,7 @@ val original_options : options
 
 type outcome = {
   best_config : Space.config;
-  best_performance : float;
+  best_performance : float;  (** the {!Controller.outcome}'s best *)
   trace : Recorder.entry list;  (** every vetted measurement, in order;
                                     a given-up vertex appears with its
                                     penalty value *)
@@ -54,10 +53,12 @@ val tune :
   outcome
 (** With a live [telemetry] handle, each evaluation is bracketed by a
     [measure] span (the [End] carries the vetted performance), a
-    [tuner.evaluations] counter counts them, and the handle is passed
-    down to {!Simplex.optimize} (step spans) and {!Measure.robust}
-    (retry/fault counters).  Telemetry observes and never steers: the
-    tuning outcome is byte-identical with the handle off.
+    [tuner.evaluations] counter counts them, and the handle is shared
+    with the controller's search (init, step and restart spans) and
+    {!Measure.robust} (retry/fault counters).  Telemetry observes and
+    never steers: the tuning outcome is byte-identical with the handle
+    off.  An exception from a measurement or the [on_evaluation] hook
+    closes the search's spans as in {!Simplex.optimize} and propagates.
 
     With a trace context [ctx], every [measure] span carries the ids
     of a child context numbered in evaluation order

@@ -126,6 +126,13 @@ let better t (a : float) (b : float) =
   | Higher_is_better -> a > b
   | Lower_is_better -> a < b
 
+let improves direction (reading : float) (best : float) =
+  (Float.is_nan best && not (Float.is_nan reading))
+  ||
+  match direction with
+  | Higher_is_better -> reading > best
+  | Lower_is_better -> reading < best
+
 let worst_of t values =
   if Array.length values = 0 then invalid_arg "Objective.worst_of: empty array";
   Array.fold_left

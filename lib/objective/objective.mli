@@ -126,6 +126,12 @@ val better : t -> float -> float -> bool
 (** [better t a b] is true when performance [a] is strictly preferable
     to [b] under the objective's direction. *)
 
+val improves : direction -> float -> float -> bool
+(** The best-measured rule: [reading] is a number and [best] is NaN,
+    or [reading] is strictly preferable to [best].  Folded over
+    readings in order, a NaN never becomes the best or blocks a later
+    number, and a tie keeps the earlier reading. *)
+
 val worst_of : t -> float array -> float
 
 val noisy : t -> bool

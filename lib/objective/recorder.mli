@@ -12,26 +12,15 @@ type entry = { index : int; config : Space.config; performance : float }
 
 type t
 
-val wrap : ?on_record:(entry -> unit) -> Objective.t -> t * Objective.t
+val wrap : Objective.t -> t * Objective.t
 (** [wrap obj] returns a recorder and an objective that behaves like
-    [obj] but logs every evaluation (in order) into the recorder.
-    [on_record] is called with each entry right after it is logged —
-    the hook incremental checkpointing hangs off (exceptions it raises
-    propagate out of the evaluation). *)
+    [obj] but logs every evaluation (in order) into the recorder. *)
 
 val entries : t -> entry list
 (** All evaluations, oldest first. *)
 
 val count : t -> int
 
-(* lint: allow U1 — only its tests call it; retiring them is queued in ROADMAP item 11 *)
-val clear : t -> unit
-
 val best : Objective.t -> t -> entry option
-(** Best recorded entry under the objective's direction (ties broken
-    towards the earliest). *)
-
-(* lint: allow U1 — only its tests call it; retiring them is queued in ROADMAP item 11 *)
-val lookup : t -> Space.config -> float option
-(** Most recent recorded measurement of exactly this configuration,
-    if any — lets a tuner skip re-measuring known points. *)
+(** Best recorded entry under {!Objective.improves}: a NaN reading
+    loses to any number, and ties go to the earliest. *)

@@ -706,6 +706,9 @@ let slo_pages t =
   | None -> 0
   | Some m -> Slo.pages m.handle_mon + Slo.pages m.delay_mon
 
+let complete t ~shard =
+  match t.admission with Some a -> Admission.complete a ~shard | None -> ()
+
 let handle_env t env =
   (match t.admission with Some a -> Admission.tick a | None -> ());
   let reply =
@@ -724,12 +727,17 @@ let handle_env t env =
         let c = client_record shard client in
         let ctx = next_ctx shard c client in
         match Admission.verdict_text (admission_check ?ctx t ~shard:s env) with
-        | None ->
-            let reply = handle_in_shard ?ctx t shard c env.message in
-            (match t.admission with
-            | Some a -> Admission.complete a ~shard:s
-            | None -> ());
-            reply
+        | None -> (
+            (* The inflight slot is released before a journal failure
+               re-raises, as [handle_batch_env] releases its round's. *)
+            match handle_in_shard ?ctx t shard c env.message with
+            | reply ->
+                complete t ~shard:s;
+                reply
+            | exception e ->
+                let bt = Printexc.get_raw_backtrace () in
+                complete t ~shard:s;
+                Printexc.raise_with_backtrace e bt)
         | Some text ->
             let reply = shed_reply env.message text in
             (match shard.wal with

@@ -69,30 +69,85 @@ let test_pending_configs_valid () =
   in
   loop ()
 
+(* Drive a session whose readings are [first] for its first reports
+   and [rest] for every later one; the outcome and the configurations
+   the first reports measured. *)
+let scripted ~direction first rest =
+  let options = { Simplex.default_options with Simplex.max_evaluations = 40 } in
+  let c = Controller.create ~options ~space ~direction () in
+  let measured = ref [] in
+  let rec loop readings =
+    match Controller.pending c with
+    | `Measure config -> (
+        match readings with
+        | v :: later ->
+            measured := config :: !measured;
+            Controller.report c v;
+            loop later
+        | [] ->
+            Controller.report c rest;
+            loop [])
+    | `Done outcome -> outcome
+  in
+  let outcome = loop first in
+  (outcome, List.rev !measured)
+
 let test_best_so_far_tracks () =
-  let c = Controller.create ~space ~direction:Objective.Higher_is_better () in
-  Alcotest.(check bool) "empty at start" true (Controller.best_so_far c = None);
-  (match Controller.pending c with
-  | `Measure _ -> Controller.report c 10.0
-  | `Done _ -> Alcotest.fail "finished too early");
-  (match Controller.pending c with
-  | `Measure _ -> Controller.report c 5.0
-  | `Done _ -> Alcotest.fail "finished too early");
-  match Controller.best_so_far c with
-  | Some (_, perf) -> Alcotest.(check (float 1e-12)) "keeps the higher" 10.0 perf
-  | None -> Alcotest.fail "expected a best"
+  (* The second reading is worse than the first and every later one
+     worse still: the first configuration measured is the answer. *)
+  let outcome, measured =
+    scripted ~direction:Objective.Higher_is_better [ 10.0; 5.0 ] 0.0
+  in
+  Alcotest.(check (float 1e-12)) "keeps the higher" 10.0
+    outcome.Simplex.best_performance;
+  Alcotest.(check (array (float 0.0))) "its configuration" (List.hd measured)
+    outcome.Simplex.best_config
 
 let test_best_so_far_lower_is_better () =
-  let c = Controller.create ~space ~direction:Objective.Lower_is_better () in
-  (match Controller.pending c with
-  | `Measure _ -> Controller.report c 10.0
-  | `Done _ -> Alcotest.fail "finished too early");
-  (match Controller.pending c with
-  | `Measure _ -> Controller.report c 5.0
-  | `Done _ -> Alcotest.fail "finished too early");
-  match Controller.best_so_far c with
-  | Some (_, perf) -> Alcotest.(check (float 1e-12)) "keeps the lower" 5.0 perf
-  | None -> Alcotest.fail "expected a best"
+  let outcome, measured =
+    scripted ~direction:Objective.Lower_is_better [ 10.0; 5.0 ] 100.0
+  in
+  Alcotest.(check (float 1e-12)) "keeps the lower" 5.0
+    outcome.Simplex.best_performance;
+  Alcotest.(check (array (float 0.0))) "its configuration" (List.nth measured 1)
+    outcome.Simplex.best_config
+
+let test_nan_never_best () =
+  (* A NaN first reading pins nothing: the later 7 is the answer, and
+     the NaN in between blocks no number after it. *)
+  let outcome, measured =
+    scripted ~direction:Objective.Higher_is_better
+      [ Float.nan; 7.0; Float.nan; 3.0 ] Float.nan
+  in
+  Alcotest.(check (float 1e-12)) "the best number" 7.0
+    outcome.Simplex.best_performance;
+  Alcotest.(check (array (float 0.0))) "its configuration" (List.nth measured 1)
+    outcome.Simplex.best_config
+
+let test_batch_view_equals_reports () =
+  (* Telling whole batches is reporting each reading in turn. *)
+  let options = { Simplex.default_options with Simplex.max_evaluations = 60 } in
+  let by_batch =
+    Controller.create ~options ~space ~direction:Objective.Higher_is_better ()
+  in
+  let rec run () =
+    match Controller.outcome by_batch with
+    | Some outcome -> outcome
+    | None ->
+        Controller.tell by_batch (Array.map peak (Controller.asked by_batch));
+        run ()
+  in
+  let batch = run () in
+  let c, online = drive ~budget:60 () in
+  Alcotest.(check (array (float 0.0))) "same best configuration"
+    online.Simplex.best_config batch.Simplex.best_config;
+  Alcotest.(check (float 0.0)) "same best performance"
+    online.Simplex.best_performance batch.Simplex.best_performance;
+  Alcotest.(check int) "same measurements" (Controller.measurements c)
+    (Controller.measurements by_batch);
+  Alcotest.check_raises "nothing left to tell"
+    (Invalid_argument "Controller.tell: one reading per asked configuration")
+    (fun () -> Controller.tell by_batch [||])
 
 let test_report_after_done_rejected () =
   let c, _ = drive ~budget:20 () in
@@ -135,12 +190,17 @@ let test_two_controllers_are_independent () =
       | `Measure config -> Controller.report b (peak config)
       | `Done _ -> ()
   done;
-  (* a maximizes, b minimizes the same function: their incumbents
+  (* a maximizes, b minimizes the same function: their answers
      diverge. *)
-  match (Controller.best_so_far a, Controller.best_so_far b) with
-  | Some (_, pa), Some (_, pb) ->
-      Alcotest.(check bool) "divergent incumbents" true (pa > pb)
-  | _ -> Alcotest.fail "both controllers should have measurements"
+  let rec finish c =
+    match Controller.pending c with
+    | `Measure config ->
+        Controller.report c (peak config);
+        finish c
+    | `Done outcome -> outcome.Simplex.best_performance
+  in
+  let pa = finish a and pb = finish b in
+  Alcotest.(check bool) "divergent answers" true (pa > pb)
 
 let suite =
   [
@@ -150,6 +210,8 @@ let suite =
     Alcotest.test_case "pending configs valid" `Quick test_pending_configs_valid;
     Alcotest.test_case "best so far" `Quick test_best_so_far_tracks;
     Alcotest.test_case "best so far (minimize)" `Quick test_best_so_far_lower_is_better;
+    Alcotest.test_case "nan never best" `Quick test_nan_never_best;
+    Alcotest.test_case "batch view equals reports" `Quick test_batch_view_equals_reports;
     Alcotest.test_case "report after done" `Quick test_report_after_done_rejected;
     Alcotest.test_case "trusted seed init" `Quick test_trusted_seed_init;
     Alcotest.test_case "two controllers independent" `Quick test_two_controllers_are_independent;

@@ -350,7 +350,6 @@ let lint_dirs = [ "lib"; "bin"; "bench"; "tools/trace"; "examples" ]
 let user_dirs = [ "perfbench"; "tools/sem" ]
 
 let tree_is_lint_clean () =
-  let root p = Filename.concat ".." p in
   let tree = Sem_cmt.load ~root:".." in
   (* Every directory contributes units: a missing @check dependency
      would otherwise shrink the check silently, or show up as U1
@@ -365,15 +364,11 @@ let tree_is_lint_clean () =
       then Alcotest.fail ("no cmt files for " ^ dir))
     (lint_dirs @ user_dirs);
   let allowlist =
-    match Lint_allow.load_allowlist (root "tools/sem/allowlist") with
+    match Lint_allow.load_allowlist "../tools/sem/allowlist" with
     | Ok a -> a
     | Error msg -> Alcotest.fail msg
   in
-  let _, result =
-    Sem_driver.analyze_tree ~allowlist
-      ~source_of:(fun p -> Sem_driver.default_source_of (root p))
-      ~tree ~dirs:lint_dirs ()
-  in
+  let _, result = Sem_driver.analyze_tree ~allowlist ~tree ~dirs:lint_dirs () in
   (match result.Sem_driver.kept with
   | [] -> ()
   | ds ->

@@ -44,18 +44,19 @@ let test_best () =
       (* Tie broken towards the earliest. *)
       Alcotest.(check int) "earliest" 1 e.Recorder.index
 
-let test_lookup () =
+let test_best_skips_nan () =
+  let obj = Objective.create ~space ~direction:Objective.Higher_is_better (fun c ->
+      if c.(0) = 0.0 then Float.nan else c.(0))
+  in
   let r, wrapped = Recorder.wrap obj in
-  ignore (wrapped.Objective.eval [| 2.0 |]);
-  Alcotest.(check (option (float 1e-12))) "hit" (Some 2.0) (Recorder.lookup r [| 2.0 |]);
-  Alcotest.(check (option (float 1e-12))) "miss" None (Recorder.lookup r [| 3.0 |])
-
-let test_clear () =
-  let r, wrapped = Recorder.wrap obj in
-  ignore (wrapped.Objective.eval [| 2.0 |]);
-  Recorder.clear r;
-  Alcotest.(check int) "cleared" 0 (Recorder.count r);
-  Alcotest.(check bool) "no entries" true (Recorder.entries r = [])
+  List.iter
+    (fun x -> ignore (wrapped.Objective.eval [| x |]))
+    [ 0.0; 3.0; 0.0; 5.0; 0.0 ];
+  match Recorder.best obj r with
+  | None -> Alcotest.fail "expected a best entry"
+  | Some e ->
+      (* Neither the first NaN nor the last one wins. *)
+      Alcotest.(check int) "the best number" 3 e.Recorder.index
 
 let suite =
   [
@@ -63,6 +64,5 @@ let suite =
     Alcotest.test_case "passthrough value" `Quick test_passthrough_value;
     Alcotest.test_case "config copied" `Quick test_config_copied;
     Alcotest.test_case "best" `Quick test_best;
-    Alcotest.test_case "lookup" `Quick test_lookup;
-    Alcotest.test_case "clear" `Quick test_clear;
+    Alcotest.test_case "best skips nan" `Quick test_best_skips_nan;
   ]

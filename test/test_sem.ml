@@ -743,8 +743,29 @@ let rule_registry_well_formed () =
     [ "S1"; "S2"; "S3"; "S4"; "D1"; "D2"; "T1"; "P1"; "U1" ]
     (List.map (fun r -> r.Sem_rules.id) Sem_rules.all)
 
+(* Waivers are read from the sources under the build root, not the
+   current directory: this test runs in [_build/default/test], where no
+   [lib/] exists, and the tree's waived U1 findings must stay waived.
+   test/dune depends on every directory's @check. *)
+let u1_waivers_read_under_root () =
+  let tree = Sem_cmt.load ~root:".." in
+  let _, result =
+    Sem_driver.analyze_tree
+      ~rules:(Option.to_list (Sem_rules.find "U1"))
+      ~tree ~dirs:[ "lib" ] ()
+  in
+  Alcotest.(check (list string))
+    "no unwaived U1 finding" []
+    (List.map
+       (fun d -> Format.asprintf "%a" Lint_diag.pp_text d)
+       result.Sem_driver.kept);
+  Alcotest.(check bool)
+    "the waivers applied" true
+    (result.Sem_driver.suppressed <> [])
+
 let suite =
   [
+    ("u1 waivers read under the build root", `Quick, u1_waivers_read_under_root);
     ("s1 flags captured ref", `Quick, s1_flags_captured_ref);
     ("s1 flags captured hashtbl", `Quick, s1_flags_captured_hashtbl);
     ("s1 flags mutable field", `Quick, s1_flags_mutable_field);

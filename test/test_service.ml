@@ -1077,6 +1077,48 @@ let test_admission_rejects_and_retries () =
     (Telemetry.counter_value merged Admission.c_over_capacity)
     (Telemetry.counter_value merged Admission.c_rejected)
 
+(* A journal write that raises must not keep the inflight slot: after
+   a failed register, the next client's report is admitted on either
+   path. *)
+let test_failed_write_releases_slot () =
+  let script send =
+    let tight = { Admission.unlimited with Admission.max_inflight = 1 } in
+    let service = Service.create ~options ~admission:tight ~shards:1 () in
+    with_journal ~shards:1 (fun journal ->
+        let failed = ref false in
+        Service.attach_journals service ~journal
+          ~wrap:(fun ~shard:_ sink ->
+            let write s =
+              if not !failed then begin
+                failed := true;
+                raise (Sys_error "disk gone")
+              end
+              else sink.Persist.write s
+            in
+            { sink with Persist.write })
+          ();
+        (match send service (register_msg "alpha") with
+        | exception Sys_error _ -> ()
+        | r -> Alcotest.fail ("failed register answered " ^ Service.reply_to_string r));
+        let reply =
+          match send service (register_msg "bravo") with
+          | Service.Client_reply { reply = Server.Assign a; _ } ->
+              Service.reply_to_string (send service (report_msg "bravo" a))
+          | r -> Alcotest.fail ("register: " ^ Service.reply_to_string r)
+        in
+        Service.detach_journals service;
+        reply)
+  in
+  let single = script Service.handle in
+  let batched =
+    script (fun service m ->
+        match Service.handle_batch service [ m ] with
+        | [ r ] -> r
+        | _ -> Alcotest.fail "one reply per message")
+  in
+  Alcotest.(check bool) "assigned" true (String.starts_with ~prefix:"bravo assign" batched);
+  Alcotest.(check string) "handle answers as handle_batch" batched single
+
 let test_deadline_shed_before_dispatch () =
   let service =
     Service.create ~options ~admission:Admission.unlimited ~shards:1 ()
@@ -1840,6 +1882,8 @@ let suite =
       test_metrics_probe_pre_batch_snapshot;
     Alcotest.test_case "admission rejects and retries converge" `Quick
       test_admission_rejects_and_retries;
+    Alcotest.test_case "failed journal write releases its slot" `Quick
+      test_failed_write_releases_slot;
     Alcotest.test_case "deadline shed before dispatch" `Quick
       test_deadline_shed_before_dispatch;
     Alcotest.test_case "degraded sheds by priority" `Quick

@@ -19,8 +19,11 @@
    shrinks run, at 1 and 4 domains.  Everything observable must agree:
    every batch's configuration bits, the outcome's bits, the telemetry
    events (name, args and logical tick) and counters, a controller's
-   [measurements] and [best_so_far] after every report, and the text of
-   every exception. *)
+   [measurements] after every report, and the text of every exception.
+   A controller answers [Done] with the best-measured rule, which
+   [Ref_controller] spells out: the earliest best number read when it
+   beats the final vertex (any number beats a NaN vertex), else the
+   vertex. *)
 
 open Harmony
 open Harmony_objective
@@ -353,7 +356,8 @@ module Ref_simplex = struct
 end
 
 (* The controller as it ran the reference kernel: under an effect
-   handler, one continuation parked per outstanding measurement. *)
+   handler, one continuation parked per outstanding measurement.  Its
+   [best] is the earliest best number reported. *)
 module Ref_controller = struct
   type _ Effect.t += Measure : Space.config -> float Effect.t
 
@@ -392,10 +396,21 @@ module Ref_controller = struct
     Effect.Deep.match_with computation () { retc = Fun.id; exnc = raise; effc };
     t
 
+  let better t (a : float) b =
+    match t.direction with
+    | Objective.Higher_is_better -> a > b
+    | Objective.Lower_is_better -> a < b
+
   let pending t =
     match t.state with
     | Waiting { config; _ } -> `Measure (Array.copy config)
-    | Finished outcome -> `Done outcome
+    | Finished outcome -> (
+        match t.best with
+        | Some (config, v)
+          when Float.is_nan outcome.Simplex.best_performance
+               || better t v outcome.Simplex.best_performance ->
+            `Done { outcome with best_config = config; best_performance = v }
+        | Some _ | None -> `Done outcome)
     | Running -> invalid_arg "Controller.pending: controller is mid-step"
 
   let report t performance =
@@ -405,18 +420,13 @@ module Ref_controller = struct
     | Waiting { config; resume } ->
         t.measurements <- t.measurements + 1;
         (match t.best with
-        | Some (_, best_perf)
-          when not
-                 (match t.direction with
-                 | Objective.Higher_is_better -> performance > best_perf
-                 | Objective.Lower_is_better -> performance < best_perf) ->
-            ()
+        | _ when Float.is_nan performance -> ()
+        | Some (_, best_perf) when not (better t performance best_perf) -> ()
         | Some _ | None -> t.best <- Some (Array.copy config, performance));
         t.state <- Running;
         Effect.Deep.continue resume performance
 
   let measurements t = t.measurements
-  let best_so_far t = t.best
 end
 
 (* The restriction walk as it stood. *)
@@ -693,7 +703,6 @@ type 'c controller = {
   pending : 'c -> [ `Measure of Space.config | `Done of Simplex.outcome ];
   report : 'c -> float -> unit;
   measurements : 'c -> int;
-  best : 'c -> (Space.config * float) option;
 }
 
 let new_controller =
@@ -704,7 +713,6 @@ let new_controller =
     pending = Controller.pending;
     report = Controller.report;
     measurements = Controller.measurements;
-    best = Controller.best_so_far;
   }
 
 let ref_controller =
@@ -715,14 +723,13 @@ let ref_controller =
     pending = Ref_controller.pending;
     report = Ref_controller.report;
     measurements = Ref_controller.measurements;
-    best = Ref_controller.best_so_far;
   }
 
 (* A client session: every [pending] and [report], the client's own
    instants on the same handle between them (so each search event's
-   tick says which call emitted it), [measurements] and [best_so_far]
-   after every report, and what every raising call said — including
-   the calls after a report raised. *)
+   tick says which call emitted it), [measurements] after every
+   report, the answer at [Done], and what every raising call said —
+   including the calls after a report raised. *)
 let controller_transcript (type c) (ctl : c controller) case =
   let space = space_of case in
   let tel = Telemetry.create () in
@@ -736,11 +743,7 @@ let controller_transcript (type c) (ctl : c controller) case =
   | exception e -> line ("create raised " ^ Printexc.to_string e)
   | c ->
       let observe () =
-        line
-          (Printf.sprintf "measurements %d best %s" (ctl.measurements c)
-             (match ctl.best c with
-             | None -> "none"
-             | Some (cfg, v) -> Printf.sprintf "%s = %h" (bits cfg) v))
+        line (Printf.sprintf "measurements %d" (ctl.measurements c))
       in
       let rec loop () =
         Telemetry.instant tel "client.pending";

@@ -11,9 +11,11 @@
 
    Reads the .cmt and .cmti artifacts under --root (default
    _build/default) for sources living in the given directories
-   (default: lib bin bench tools/trace examples); `dune build @check`
-   produces them for executables too.  U1 counts uses in every unit
-   under --root outside test/, whatever directories are named.  Exit
+   (default: lib bin bench tools/trace examples), and the waiver
+   comments from dune's copies of those sources under --root; `dune
+   build @check` produces them for executables too.  U1 counts uses in
+   every unit under --root outside test/, whatever directories are
+   named.  Exit
    status 0 when no unwaived finding remains (or, under
    --check-baseline, no finding beyond the committed baseline), 1 on
    findings, 2 on usage errors. *)

@@ -19,6 +19,7 @@ type interface_info = {
 }
 
 type tree = {
+  root : string;  (* the build root, which holds a copy of every source *)
   units : unit_info list;  (* every implementation unit, by path *)
   interfaces : interface_info list;  (* every interface, by path *)
   diags : Lint_diag.t list;  (* unreadable artifacts *)
@@ -95,6 +96,7 @@ let load ~root =
           | _ -> ()))
     (List.sort String.compare (find_cmts root []));
   {
+    root;
     units = List.sort (fun a b -> String.compare a.path b.path) !units;
     interfaces =
       List.sort (fun a b -> String.compare a.ipath b.ipath) !interfaces;

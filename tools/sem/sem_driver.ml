@@ -104,16 +104,19 @@ let render_json ppf result =
 
 (* The analysis of a built tree: the per-unit rules and U1's report
    sites are the units and interfaces under [dirs]; U1's users are
-   every unit under [root], whatever [dirs] names. *)
-let analyze_tree ?rules ?allowlist ?source_of ~(tree : Sem_cmt.tree) ~dirs ()
-    =
+   every unit under [root], whatever [dirs] names.  Waivers are read
+   from the tree's own sources, which dune copies under its root, so
+   the analysis of another checkout never reads this one's. *)
+let analyze_tree ?rules ?allowlist ~(tree : Sem_cmt.tree) ~dirs () =
   let scoped path = Sem_cmt.in_dirs ~dirs path in
   let units = List.filter (fun u -> scoped u.Sem_cmt.path) tree.units in
   let interfaces =
     List.filter (fun i -> scoped i.Sem_cmt.ipath) tree.interfaces
   in
   let result =
-    analyze ?rules ?allowlist ?source_of ~interfaces ~users:tree.units units
+    analyze ?rules ?allowlist
+      ~source_of:(fun path -> default_source_of (Filename.concat tree.root path))
+      ~interfaces ~users:tree.units units
   in
   (units, { result with kept = tree.diags @ result.kept })
 
